@@ -37,7 +37,6 @@
 #include "exec/ycsb.h"
 #include "tuner/candidate_gen.h"
 #include "workload/generators.h"
-#include "workload/loader.h"
 
 namespace bati {
 namespace {

@@ -36,7 +36,6 @@
 #include "whatif/cost_service.h"
 #include "whatif/whatif_executor.h"
 #include "workload/generators.h"
-#include "workload/loader.h"
 
 namespace bati {
 namespace {

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/file_util.h"
 #include "harness/experiment.h"
 #include "obs/tracer.h"
 
@@ -109,23 +110,14 @@ int main() {
     spec.collect_metrics = true;
     spec.trace_path = trace_path;
     RunOutcome outcome = RunOnce(bundle, spec);
-    std::string json;
-    {
-      std::FILE* f = std::fopen(trace_path.c_str(), "rb");
-      if (f == nullptr) {
-        std::fprintf(stderr, "FAIL: trace file %s not written\n",
-                     trace_path.c_str());
-        return 1;
-      }
-      char buf[4096];
-      size_t n;
-      while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-        json.append(buf, n);
-      }
-      std::fclose(f);
+    const StatusOr<std::string> json = ReadFileToString(trace_path);
+    if (!json.ok()) {
+      std::fprintf(stderr, "FAIL: trace file %s not written\n",
+                   trace_path.c_str());
+      return 1;
     }
     size_t num_events = 0;
-    const Status st = Tracer::ValidateChromeJson(json, &num_events);
+    const Status st = Tracer::ValidateChromeJson(*json, &num_events);
     if (!st.ok()) {
       std::fprintf(stderr, "FAIL: trace schema validation: %s\n",
                    st.ToString().c_str());

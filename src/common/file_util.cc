@@ -69,4 +69,17 @@ Status AtomicWriteFile(const std::string& path, const std::string& contents) {
   return Status::Ok();
 }
 
+StatusOr<std::string> ReadFileToString(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return Status::NotFound("cannot open file: " + path);
+  std::string text;
+  char buf[4096];
+  size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
+  const bool read_error = std::ferror(f) != 0;
+  std::fclose(f);
+  if (read_error) return Status::Internal("error reading file: " + path);
+  return text;
+}
+
 }  // namespace bati

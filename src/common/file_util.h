@@ -15,6 +15,10 @@ namespace bati {
 /// writer and the layout-CSV exporter.
 Status AtomicWriteFile(const std::string& path, const std::string& contents);
 
+/// Reads a whole file into a string. NotFound when it cannot be opened,
+/// Internal on a read error.
+StatusOr<std::string> ReadFileToString(const std::string& path);
+
 }  // namespace bati
 
 #endif  // BATI_COMMON_FILE_UTIL_H_

@@ -22,24 +22,10 @@ namespace bati {
 
 namespace {
 
-/// First line of the fleet state file; the rest is RESULT wire frames (one
-/// per completed task), reusing the pipe protocol's length+CRC guard so a
-/// truncated or corrupted state file is rejected, never half-trusted.
-constexpr char kStateMagic[] = "bati-fleet-state v1";
-
 int64_t NowMs() {
   timespec ts;
   clock_gettime(CLOCK_MONOTONIC, &ts);
   return static_cast<int64_t>(ts.tv_sec) * 1000 + ts.tv_nsec / 1000000;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
 }
 
 /// Everything the coordinator knows about one submitted spec.
@@ -409,9 +395,10 @@ class Coordinator {
         if (t.attempts >= options_.max_attempts) {
           t.done = true;
           t.ok = false;
-          t.output = "{\"workload\":\"" + JsonEscape(t.workload) +
-                     "\",\"error\":\"task failed after " +
-                     std::to_string(t.attempts) + " attempts\"}";
+          t.output = RunErrorJson(t.workload,
+                                  "task failed after " +
+                                      std::to_string(t.attempts) +
+                                      " attempts");
           ++stats_->failed;
           SaveState();
         } else {
@@ -468,18 +455,18 @@ class Coordinator {
   /// Persists every completed task's output line, crash-consistently.
   void SaveState() {
     if (options_.state_path.empty()) return;
-    std::string out = std::string(kStateMagic) + "\n";
+    std::vector<ResultFrame> done;
     for (size_t i = 0; i < tasks_.size(); ++i) {
       const TaskState& t = tasks_[i];
       if (!t.done) continue;
-      ResultFrame frame;
+      ResultFrame& frame = done.emplace_back();
       frame.task_id = i + 1;
       frame.attempt = std::max(1, t.attempts);
       frame.ok = t.ok;
       frame.payload = t.output;
-      out += EncodeResultLine(frame);
     }
-    const Status st = AtomicWriteFile(options_.state_path, out);
+    const Status st =
+        AtomicWriteFile(options_.state_path, EncodeFleetState(done));
     if (!st.ok()) {
       std::fprintf(stderr, "bati_fleet: state write failed: %s\n",
                    st.ToString().c_str());
@@ -487,38 +474,13 @@ class Coordinator {
   }
 
   Status LoadState() {
-    std::string contents;
-    {
-      std::FILE* f = std::fopen(options_.state_path.c_str(), "rb");
-      if (f == nullptr) {
-        return Status::NotFound("cannot read state file: " +
-                                options_.state_path);
-      }
-      char chunk[4096];
-      size_t n = 0;
-      while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-        contents.append(chunk, n);
-      }
-      std::fclose(f);
-    }
-    size_t pos = contents.find('\n');
-    if (pos == std::string::npos ||
-        contents.substr(0, pos) != kStateMagic) {
-      return Status::InvalidArgument("bad state header (want \"" +
-                                     std::string(kStateMagic) + "\")");
-    }
-    ++pos;
-    while (pos < contents.size()) {
-      size_t end = contents.find('\n', pos);
-      if (end == std::string::npos) {
-        return Status::InvalidArgument("truncated state file (no final "
-                                       "newline)");
-      }
-      ResultFrame frame;
-      const Status st =
-          ParseResultLine(contents.substr(pos, end - pos), &frame);
-      if (!st.ok()) return st;
-      if (frame.task_id > tasks_.size()) {
+    StatusOr<std::string> contents = ReadFileToString(options_.state_path);
+    if (!contents.ok()) return contents.status();
+    std::vector<ResultFrame> done;
+    const Status st = ParseFleetState(*contents, &done);
+    if (!st.ok()) return st;
+    for (const ResultFrame& frame : done) {
+      if (frame.task_id == 0 || frame.task_id > tasks_.size()) {
         return Status::InvalidArgument(
             "state file has task " + std::to_string(frame.task_id) +
             " but only " + std::to_string(tasks_.size()) +
@@ -529,7 +491,6 @@ class Coordinator {
       t.ok = frame.ok;
       t.output = frame.payload;
       frame.ok ? ++stats_->ok : ++stats_->failed;
-      pos = end + 1;
     }
     return Status::Ok();
   }

@@ -5,10 +5,13 @@
 #include <cstdlib>
 
 #include "common/crc32.h"
+#include "common/durable.h"
 
 namespace bati {
 
 namespace {
+
+constexpr char kStateMagic[] = "bati-fleet-state v2";
 
 Status Malformed(const char* what) {
   return Status::InvalidArgument(std::string("malformed frame: ") + what);
@@ -159,6 +162,35 @@ Status ParseResultLine(const std::string& line, ResultFrame* out) {
   out->ok = ok == 1;
   out->recovered_calls = static_cast<int64_t>(recovered);
   out->payload = payload;
+  return Status::Ok();
+}
+
+std::string EncodeFleetState(const std::vector<ResultFrame>& done) {
+  std::string body;
+  for (const ResultFrame& frame : done) body += EncodeResultLine(frame);
+  return SealDurable(kStateMagic, body);
+}
+
+Status ParseFleetState(const std::string& text,
+                       std::vector<ResultFrame>* done) {
+  done->clear();
+  StatusOr<std::string> body = OpenDurable(text, kStateMagic);
+  if (!body.ok()) {
+    return Status::InvalidArgument("bad state file: " +
+                                   body.status().message());
+  }
+  size_t pos = 0;
+  while (pos < body->size()) {
+    const size_t end = body->find('\n', pos);
+    if (end == std::string::npos) {
+      return Status::InvalidArgument("bad state file: no final newline");
+    }
+    ResultFrame frame;
+    const Status st = ParseResultLine(body->substr(pos, end - pos), &frame);
+    if (!st.ok()) return st;
+    done->push_back(std::move(frame));
+    pos = end + 1;
+  }
   return Status::Ok();
 }
 

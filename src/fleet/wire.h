@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 
@@ -75,6 +76,14 @@ bool ParseHeartbeatLine(const std::string& line, uint64_t* task_id);
 /// Parses and validates a result line (length + CRC). Any malformed or
 /// corrupted frame yields a non-OK Status.
 Status ParseResultLine(const std::string& line, ResultFrame* out);
+
+/// The coordinator's state file: the common/durable envelope
+/// (`bati-fleet-state v2`, length + CRC-32 over the whole body) around one
+/// RESULT line per completed task. The envelope guards the task ids and
+/// `ok` flags too, which the per-frame CRC (payload only) does not.
+std::string EncodeFleetState(const std::vector<ResultFrame>& done);
+Status ParseFleetState(const std::string& text,
+                       std::vector<ResultFrame>* done);
 
 }  // namespace bati
 

@@ -131,23 +131,6 @@ class Heartbeat {
   std::thread thread_;
 };
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-/// The error object sequential bati_batch prints for a failed spec — the
-/// fleet must emit the identical bytes for the identical failure.
-std::string ErrorPayload(const std::string& workload,
-                         const std::string& message) {
-  return "{\"workload\":\"" + JsonEscape(workload) + "\",\"error\":\"" +
-         JsonEscape(message) + "\"}";
-}
-
 }  // namespace
 
 std::string TaskCheckpointPath(const std::string& state_dir,
@@ -199,7 +182,7 @@ int FleetWorkerMain(int task_fd, int result_fd,
     const Status parse_status = ParseRunSpecJson(task.spec_json, &spec);
     if (!parse_status.ok()) {
       result.ok = false;
-      result.payload = ErrorPayload("", parse_status.message());
+      result.payload = RunErrorJson("", parse_status.message());
     } else {
       if (!config.state_dir.empty()) {
         spec.checkpoint_path =
@@ -216,7 +199,7 @@ int FleetWorkerMain(int task_fd, int result_fd,
           BundleRegistry::Global().TryGet(spec.workload);
       if (bundle == nullptr) {
         result.ok = false;
-        result.payload = ErrorPayload(
+        result.payload = RunErrorJson(
             spec.workload, "unknown workload: " + spec.workload);
       } else {
         Heartbeat heartbeat(&writer, task.task_id, config.heartbeat_ms);

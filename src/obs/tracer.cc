@@ -1,10 +1,10 @@
 #include "obs/tracer.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 
 #include "common/file_util.h"
+#include "common/json.h"
 #include "common/macros.h"
 
 namespace bati {
@@ -17,126 +17,37 @@ void AppendDouble(std::string* out, double v) {
   *out += buf;
 }
 
-/// Minimal recursive-descent JSON reader used only by ValidateChromeJson:
-/// enough structure-awareness to confirm well-formedness and walk the
-/// traceEvents array without pulling in a JSON dependency.
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
+Status Malformed(const std::string& what) {
+  return Status::InvalidArgument("trace JSON: " + what);
+}
 
-  bool SkipValue() {
-    SkipSpace();
-    if (pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case '{':
-        return SkipObject(nullptr);
-      case '[':
-        return SkipArray();
-      case '"':
-        return ReadString(nullptr);
-      default:
-        return SkipScalar();
-    }
+/// Reads one traceEvents element: an object carrying name/cat/ph/ts/pid/
+/// tid, plus dur when the phase is 'X'. Errors are bare reasons.
+Status ReadTraceEvent(JsonCursor* c) {
+  if (c->Peek() != '{') {
+    return Status::InvalidArgument("malformed event object");
   }
-
-  /// Skips an object while collecting its top-level key names; when `ph` is
-  /// non-null and a "ph" member holds a string, its content is stored there
-  /// (the validator needs the phase to know whether "dur" is required).
-  bool SkipObject(std::vector<std::string>* keys,
-                  std::string* ph = nullptr) {
-    SkipSpace();
-    if (!Consume('{')) return false;
-    SkipSpace();
-    if (Consume('}')) return true;
-    while (true) {
-      std::string key;
-      if (!ReadString(&key)) return false;
-      if (keys != nullptr) keys->push_back(key);
-      SkipSpace();
-      if (!Consume(':')) return false;
-      if (ph != nullptr && key == "ph" && Peek() == '"') {
-        if (!ReadString(ph)) return false;
-      } else if (!SkipValue()) {
-        return false;
-      }
-      SkipSpace();
-      if (Consume(',')) continue;
-      return Consume('}');
-    }
+  std::vector<std::string> keys;
+  std::string ph;
+  const Status st = c->ReadObject([&](std::string& key) {
+    keys.push_back(key);
+    if (key == "ph" && c->Peek() == '"') return c->ReadString(&ph);
+    return c->SkipValue();
+  });
+  if (!st.ok()) return st;
+  auto has = [&keys](const char* k) {
+    return std::find(keys.begin(), keys.end(), k) != keys.end();
+  };
+  if (!has("name") || !has("cat") || !has("ph") || !has("ts") ||
+      !has("pid") || !has("tid")) {
+    return Status::InvalidArgument(
+        "event missing a required field (name/cat/ph/ts/pid/tid)");
   }
-
-  /// Reads a JSON string, appending its (unescaped) content to `out`.
-  bool ReadString(std::string* out) {
-    SkipSpace();
-    if (!Consume('"')) return false;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        if (out != nullptr) out->push_back(text_[pos_]);
-        ++pos_;
-      } else if (c == '"') {
-        return true;
-      } else if (out != nullptr) {
-        out->push_back(c);
-      }
-    }
-    return false;
+  if (ph == "X" && !has("dur")) {
+    return Status::InvalidArgument("complete ('X') span without dur");
   }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool AtEnd() {
-    SkipSpace();
-    return pos_ >= text_.size();
-  }
-
-  char Peek() {
-    SkipSpace();
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-
- private:
-  bool SkipArray() {
-    if (!Consume('[')) return false;
-    SkipSpace();
-    if (Consume(']')) return true;
-    while (true) {
-      if (!SkipValue()) return false;
-      SkipSpace();
-      if (Consume(',')) continue;
-      return Consume(']');
-    }
-  }
-
-  bool SkipScalar() {
-    SkipSpace();
-    const size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
+  return Status::Ok();
+}
 
 }  // namespace
 
@@ -323,68 +234,24 @@ Status Tracer::WriteChromeJson(const std::string& path) const {
 
 Status Tracer::ValidateChromeJson(const std::string& json,
                                   size_t* num_events) {
-  JsonReader reader(json);
-  if (!reader.Consume('{')) {
-    return Status::InvalidArgument("trace JSON: top level is not an object");
-  }
+  JsonCursor c(json);
+  if (c.Peek() != '{') return Malformed("top level is not an object");
   bool saw_trace_events = false;
   size_t events = 0;
-  if (!reader.Consume('}')) {
-    while (true) {
-      std::string key;
-      if (!reader.ReadString(&key)) {
-        return Status::InvalidArgument("trace JSON: expected member key");
-      }
-      if (!reader.Consume(':')) {
-        return Status::InvalidArgument("trace JSON: expected ':'");
-      }
-      if (key == "traceEvents") {
-        if (!reader.Consume('[')) {
-          return Status::InvalidArgument(
-              "trace JSON: traceEvents is not an array");
-        }
-        if (!reader.Consume(']')) {
-          while (true) {
-            std::vector<std::string> keys;
-            std::string ph;
-            if (reader.Peek() != '{' || !reader.SkipObject(&keys, &ph)) {
-              return Status::InvalidArgument(
-                  "trace JSON: malformed event object");
-            }
-            auto has = [&keys](const char* k) {
-              return std::find(keys.begin(), keys.end(), k) != keys.end();
-            };
-            if (!has("name") || !has("cat") || !has("ph") || !has("ts") ||
-                !has("pid") || !has("tid")) {
-              return Status::InvalidArgument(
-                  "trace JSON: event missing a required field "
-                  "(name/cat/ph/ts/pid/tid)");
-            }
-            if (ph == "X" && !has("dur")) {
-              return Status::InvalidArgument(
-                  "trace JSON: complete ('X') span without dur");
-            }
-            ++events;
-            if (reader.Consume(',')) continue;
-            if (reader.Consume(']')) break;
-            return Status::InvalidArgument("trace JSON: unterminated array");
-          }
-        }
-        saw_trace_events = true;
-      } else if (!reader.SkipValue()) {
-        return Status::InvalidArgument("trace JSON: malformed member value");
-      }
-      if (reader.Consume(',')) continue;
-      if (reader.Consume('}')) break;
-      return Status::InvalidArgument("trace JSON: unterminated object");
+  Status st = c.ReadObject([&](std::string& key) {
+    if (key != "traceEvents") return c.SkipValue();
+    if (c.Peek() != '[') {
+      return Status::InvalidArgument("traceEvents is not an array");
     }
-  }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trace JSON: trailing garbage");
-  }
-  if (!saw_trace_events) {
-    return Status::InvalidArgument("trace JSON: no traceEvents array");
-  }
+    saw_trace_events = true;
+    return c.ReadArray([&] {
+      ++events;
+      return ReadTraceEvent(&c);
+    });
+  });
+  if (!st.ok()) return Malformed(st.message());
+  if (!c.AtEnd()) return Malformed("trailing garbage");
+  if (!saw_trace_events) return Malformed("no traceEvents array");
   if (num_events != nullptr) *num_events = events;
   return Status::Ok();
 }

@@ -249,10 +249,6 @@ class ServeDaemon {
   int64_t rollbacks_ = 0;
 };
 
-/// JSON-string-escapes `text` (quotes, backslashes; control bytes become
-/// spaces) for embedding in the daemon's output lines.
-std::string ServeJsonEscape(const std::string& text);
-
 /// Lower-kebab-case rendering of a status code for structured error lines
 /// ("invalid-argument", "unavailable", ...).
 const char* ServeStatusCodeName(StatusCode code);

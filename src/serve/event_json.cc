@@ -1,9 +1,11 @@
 #include "serve/event_json.h"
 
-#include <cctype>
 #include <cerrno>
+#include <climits>
 #include <cstdlib>
+#include <limits>
 
+#include "common/json.h"
 #include "common/strings.h"
 #include "session/spec_json.h"
 
@@ -11,191 +13,7 @@ namespace bati {
 
 namespace {
 
-/// One raw key/value token of the event line. `raw` is the exact value
-/// substring, kept so residual (non-serve) keys can be reassembled into a
-/// spec object for session/spec_json.h without re-encoding.
-struct RawField {
-  std::string key;
-  std::string raw;
-  bool is_string = false;
-  bool is_bool = false;
-  bool is_number = false;
-  std::string str;  ///< decoded, when is_string
-  double num = 0.0;
-  bool boolean = false;
-};
-
-struct Cursor {
-  const std::string& text;
-  size_t pos = 0;
-
-  void SkipSpace() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-  }
-  bool AtEnd() {
-    SkipSpace();
-    return pos >= text.size();
-  }
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-};
-
-Status ParseStringToken(Cursor* c, std::string* raw, std::string* decoded) {
-  c->SkipSpace();
-  const size_t start = c->pos;
-  if (!c->Consume('"')) {
-    return Status::InvalidArgument("expected '\"' at position " +
-                                   std::to_string(c->pos));
-  }
-  decoded->clear();
-  while (c->pos < c->text.size()) {
-    char ch = c->text[c->pos++];
-    if (ch == '"') {
-      *raw = c->text.substr(start, c->pos - start);
-      return Status::Ok();
-    }
-    if (ch == '\\') {
-      if (c->pos >= c->text.size()) break;
-      char esc = c->text[c->pos++];
-      if (esc == '"' || esc == '\\' || esc == '/') {
-        decoded->push_back(esc);
-      } else {
-        return Status::InvalidArgument(
-            std::string("unsupported escape '\\") + esc + "' in string");
-      }
-      continue;
-    }
-    decoded->push_back(ch);
-  }
-  return Status::InvalidArgument("unterminated string");
-}
-
-Status ParseRawField(Cursor* c, RawField* out) {
-  c->SkipSpace();
-  if (c->pos >= c->text.size()) {
-    return Status::InvalidArgument("missing value");
-  }
-  const char ch = c->text[c->pos];
-  if (ch == '"') {
-    out->is_string = true;
-    return ParseStringToken(c, &out->raw, &out->str);
-  }
-  if (ch == 't' || ch == 'f') {
-    out->is_bool = true;
-    if (c->text.compare(c->pos, 4, "true") == 0) {
-      out->boolean = true;
-      out->raw = "true";
-      c->pos += 4;
-      return Status::Ok();
-    }
-    if (c->text.compare(c->pos, 5, "false") == 0) {
-      out->boolean = false;
-      out->raw = "false";
-      c->pos += 5;
-      return Status::Ok();
-    }
-    return Status::InvalidArgument("expected true or false at position " +
-                                   std::to_string(c->pos));
-  }
-  if (ch == '{' || ch == '[') {
-    return Status::InvalidArgument("nested objects/arrays are not allowed");
-  }
-  errno = 0;
-  const char* begin = c->text.c_str() + c->pos;
-  char* end = nullptr;
-  const double parsed = std::strtod(begin, &end);
-  if (end == begin || errno != 0) {
-    return Status::InvalidArgument("malformed number at position " +
-                                   std::to_string(c->pos));
-  }
-  out->is_number = true;
-  out->num = parsed;
-  out->raw = std::string(begin, static_cast<size_t>(end - begin));
-  c->pos += static_cast<size_t>(end - begin);
-  return Status::Ok();
-}
-
-Status Tokenize(const std::string& line, std::vector<RawField>* fields) {
-  Cursor c{line};
-  if (!c.Consume('{')) {
-    return Status::InvalidArgument("event line must be a JSON object");
-  }
-  bool first = true;
-  while (!c.Consume('}')) {
-    if (!first && !c.Consume(',')) {
-      return Status::InvalidArgument("expected ',' or '}' at position " +
-                                     std::to_string(c.pos));
-    }
-    first = false;
-    RawField field;
-    std::string raw_key;
-    Status st = ParseStringToken(&c, &raw_key, &field.key);
-    if (!st.ok()) return st;
-    if (!c.Consume(':')) {
-      return Status::InvalidArgument("expected ':' after \"" + field.key +
-                                     "\"");
-    }
-    st = ParseRawField(&c, &field);
-    if (!st.ok()) return st;
-    fields->push_back(std::move(field));
-  }
-  if (!c.AtEnd()) {
-    return Status::InvalidArgument("trailing characters after object");
-  }
-  return Status::Ok();
-}
-
-Status WantEventString(const RawField& f, std::string* out) {
-  if (!f.is_string) {
-    return Status::InvalidArgument("\"" + f.key + "\" must be a string");
-  }
-  *out = f.str;
-  return Status::Ok();
-}
-
-Status WantEventInt(const RawField& f, int64_t min, int64_t* out) {
-  if (!f.is_number) {
-    return Status::InvalidArgument("\"" + f.key + "\" must be a number");
-  }
-  const int64_t integer = static_cast<int64_t>(f.num);
-  if (static_cast<double>(integer) != f.num) {
-    return Status::InvalidArgument("\"" + f.key + "\" must be an integer");
-  }
-  if (integer < min) {
-    return Status::InvalidArgument("\"" + f.key + "\" out of range");
-  }
-  *out = integer;
-  return Status::Ok();
-}
-
-Status WantEventNumber(const RawField& f, double min, double* out) {
-  if (!f.is_number) {
-    return Status::InvalidArgument("\"" + f.key + "\" must be a number");
-  }
-  if (f.num < min) {
-    return Status::InvalidArgument("\"" + f.key + "\" out of range");
-  }
-  *out = f.num;
-  return Status::Ok();
-}
-
-Status WantEventBool(const RawField& f, bool* out) {
-  if (!f.is_bool) {
-    return Status::InvalidArgument("\"" + f.key + "\" must be true or "
-                                   "false");
-  }
-  *out = f.boolean;
-  return Status::Ok();
-}
+constexpr double kNoMax = std::numeric_limits<double>::max();
 
 /// Parses a deploy config: space-separated non-negative candidate
 /// positions ("1 4 7"); the empty string is the base (no-index)
@@ -229,14 +47,15 @@ Status ParseConfigString(const std::string& text,
 
 Status ParseEvent(const std::string& line, ServeEvent* event) {
   *event = ServeEvent();
-  std::vector<RawField> fields;
-  Status st = Tokenize(line, &fields);
+  std::vector<JsonField> fields;
+  fields.reserve(8);
+  Status st = ReadFlatObject(line, "event line", &fields);
   if (!st.ok()) return st;
 
   std::string type;
-  for (const RawField& f : fields) {
+  for (const JsonField& f : fields) {
     if (f.key != "type") continue;
-    st = WantEventString(f, &type);
+    st = WantString(f, &type);
     if (!st.ok()) return st;
   }
   if (type.empty()) {
@@ -248,20 +67,20 @@ Status ParseEvent(const std::string& line, ServeEvent* event) {
   bool have_seconds = false;
   if (type == "query") {
     event->type = ServeEventType::kQuery;
-    for (const RawField& f : fields) {
+    for (const JsonField& f : fields) {
       int64_t integer = 0;
       if (f.key == "type") {
         continue;
       } else if (f.key == "tenant") {
-        st = WantEventString(f, &event->tenant);
+        st = WantString(f, &event->tenant);
       } else if (f.key == "query") {
-        st = WantEventInt(f, 0, &integer);
+        st = WantInt(f, 0, INT_MAX, &integer);
         if (st.ok()) {
           event->query_id = static_cast<int>(integer);
           have_query = true;
         }
       } else if (f.key == "weight") {
-        st = WantEventNumber(f, 0.0, &event->weight);
+        st = WantNumber(f, 0.0, kNoMax, &event->weight);
         if (st.ok() && event->weight <= 0.0) {
           st = Status::InvalidArgument("\"weight\" must be positive");
         }
@@ -276,43 +95,41 @@ Status ParseEvent(const std::string& line, ServeEvent* event) {
     }
   } else if (type == "register") {
     event->type = ServeEventType::kRegister;
-    // Residual keys are the tuning template, re-encoded verbatim for the
-    // strict RunSpec parser so serve accepts exactly the bati_batch spec
+    // Residual keys are the tuning template, handed to the strict RunSpec
+    // field validator so serve accepts exactly the bati_batch spec
     // vocabulary (budget, k, seed, governor, faults, ...).
-    std::string spec_json = "{";
-    for (const RawField& f : fields) {
+    std::vector<JsonField> template_fields;
+    for (JsonField& f : fields) {
       if (f.key == "type") {
         continue;
       } else if (f.key == "tenant") {
-        st = WantEventString(f, &event->tenant);
+        st = WantString(f, &event->tenant);
       } else if (f.key == "queue_quota") {
-        st = WantEventInt(f, 1, &event->queue_quota);
+        st = WantInt(f, 1, INT64_MAX, &event->queue_quota);
       } else if (f.key == "budget_quota") {
-        st = WantEventInt(f, 0, &event->budget_quota);
+        st = WantInt(f, 0, INT64_MAX, &event->budget_quota);
       } else if (f.key == "tune") {
-        st = WantEventBool(f, &event->tune_on_register);
+        st = WantBool(f, &event->tune_on_register);
       } else {
-        if (spec_json.size() > 1) spec_json.push_back(',');
-        spec_json += "\"" + f.key + "\":" + f.raw;
+        template_fields.push_back(std::move(f));
       }
       if (!st.ok()) return st;
     }
-    spec_json.push_back('}');
-    st = ParseRunSpecJson(spec_json, &event->spec);
+    st = RunSpecFromFields(template_fields, &event->spec);
     if (!st.ok()) return st;
   } else if (type == "tune") {
     event->type = ServeEventType::kTune;
-    for (const RawField& f : fields) {
+    for (const JsonField& f : fields) {
       if (f.key == "type") {
         continue;
       } else if (f.key == "tenant") {
-        st = WantEventString(f, &event->tenant);
+        st = WantString(f, &event->tenant);
       } else if (f.key == "budget") {
-        st = WantEventInt(f, 0, &event->budget_override);
+        st = WantInt(f, 0, INT64_MAX, &event->budget_override);
       } else if (f.key == "seed") {
-        st = WantEventInt(f, 0, &event->seed_override);
+        st = WantInt(f, 0, INT64_MAX, &event->seed_override);
       } else if (f.key == "algorithm") {
-        st = WantEventString(f, &event->algorithm_override);
+        st = WantString(f, &event->algorithm_override);
         if (st.ok() && !IsKnownAlgorithm(event->algorithm_override)) {
           st = Status::InvalidArgument("unknown algorithm \"" +
                                        event->algorithm_override + "\"");
@@ -325,14 +142,14 @@ Status ParseEvent(const std::string& line, ServeEvent* event) {
     }
   } else if (type == "deploy") {
     event->type = ServeEventType::kDeploy;
-    for (const RawField& f : fields) {
+    for (const JsonField& f : fields) {
       if (f.key == "type") {
         continue;
       } else if (f.key == "tenant") {
-        st = WantEventString(f, &event->tenant);
+        st = WantString(f, &event->tenant);
       } else if (f.key == "config") {
         std::string text;
-        st = WantEventString(f, &text);
+        st = WantString(f, &text);
         if (st.ok()) st = ParseConfigString(text, &event->config);
         if (st.ok()) have_config = true;
       } else {
@@ -346,11 +163,11 @@ Status ParseEvent(const std::string& line, ServeEvent* event) {
     }
   } else if (type == "advance") {
     event->type = ServeEventType::kAdvance;
-    for (const RawField& f : fields) {
+    for (const JsonField& f : fields) {
       if (f.key == "type") {
         continue;
       } else if (f.key == "seconds") {
-        st = WantEventNumber(f, 0.0, &event->seconds);
+        st = WantNumber(f, 0.0, kNoMax, &event->seconds);
         if (st.ok()) have_seconds = true;
         if (st.ok() && event->seconds <= 0.0) {
           st = Status::InvalidArgument("\"seconds\" must be positive");
@@ -366,7 +183,7 @@ Status ParseEvent(const std::string& line, ServeEvent* event) {
     }
   } else if (type == "drain") {
     event->type = ServeEventType::kDrain;
-    for (const RawField& f : fields) {
+    for (const JsonField& f : fields) {
       if (f.key != "type") {
         return Status::InvalidArgument("unknown key \"" + f.key +
                                        "\" for a drain event");

@@ -12,7 +12,7 @@ namespace bati {
 
 /// The kinds of event a serve stream can carry, one flat JSON object per
 /// line (JSONL over stdin or a pipe — the same wire shape as bati_batch
-/// specs, parsed with the same strict grammar).
+/// specs, read by the same common/json.h reader).
 enum class ServeEventType {
   /// One live query observation: `{"type":"query","tenant":"t","query":3}`
   /// with an optional positive `"weight"` (default 1). Feeds the tenant's
@@ -22,7 +22,7 @@ enum class ServeEventType {
   /// `{"type":"register","tenant":"t","workload":"tpch","algorithm":
   /// "vanilla-greedy","budget":400,...}`. Every key that is not a serve
   /// key (`type`, `tenant`, `queue_quota`, `budget_quota`, `tune`) is
-  /// handed to session/spec_json.h's strict RunSpec parser, so a template
+  /// handed to session/spec_json.h's strict RunSpecFromFields, so a template
   /// accepts exactly the bati_batch spec vocabulary. `"tune":true` also
   /// submits an initial tuning run at registration.
   kRegister,

@@ -5,44 +5,20 @@
 #include <cstring>
 #include <sstream>
 
+#include "common/durable.h"
 #include "common/file_util.h"
-#include "whatif/checkpoint.h"
 
 namespace bati {
 
 namespace {
 
-constexpr char kMagic[] = "bati-serve v2";
-/// v1 checkpoints (pre-signal-layer) are still readable: they lack the
-/// signal and per-tenant calibration lines, which default to what-if /
-/// uncalibrated.
-constexpr char kMagicV1[] = "bati-serve v1";
+/// v3 put the body in the common/durable envelope (length + CRC-32), so a
+/// flipped or truncated file is rejected instead of resuming a different
+/// state. Earlier versions are rejected as unsupported.
+constexpr char kMagic[] = "bati-serve v3";
 
-Status Malformed(const char* what) {
-  return Status::InvalidArgument(std::string("malformed serve checkpoint: ") +
-                                 what);
-}
-
-bool ParseI64(const std::string& token, int64_t* out) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoll(token.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-bool ParseU64(const std::string& token, uint64_t* out) {
-  if (token.empty() || token[0] == '-') return false;
-  char* end = nullptr;
-  *out = std::strtoull(token.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-std::vector<std::string> SplitTokens(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream in(line);
-  std::string tok;
-  while (in >> tok) out.push_back(tok);
-  return out;
+Status Malformed(const std::string& what) {
+  return Status::InvalidArgument("malformed serve checkpoint: " + what);
 }
 
 /// Emits "keyword count p1 p2 ... pk\n" for a position list.
@@ -88,8 +64,6 @@ std::string SerializeServeCheckpoint(const ServeCheckpoint& ckpt) {
   std::string out;
   out.reserve(512);
   char buf[256];
-  out.append(kMagic);
-  out.push_back('\n');
   std::snprintf(buf, sizeof(buf), "events %" PRId64 "\n",
                 ckpt.events_processed);
   out.append(buf);
@@ -174,16 +148,14 @@ std::string SerializeServeCheckpoint(const ServeCheckpoint& ckpt) {
     }
   }
   out.append("end\n");
-  return out;
+  return SealDurable(kMagic, out);
 }
 
 StatusOr<ServeCheckpoint> ParseServeCheckpoint(const std::string& text) {
-  std::istringstream in(text);
+  StatusOr<std::string> body = OpenDurable(text, kMagic);
+  if (!body.ok()) return Malformed(body.status().message());
+  std::istringstream in(*body);
   std::string line;
-  if (!std::getline(in, line) || (line != kMagic && line != kMagicV1)) {
-    return Malformed("missing or unsupported header");
-  }
-  const bool v1 = line == kMagicV1;
   ServeCheckpoint ckpt;
   std::vector<std::string> toks;
   auto next_tokens = [&](const char* keyword, size_t count) -> bool {
@@ -213,11 +185,8 @@ StatusOr<ServeCheckpoint> ParseServeCheckpoint(const std::string& text) {
       !ParseI64(toks[7], &ckpt.rollbacks)) {
     return Malformed("bad counters line");
   }
-  if (!v1) {
-    if (!next_tokens("signal", 1) ||
-        !ParseSignalKind(toks[1], &ckpt.signal)) {
-      return Malformed("bad signal line");
-    }
+  if (!next_tokens("signal", 1) || !ParseSignalKind(toks[1], &ckpt.signal)) {
+    return Malformed("bad signal line");
   }
 
   int64_t num_tenants = 0;
@@ -247,13 +216,11 @@ StatusOr<ServeCheckpoint> ParseServeCheckpoint(const std::string& text) {
         !ParseU64(toks[1], &t.generation)) {
       return Malformed("bad generation line");
     }
-    if (!v1) {
-      if (!next_tokens("calibration", 2) ||
-          !ParseI64(toks[1], &t.calib_samples) ||
-          !ParseHexDouble(toks[2], &t.calib_sum) || t.calib_samples < 0 ||
-          t.calib_sum < 0.0) {
-        return Malformed("bad calibration line");
-      }
+    if (!next_tokens("calibration", 2) ||
+        !ParseI64(toks[1], &t.calib_samples) ||
+        !ParseHexDouble(toks[2], &t.calib_sum) || t.calib_samples < 0 ||
+        t.calib_sum < 0.0) {
+      return Malformed("bad calibration line");
     }
     if (!std::getline(in, line)) return Malformed("missing deployed line");
     toks = SplitTokens(line);
@@ -343,22 +310,9 @@ Status SaveServeCheckpoint(const ServeCheckpoint& ckpt,
 }
 
 StatusOr<ServeCheckpoint> LoadServeCheckpoint(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound("cannot open serve checkpoint: " + path);
-  }
-  std::string text;
-  char buf[4096];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, n);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    return Status::Internal("error reading serve checkpoint: " + path);
-  }
-  return ParseServeCheckpoint(text);
+  StatusOr<std::string> text = ReadFileToString(path);
+  if (!text.ok()) return text.status();
+  return ParseServeCheckpoint(*text);
 }
 
 }  // namespace bati

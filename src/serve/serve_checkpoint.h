@@ -85,9 +85,11 @@ struct ServeCheckpoint {
   bool operator==(const ServeCheckpoint&) const = default;
 };
 
-/// Line-based text form with hex-float doubles, in the house checkpoint
-/// style (see whatif/checkpoint.h): serialization round-trips every double
-/// bit-exactly, which resume-to-identical-state requires.
+/// Line-based text form with hex-float doubles inside the common/durable
+/// envelope (`bati-serve v3`, length + CRC-32): serialization round-trips
+/// every double bit-exactly, which resume-to-identical-state requires, and
+/// any truncated or bit-flipped file is rejected. Files of an earlier
+/// version are rejected as unsupported.
 std::string SerializeServeCheckpoint(const ServeCheckpoint& ckpt);
 StatusOr<ServeCheckpoint> ParseServeCheckpoint(const std::string& text);
 

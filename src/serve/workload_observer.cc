@@ -5,8 +5,8 @@
 #include <map>
 #include <sstream>
 
+#include "common/durable.h"
 #include "common/macros.h"
-#include "whatif/checkpoint.h"
 
 namespace bati {
 

@@ -1,172 +1,13 @@
 #include "session/spec_json.h"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
+#include <climits>
+
+#include "common/json.h"
 
 namespace bati {
 
-namespace {
-
-/// Cursor over one JSON line. The grammar here is deliberately tiny: one
-/// flat object of string/number/boolean values — the same shape
-/// ResultToJson() emits and a shell one-liner can produce.
-struct Cursor {
-  const std::string& text;
-  size_t pos = 0;
-
-  void SkipSpace() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-  }
-  bool AtEnd() {
-    SkipSpace();
-    return pos >= text.size();
-  }
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-};
-
-Status ParseString(Cursor* c, std::string* out) {
-  if (!c->Consume('"')) {
-    return Status::InvalidArgument("expected '\"' at position " +
-                                   std::to_string(c->pos));
-  }
-  out->clear();
-  while (c->pos < c->text.size()) {
-    char ch = c->text[c->pos++];
-    if (ch == '"') return Status::Ok();
-    if (ch == '\\') {
-      if (c->pos >= c->text.size()) break;
-      char esc = c->text[c->pos++];
-      if (esc == '"' || esc == '\\' || esc == '/') {
-        out->push_back(esc);
-      } else {
-        return Status::InvalidArgument(
-            std::string("unsupported escape '\\") + esc + "' in string");
-      }
-      continue;
-    }
-    out->push_back(ch);
-  }
-  return Status::InvalidArgument("unterminated string");
-}
-
-Status ParseNumber(Cursor* c, double* out) {
-  c->SkipSpace();
-  errno = 0;
-  const char* begin = c->text.c_str() + c->pos;
-  char* end = nullptr;
-  double parsed = std::strtod(begin, &end);
-  if (end == begin || errno != 0) {
-    return Status::InvalidArgument("malformed number at position " +
-                                   std::to_string(c->pos));
-  }
-  c->pos += static_cast<size_t>(end - begin);
-  *out = parsed;
-  return Status::Ok();
-}
-
-Status ParseBool(Cursor* c, bool* out) {
-  c->SkipSpace();
-  if (c->text.compare(c->pos, 4, "true") == 0) {
-    c->pos += 4;
-    *out = true;
-    return Status::Ok();
-  }
-  if (c->text.compare(c->pos, 5, "false") == 0) {
-    c->pos += 5;
-    *out = false;
-    return Status::Ok();
-  }
-  return Status::InvalidArgument("expected true or false at position " +
-                                 std::to_string(c->pos));
-}
-
-/// One decoded key/value; exactly one of the has_* flags is set.
-struct Value {
-  bool has_string = false;
-  bool has_number = false;
-  bool has_bool = false;
-  std::string str;
-  double num = 0.0;
-  bool boolean = false;
-};
-
-Status ParseValue(Cursor* c, Value* out) {
-  c->SkipSpace();
-  if (c->pos >= c->text.size()) {
-    return Status::InvalidArgument("missing value");
-  }
-  const char ch = c->text[c->pos];
-  if (ch == '"') {
-    out->has_string = true;
-    return ParseString(c, &out->str);
-  }
-  if (ch == 't' || ch == 'f') {
-    out->has_bool = true;
-    return ParseBool(c, &out->boolean);
-  }
-  if (ch == '{' || ch == '[') {
-    return Status::InvalidArgument("nested objects/arrays are not allowed");
-  }
-  out->has_number = true;
-  return ParseNumber(c, &out->num);
-}
-
-Status WantString(const std::string& key, const Value& v, std::string* out) {
-  if (!v.has_string) {
-    return Status::InvalidArgument("\"" + key + "\" must be a string");
-  }
-  *out = v.str;
-  return Status::Ok();
-}
-
-Status WantNumber(const std::string& key, const Value& v, double min,
-                  double max, double* out) {
-  if (!v.has_number) {
-    return Status::InvalidArgument("\"" + key + "\" must be a number");
-  }
-  if (v.num < min || v.num > max) {
-    return Status::InvalidArgument("\"" + key + "\" out of range");
-  }
-  *out = v.num;
-  return Status::Ok();
-}
-
-Status WantInt(const std::string& key, const Value& v, int64_t min,
-               int64_t* out) {
-  double num = 0.0;
-  Status st = WantNumber(key, v, static_cast<double>(min), 9.2e18, &num);
-  if (!st.ok()) return st;
-  int64_t integer = static_cast<int64_t>(num);
-  if (static_cast<double>(integer) != num) {
-    return Status::InvalidArgument("\"" + key + "\" must be an integer");
-  }
-  *out = integer;
-  return Status::Ok();
-}
-
-Status WantBool(const std::string& key, const Value& v, bool* out) {
-  if (!v.has_bool) {
-    return Status::InvalidArgument("\"" + key + "\" must be true or false");
-  }
-  *out = v.boolean;
-  return Status::Ok();
-}
-
-}  // namespace
-
-Status ParseRunSpecJson(const std::string& line, RunSpec* spec) {
+Status RunSpecFromFields(const std::vector<JsonField>& fields,
+                         RunSpec* spec) {
   *spec = RunSpec();
   // Governor threshold overrides, applied after the sweep (wired exactly
   // like bati_tune's --skip-threshold / --stop-threshold / --stop-window).
@@ -176,86 +17,68 @@ Status ParseRunSpecJson(const std::string& line, RunSpec* spec) {
   double stop_threshold = -1.0;
   int64_t stop_window = 0;
 
-  Cursor c{line};
-  if (!c.Consume('{')) {
-    return Status::InvalidArgument("spec line must be a JSON object");
-  }
-  bool first = true;
   bool have_workload = false;
-  while (!c.Consume('}')) {
-    if (!first && !c.Consume(',')) {
-      return Status::InvalidArgument("expected ',' or '}' at position " +
-                                     std::to_string(c.pos));
-    }
-    first = false;
-    std::string key;
-    Status st = ParseString(&c, &key);
-    if (!st.ok()) return st;
-    if (!c.Consume(':')) {
-      return Status::InvalidArgument("expected ':' after \"" + key + "\"");
-    }
-    Value value;
-    st = ParseValue(&c, &value);
-    if (!st.ok()) return st;
-
+  for (const JsonField& value : fields) {
+    const std::string& key = value.key;
+    Status st;
     int64_t integer = 0;
     double num = 0.0;
     if (key == "workload") {
-      st = WantString(key, value, &spec->workload);
+      st = WantString(value, &spec->workload);
       have_workload = st.ok() && !spec->workload.empty();
       if (st.ok() && !have_workload) {
         st = Status::InvalidArgument("\"workload\" must be non-empty");
       }
     } else if (key == "algorithm") {
-      st = WantString(key, value, &spec->algorithm);
+      st = WantString(value, &spec->algorithm);
     } else if (key == "budget") {
-      st = WantInt(key, value, 0, &spec->budget);
+      st = WantInt(value, 0, INT64_MAX, &spec->budget);
     } else if (key == "k") {
-      st = WantInt(key, value, 1, &integer);
+      st = WantInt(value, 1, INT_MAX, &integer);
       if (st.ok()) spec->max_indexes = static_cast<int>(integer);
     } else if (key == "storage_gb") {
-      st = WantNumber(key, value, 0.0, 1e12, &num);
+      st = WantNumber(value, 0.0, 1e12, &num);
       if (st.ok()) spec->max_storage_bytes = num * 1e9;
     } else if (key == "seed") {
-      st = WantInt(key, value, 0, &integer);
+      st = WantInt(value, 0, INT64_MAX, &integer);
       if (st.ok()) spec->seed = static_cast<uint64_t>(integer);
     } else if (key == "early_stop") {
-      st = WantBool(key, value, &early_stop);
+      st = WantBool(value, &early_stop);
     } else if (key == "realloc_budget") {
-      st = WantBool(key, value, &realloc_budget);
+      st = WantBool(value, &realloc_budget);
     } else if (key == "skip_threshold") {
-      st = WantNumber(key, value, 0.0, 1e12, &skip_threshold);
+      st = WantNumber(value, 0.0, 1e12, &skip_threshold);
     } else if (key == "stop_threshold") {
-      st = WantNumber(key, value, 0.0, 1e12, &stop_threshold);
+      st = WantNumber(value, 0.0, 1e12, &stop_threshold);
     } else if (key == "stop_window") {
-      st = WantInt(key, value, 1, &stop_window);
+      st = WantInt(value, 1, INT64_MAX, &stop_window);
     } else if (key == "fault_rate") {
-      st = WantNumber(key, value, 0.0, 1.0, &spec->faults.transient_rate);
+      st = WantNumber(value, 0.0, 1.0, &spec->faults.transient_rate);
     } else if (key == "fault_sticky") {
-      st = WantNumber(key, value, 0.0, 1.0, &spec->faults.sticky_rate);
+      st = WantNumber(value, 0.0, 1.0, &spec->faults.sticky_rate);
     } else if (key == "fault_spike") {
-      st = WantNumber(key, value, 0.0, 1.0, &spec->faults.spike_rate);
+      st = WantNumber(value, 0.0, 1.0, &spec->faults.spike_rate);
     } else if (key == "fault_spike_factor") {
-      st = WantNumber(key, value, 1.0, 1e12, &spec->faults.spike_factor);
+      st = WantNumber(value, 1.0, 1e12, &spec->faults.spike_factor);
     } else if (key == "fault_seed") {
-      st = WantInt(key, value, 0, &integer);
+      st = WantInt(value, 0, INT64_MAX, &integer);
       if (st.ok()) spec->faults.seed = static_cast<uint64_t>(integer);
     } else if (key == "retry_attempts") {
-      st = WantInt(key, value, 1, &integer);
+      st = WantInt(value, 1, INT_MAX, &integer);
       if (st.ok()) spec->retry.max_attempts = static_cast<int>(integer);
     } else if (key == "retry_timeout") {
-      st = WantNumber(key, value, 0.0, 1e12,
+      st = WantNumber(value, 0.0, 1e12,
                       &spec->retry.call_timeout_seconds);
     } else if (key == "collect_metrics") {
-      st = WantBool(key, value, &spec->collect_metrics);
+      st = WantBool(value, &spec->collect_metrics);
     } else if (key == "checkpoint") {
-      st = WantString(key, value, &spec->checkpoint_path);
+      st = WantString(value, &spec->checkpoint_path);
     } else if (key == "resume") {
-      st = WantString(key, value, &spec->resume_path);
+      st = WantString(value, &spec->resume_path);
     } else if (key == "trace_out") {
-      st = WantString(key, value, &spec->trace_path);
+      st = WantString(value, &spec->trace_path);
     } else if (key == "signal") {
-      st = WantString(key, value, &spec->deploy_signal);
+      st = WantString(value, &spec->deploy_signal);
       // The valid names mirror src/signal's ParseSignalKind — the session
       // layer sits below the signal layer and cannot call it, so the list
       // is spelled out here (cross-checked by a test).
@@ -270,9 +93,6 @@ Status ParseRunSpecJson(const std::string& line, RunSpec* spec) {
       st = Status::InvalidArgument("unknown key \"" + key + "\"");
     }
     if (!st.ok()) return st;
-  }
-  if (!c.AtEnd()) {
-    return Status::InvalidArgument("trailing characters after object");
   }
   if (!have_workload) {
     return Status::InvalidArgument("\"workload\" is required");
@@ -302,6 +122,13 @@ Status ParseRunSpecJson(const std::string& line, RunSpec* spec) {
   return Status::Ok();
 }
 
+Status ParseRunSpecJson(const std::string& line, RunSpec* spec) {
+  std::vector<JsonField> fields;
+  fields.reserve(8);
+  const Status st = ReadFlatObject(line, "spec line", &fields);
+  return st.ok() ? RunSpecFromFields(fields, spec) : st;
+}
+
 Status ParseRunSpecJsonLine(const std::string& line, int lineno,
                             RunSpec* spec) {
   Status st = ParseRunSpecJson(line, spec);
@@ -310,108 +137,75 @@ Status ParseRunSpecJsonLine(const std::string& line, int lineno,
                                  st.message());
 }
 
-namespace {
-
-void AppendKey(std::string* out, const char* key) {
-  if ((*out)[out->size() - 1] != '{') out->push_back(',');
-  out->append("\"");
-  out->append(key);
-  out->append("\":");
-}
-
-void AppendString(std::string* out, const char* key, const std::string& v) {
-  AppendKey(out, key);
-  out->push_back('"');
-  for (char c : v) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-  out->push_back('"');
-}
-
-void AppendInt(std::string* out, const char* key, int64_t v) {
-  AppendKey(out, key);
-  out->append(std::to_string(v));
-}
-
-void AppendDouble(std::string* out, const char* key, double v) {
-  AppendKey(out, key);
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out->append(buf);
-}
-
-void AppendBool(std::string* out, const char* key, bool v) {
-  AppendKey(out, key);
-  out->append(v ? "true" : "false");
-}
-
-}  // namespace
-
 std::string RunSpecToJson(const RunSpec& spec) {
   const RunSpec def;  // emit only what differs from a default spec
-  std::string out = "{";
-  AppendString(&out, "workload", spec.workload);
+  JsonObjectWriter out;
+  out.String("workload", spec.workload);
   if (!spec.algorithm.empty()) {
-    AppendString(&out, "algorithm", spec.algorithm);
+    out.String("algorithm", spec.algorithm);
   }
-  if (spec.budget != def.budget) AppendInt(&out, "budget", spec.budget);
+  if (spec.budget != def.budget) out.Int("budget", spec.budget);
   if (spec.max_indexes != def.max_indexes) {
-    AppendInt(&out, "k", spec.max_indexes);
+    out.Int("k", spec.max_indexes);
   }
   if (spec.max_storage_bytes != def.max_storage_bytes) {
-    AppendDouble(&out, "storage_gb", spec.max_storage_bytes / 1e9);
+    out.Double("storage_gb", spec.max_storage_bytes / 1e9);
   }
   if (spec.seed != def.seed) {
-    AppendInt(&out, "seed", static_cast<int64_t>(spec.seed));
+    out.Int("seed", static_cast<int64_t>(spec.seed));
   }
   if (spec.governor.enabled) {
-    if (spec.governor.early_stop) AppendBool(&out, "early_stop", true);
-    if (spec.governor.skip_what_if) AppendBool(&out, "realloc_budget", true);
-    AppendDouble(&out, "skip_threshold",
-                 spec.governor.realloc.skip_rel_threshold);
-    AppendDouble(&out, "stop_threshold",
-                 spec.governor.stop.abs_threshold_pct);
+    if (spec.governor.early_stop) out.Bool("early_stop", true);
+    if (spec.governor.skip_what_if) out.Bool("realloc_budget", true);
+    out.Double("skip_threshold", spec.governor.realloc.skip_rel_threshold);
+    out.Double("stop_threshold", spec.governor.stop.abs_threshold_pct);
     if (spec.governor.stop.window_calls >= 1) {
-      AppendInt(&out, "stop_window", spec.governor.stop.window_calls);
+      out.Int("stop_window", spec.governor.stop.window_calls);
     }
   }
   if (spec.faults.transient_rate != def.faults.transient_rate) {
-    AppendDouble(&out, "fault_rate", spec.faults.transient_rate);
+    out.Double("fault_rate", spec.faults.transient_rate);
   }
   if (spec.faults.sticky_rate != def.faults.sticky_rate) {
-    AppendDouble(&out, "fault_sticky", spec.faults.sticky_rate);
+    out.Double("fault_sticky", spec.faults.sticky_rate);
   }
   if (spec.faults.spike_rate != def.faults.spike_rate) {
-    AppendDouble(&out, "fault_spike", spec.faults.spike_rate);
+    out.Double("fault_spike", spec.faults.spike_rate);
   }
   if (spec.faults.spike_factor != def.faults.spike_factor) {
-    AppendDouble(&out, "fault_spike_factor", spec.faults.spike_factor);
+    out.Double("fault_spike_factor", spec.faults.spike_factor);
   }
   if (spec.faults.seed != def.faults.seed) {
-    AppendInt(&out, "fault_seed", static_cast<int64_t>(spec.faults.seed));
+    out.Int("fault_seed", static_cast<int64_t>(spec.faults.seed));
   }
   if (spec.retry.max_attempts != def.retry.max_attempts) {
-    AppendInt(&out, "retry_attempts", spec.retry.max_attempts);
+    out.Int("retry_attempts", spec.retry.max_attempts);
   }
   if (spec.retry.call_timeout_seconds != def.retry.call_timeout_seconds) {
-    AppendDouble(&out, "retry_timeout", spec.retry.call_timeout_seconds);
+    out.Double("retry_timeout", spec.retry.call_timeout_seconds);
   }
-  if (spec.collect_metrics) AppendBool(&out, "collect_metrics", true);
+  if (spec.collect_metrics) out.Bool("collect_metrics", true);
   if (!spec.checkpoint_path.empty()) {
-    AppendString(&out, "checkpoint", spec.checkpoint_path);
+    out.String("checkpoint", spec.checkpoint_path);
   }
   if (!spec.resume_path.empty()) {
-    AppendString(&out, "resume", spec.resume_path);
+    out.String("resume", spec.resume_path);
   }
   if (!spec.trace_path.empty()) {
-    AppendString(&out, "trace_out", spec.trace_path);
+    out.String("trace_out", spec.trace_path);
   }
   if (!spec.deploy_signal.empty()) {
-    AppendString(&out, "signal", spec.deploy_signal);
+    out.String("signal", spec.deploy_signal);
   }
-  out.push_back('}');
-  return out;
+  return out.Finish();
+}
+
+std::string RunErrorJson(const std::string& workload,
+                         const std::string& message) {
+  return JsonObjectWriter()
+      .String("workload", workload)
+      .String("error", message)
+      .Finish();
 }
 
 }  // namespace bati

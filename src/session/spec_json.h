@@ -2,7 +2,9 @@
 #define BATI_SESSION_SPEC_JSON_H_
 
 #include <string>
+#include <vector>
 
+#include "common/json.h"
 #include "common/status.h"
 #include "session/tuning_session.h"
 
@@ -39,6 +41,12 @@ namespace bati {
 /// "mcts" (the paper's setting, bati_tune's default) when absent.
 Status ParseRunSpecJson(const std::string& line, RunSpec* spec);
 
+/// The apply half of ParseRunSpecJson: validates already-read fields onto
+/// a freshly defaulted RunSpec. A serve `register` event hands its
+/// non-serve fields straight here.
+Status RunSpecFromFields(const std::vector<JsonField>& fields,
+                         RunSpec* spec);
+
 /// As ParseRunSpecJson, but errors are prefixed with "line N: " so a
 /// multi-line consumer (bati_batch, bati_serve) reports the offending
 /// input line without every caller re-implementing the bookkeeping.
@@ -52,6 +60,12 @@ Status ParseRunSpecJsonLine(const std::string& line, int lineno,
 /// bit-exactly, which makes the string usable as a deterministic identity
 /// (the serve checkpoint stores tenant templates this way).
 std::string RunSpecToJson(const RunSpec& spec);
+
+/// The output line for a spec that failed to run,
+/// `{"workload":"...","error":"..."}` — the same bytes from bati_batch and
+/// from the fleet.
+std::string RunErrorJson(const std::string& workload,
+                         const std::string& message);
 
 }  // namespace bati
 

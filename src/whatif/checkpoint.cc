@@ -1,46 +1,25 @@
 #include "whatif/checkpoint.h"
 
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 
-#include "common/crc32.h"
+#include "common/durable.h"
 #include "common/file_util.h"
 
 namespace bati {
 
-void AppendHexDouble(std::string* out, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%a", value);
-  out->append(buf);
-}
-
-bool ParseHexDouble(const std::string& token, double* out) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(token.c_str(), &end);
-  return end != nullptr && *end == '\0';
-}
-
 namespace {
 
-// v2 added the `checksum <crc32> <bytes>` line right after the magic: the
-// whole body (everything following that line, "identity" through "end") is
+// v2 added the `checksum <crc32> <bytes>` line right after the magic (the
+// common/durable envelope): the whole body, "identity" through "end", is
 // length- and CRC-guarded, so a truncated or bit-flipped checkpoint is
 // rejected with a clear Status instead of silently replaying a partial
-// journal prefix. v1 files (no checksum) are rejected as unsupported; a
+// journal prefix. Files of another version are rejected as unsupported; a
 // resuming caller falls back to a fresh start.
 constexpr char kMagic[] = "bati-checkpoint v2";
-constexpr char kMagicV1[] = "bati-checkpoint v1";
-
-bool ParseI64(const std::string& token, int64_t* out) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoll(token.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
 
 bool ParseInt(const std::string& token, int* out) {
   int64_t v = 0;
@@ -53,16 +32,8 @@ bool ParseInt(const std::string& token, int* out) {
   return true;
 }
 
-std::vector<std::string> SplitTokens(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream in(line);
-  std::string tok;
-  while (in >> tok) out.push_back(tok);
-  return out;
-}
-
-Status Malformed(const char* what) {
-  return Status::InvalidArgument(std::string("malformed checkpoint: ") + what);
+Status Malformed(const std::string& what) {
+  return Status::InvalidArgument("malformed checkpoint: " + what);
 }
 
 }  // namespace
@@ -70,8 +41,6 @@ Status Malformed(const char* what) {
 std::string SerializeCheckpoint(const EngineCheckpoint& ckpt) {
   std::string out;
   out.reserve(160 + ckpt.events.size() * 48);
-  // The guarded body is assembled first; the header's checksum line is a
-  // pure function of its bytes.
   // The identity may contain spaces; it owns the rest of its line.
   out.append("identity ");
   out.append(ckpt.identity);
@@ -123,50 +92,13 @@ std::string SerializeCheckpoint(const EngineCheckpoint& ckpt) {
     out.push_back('\n');
   }
   out.append("end\n");
-  char header[96];
-  std::snprintf(header, sizeof(header), "%s\nchecksum %s %zu\n", kMagic,
-                Crc32Hex(Crc32(out)).c_str(), out.size());
-  return header + out;
+  return SealDurable(kMagic, out);
 }
 
 StatusOr<EngineCheckpoint> ParseCheckpoint(const std::string& text) {
-  // Header: magic, then the checksum line guarding everything after it.
-  const size_t magic_end = text.find('\n');
-  if (magic_end == std::string::npos) {
-    return Malformed("missing or unsupported header");
-  }
-  const std::string magic = text.substr(0, magic_end);
-  if (magic != kMagic) {
-    if (magic == kMagicV1) {
-      return Malformed(
-          "unsupported version v1 (no checksum); re-run to write a fresh v2 "
-          "checkpoint");
-    }
-    return Malformed("missing or unsupported header");
-  }
-  const size_t checksum_end = text.find('\n', magic_end + 1);
-  if (checksum_end == std::string::npos) {
-    return Malformed("truncated before checksum line");
-  }
-  {
-    const std::vector<std::string> toks = SplitTokens(
-        text.substr(magic_end + 1, checksum_end - magic_end - 1));
-    uint32_t declared_crc = 0;
-    int64_t declared_size = 0;
-    if (toks.size() != 3 || toks[0] != "checksum" ||
-        !ParseCrc32Hex(toks[1], &declared_crc) ||
-        !ParseI64(toks[2], &declared_size) || declared_size < 0) {
-      return Malformed("bad checksum line");
-    }
-    const size_t body_size = text.size() - (checksum_end + 1);
-    if (static_cast<int64_t>(body_size) != declared_size) {
-      return Malformed("body size mismatch (truncated or padded file)");
-    }
-    if (Crc32(text.data() + checksum_end + 1, body_size) != declared_crc) {
-      return Malformed("checksum mismatch (corrupted file)");
-    }
-  }
-  std::istringstream in(text.substr(checksum_end + 1));
+  StatusOr<std::string> body = OpenDurable(text, kMagic);
+  if (!body.ok()) return Malformed(body.status().message());
+  std::istringstream in(*body);
   std::string line;
   EngineCheckpoint ckpt;
   if (!std::getline(in, line) || line.rfind("identity ", 0) != 0) {
@@ -311,22 +243,9 @@ Status SaveCheckpoint(const EngineCheckpoint& ckpt, const std::string& path) {
 }
 
 StatusOr<EngineCheckpoint> LoadCheckpoint(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound("cannot open checkpoint: " + path);
-  }
-  std::string text;
-  char buf[4096];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, n);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    return Status::Internal("error reading checkpoint: " + path);
-  }
-  return ParseCheckpoint(text);
+  StatusOr<std::string> text = ReadFileToString(path);
+  if (!text.ok()) return text.status();
+  return ParseCheckpoint(*text);
 }
 
 }  // namespace bati

@@ -21,23 +21,6 @@ double NowSeconds() {
 
 CostService::CostService(const WhatIfOptimizer* optimizer,
                          const Workload* workload,
-                         const std::vector<Index>* candidates, int64_t budget)
-    : CostService(optimizer, workload, candidates, budget,
-                  CostEngineOptions{}) {}
-
-CostService::CostService(const WhatIfOptimizer* optimizer,
-                         const Workload* workload,
-                         const std::vector<Index>* candidates, int64_t budget,
-                         const BudgetGovernorOptions& governor)
-    : CostService(optimizer, workload, candidates, budget,
-                  [&governor] {
-                    CostEngineOptions o;
-                    o.governor = governor;
-                    return o;
-                  }()) {}
-
-CostService::CostService(const WhatIfOptimizer* optimizer,
-                         const Workload* workload,
                          const std::vector<Index>* candidates, int64_t budget,
                          const CostEngineOptions& options)
     : optimizer_(optimizer),

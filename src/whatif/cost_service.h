@@ -109,26 +109,16 @@ struct CostEngineOptions {
 class CostService {
  public:
   /// `optimizer`, `workload`, `candidates` must outlive the service.
-  CostService(const WhatIfOptimizer* optimizer, const Workload* workload,
-              const std::vector<Index>* candidates, int64_t budget);
-
-  /// As above, with a budget governor (src/budget/) between the tuner and
-  /// the meter. With `governor.enabled == false` this is exactly the plain
-  /// constructor; with it enabled, uncached cells are quoted to the
-  /// governor before charging (it may skip them, answering with the
-  /// derived cost for free) and HasBudget() additionally turns false once
-  /// the governor's early-stopping checker fires — which every tuner
-  /// already handles as ordinary budget exhaustion.
+  /// `options` selects the governor, fault injection, retry policy and
+  /// checkpointing; the defaults give the plain metered engine. With
+  /// `options.governor.enabled`, uncached cells are quoted to the governor
+  /// before charging (it may skip them, answering with the derived cost for
+  /// free) and HasBudget() additionally turns false once the governor's
+  /// early-stopping checker fires — which every tuner already handles as
+  /// ordinary budget exhaustion.
   CostService(const WhatIfOptimizer* optimizer, const Workload* workload,
               const std::vector<Index>* candidates, int64_t budget,
-              const BudgetGovernorOptions& governor);
-
-  /// Full-options constructor: governor, fault injection, retry policy, and
-  /// checkpointing. With default options this is exactly the plain
-  /// constructor.
-  CostService(const WhatIfOptimizer* optimizer, const Workload* workload,
-              const std::vector<Index>* candidates, int64_t budget,
-              const CostEngineOptions& options);
+              const CostEngineOptions& options = {});
 
   int num_queries() const { return workload_->num_queries(); }
   int num_candidates() const { return static_cast<int>(candidates_->size()); }

@@ -1,8 +1,5 @@
 #include "workload/loader.h"
 
-#include <fstream>
-#include <sstream>
-
 #include "common/strings.h"
 #include "sql/ddl.h"
 #include "workload/binder.h"
@@ -172,14 +169,6 @@ std::string DumpWorkloadSql(const Workload& workload) {
     out += q.sql + ";\n\n";
   }
   return out;
-}
-
-StatusOr<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 }  // namespace bati

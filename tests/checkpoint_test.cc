@@ -7,7 +7,9 @@
 #include <vector>
 
 #include "common/file_util.h"
+#include "fleet/wire.h"
 #include "harness/experiment.h"
+#include "serve/serve_checkpoint.h"
 #include "whatif/checkpoint.h"
 #include "whatif/cost_service.h"
 
@@ -146,6 +148,74 @@ TEST(CheckpointFormat, RejectsEveryTruncationAndBitFlip) {
     EXPECT_FALSE(ParseCheckpoint(flipped).ok())
         << "bit flip at byte " << i << " accepted";
   }
+}
+
+// The serve checkpoint and the fleet state share the what-if journal's
+// envelope, so the same sweep must reject every damaged copy of them.
+template <typename Parse>
+void ExpectEveryTruncationAndBitFlipRejected(const std::string& good,
+                                             Parse parse) {
+  ASSERT_TRUE(parse(good));
+  for (size_t len = 0; len < good.size(); ++len) {
+    EXPECT_FALSE(parse(good.substr(0, len)))
+        << "prefix of length " << len << " accepted";
+  }
+  for (size_t i = 0; i < good.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = good;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      EXPECT_FALSE(parse(flipped))
+          << "flip of bit " << bit << " at byte " << i << " accepted";
+    }
+  }
+}
+
+TEST(CheckpointFormat, ServeCheckpointRejectsEveryTruncationAndBitFlip) {
+  ServeCheckpoint ckpt;
+  ckpt.events_processed = 12;
+  ckpt.clock = 3.25;
+  ckpt.next_tune_id = 3;
+  ckpt.queries = 9;
+  ckpt.tunes_submitted = 2;
+  ckpt.shipped = 1;
+  ServeTenantState tenant;
+  tenant.name = "alpha";
+  tenant.spec_json = R"({"workload":"toy","algorithm":"mcts"})";
+  tenant.budget_used = 40;
+  tenant.calib_samples = 2;
+  tenant.calib_sum = 2.5;
+  tenant.deployed = {1, 4};
+  tenant.observer_state = "counts 0 0\nwindow 0\nreference 0\n";
+  ckpt.tenants = {tenant};
+  ServePendingTune tune;
+  tune.tune_id = 2;
+  tune.tenant = "alpha";
+  tune.origin = "drift";
+  tune.submit_clock = 3.0;
+  tune.positions = {0, 4};
+  tune.improvement = 12.5;
+  tune.calls_used = 38;
+  tune.tune_seconds = 1.5;
+  ckpt.pending = {tune};
+  ExpectEveryTruncationAndBitFlipRejected(
+      SerializeServeCheckpoint(ckpt), [](const std::string& text) {
+        return ParseServeCheckpoint(text).ok();
+      });
+}
+
+TEST(CheckpointFormat, FleetStateRejectsEveryTruncationAndBitFlip) {
+  std::vector<ResultFrame> done(2);
+  done[0].task_id = 1;
+  done[0].payload = R"({"workload":"toy","improvement":12.5})";
+  done[1].task_id = 3;
+  done[1].attempt = 2;
+  done[1].ok = false;
+  done[1].payload = R"({"workload":"nope","error":"unknown workload"})";
+  ExpectEveryTruncationAndBitFlipRejected(
+      EncodeFleetState(done), [](const std::string& text) {
+        std::vector<ResultFrame> parsed;
+        return ParseFleetState(text, &parsed).ok();
+      });
 }
 
 TEST(CheckpointFormat, RejectsV1FilesWithClearError) {

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/durable.h"
 #include "fleet/chaos.h"
 #include "fleet/coordinator.h"
 #include "fleet/wire.h"
@@ -324,7 +325,12 @@ TEST(Fleet, CorruptStateFileFallsBackFresh) {
   {
     std::FILE* f = std::fopen(options.state_path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    std::fputs("bati-fleet-state v1\nRESULT 1 1 1 0 99 deadbeef {}\n", f);
+    // A well-formed envelope around a RESULT frame whose own length and
+    // CRC disagree with its payload.
+    std::fputs(SealDurable("bati-fleet-state v2",
+                           "RESULT 1 1 1 0 99 deadbeef {}\n")
+                   .c_str(),
+               f);
     std::fclose(f);
   }
   FleetStats stats;

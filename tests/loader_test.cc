@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/file_util.h"
 #include "sql/ddl.h"
 #include "harness/experiment.h"
 #include "workload/loader.h"

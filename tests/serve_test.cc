@@ -124,6 +124,7 @@ TEST(ServeEventJsonTest, RejectsMalformedEventsWithLineNumbers) {
       {R"({"type":"query","tenant":"t"})", "require \"query\""},
       {R"({"type":"query","tenant":"t","query":-1})", "out of range"},
       {R"({"type":"query","tenant":"t","query":1.5})", "integer"},
+      {R"({"type":"query","tenant":"t","query":4294967296})", "out of range"},
       {R"({"type":"query","tenant":"t","query":"one"})", "number"},
       {R"({"type":"query","tenant":"t","query":0,"weight":0})", "positive"},
       {R"({"type":"query","tenant":"t","query":0,"color":"red"})",
@@ -513,33 +514,17 @@ TEST(ServeCheckpointTest, ParseRejectsMalformedText) {
       ParseServeCheckpoint(SerializeServeCheckpoint(high_id)).ok());
 }
 
-TEST(ServeCheckpointTest, ParsesV1CheckpointsWithSignalDefaults) {
-  // A pre-signal-layer (v1) checkpoint has no signal or calibration
-  // lines; parsing one must default to what-if / uncalibrated so fleets
-  // can upgrade in place.
-  ServeCheckpoint ckpt = MakeCheckpoint();
-  ckpt.signal = SignalKind::kWhatIf;
-  for (ServeTenantState& t : ckpt.tenants) {
-    t.calib_samples = 0;
-    t.calib_sum = 0.0;
-  }
-  std::string v1;
-  for (const std::string& line : SplitLines(SerializeServeCheckpoint(ckpt))) {
-    if (line == "bati-serve v2") {
-      v1 += "bati-serve v1\n";
-    } else if (line.rfind("signal ", 0) == 0 ||
-               line.rfind("calibration ", 0) == 0) {
-      // dropped in the v1 grammar
-    } else {
-      v1 += line + "\n";
-    }
-  }
-  StatusOr<ServeCheckpoint> parsed = ParseServeCheckpoint(v1);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(*parsed, ckpt);
-  // Re-serializing writes the v2 grammar — the upgrade is one-way.
-  EXPECT_NE(SerializeServeCheckpoint(*parsed).find("bati-serve v2"),
-            std::string::npos);
+TEST(ServeCheckpointTest, RejectsV2CheckpointsAsUnsupported) {
+  // A pre-envelope (v2) checkpoint carried no checksum; it is rejected
+  // with a message naming the version rather than trusted unchecked.
+  const std::string v3 = SerializeServeCheckpoint(MakeCheckpoint());
+  const size_t body_start = v3.find('\n', v3.find('\n') + 1) + 1;
+  const std::string v2 = "bati-serve v2\n" + v3.substr(body_start);
+  const StatusOr<ServeCheckpoint> parsed = ParseServeCheckpoint(v2);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("unsupported version v2"),
+            std::string::npos)
+      << parsed.status().ToString();
 }
 
 TEST(ServeCheckpointTest, SaveLoadRoundTripAndMissingFile) {

@@ -351,6 +351,15 @@ TEST(SpecJsonTest, RejectsBadInput) {
       ParseRunSpecJson("{\"workload\":\"toy\"} trailing", &spec).ok());
   EXPECT_FALSE(
       ParseRunSpecJson("{\"workload\":\"toy\",}", &spec).ok());
+  // Integers wider than the field are out of range, never narrowed.
+  for (const char* line : {"{\"workload\":\"toy\",\"k\":4294967297}",
+                           "{\"workload\":\"toy\",\"retry_attempts\":"
+                           "4294967296}"}) {
+    const Status st = ParseRunSpecJson(line, &spec);
+    EXPECT_FALSE(st.ok()) << line;
+    EXPECT_NE(st.message().find("out of range"), std::string::npos)
+        << line << " -> " << st.message();
+  }
 }
 
 TEST(SpecJsonTest, ValidatesAlgorithmAtParseTime) {
@@ -422,6 +431,19 @@ TEST(SpecJsonTest, RunSpecToJsonRoundTrips) {
   ASSERT_TRUE(ParseRunSpecJson("{\"workload\":\"toy\"}", &minimal).ok());
   EXPECT_EQ(RunSpecToJson(minimal),
             "{\"workload\":\"toy\",\"algorithm\":\"mcts\"}");
+}
+
+TEST(SpecJsonTest, EscapedStringsRoundTrip) {
+  // A control byte is written as \u00XX and read back unchanged.
+  RunSpec spec;
+  spec.workload = "to\ty \"q\" \\";
+  spec.algorithm = "mcts";
+  const std::string json = RunSpecToJson(spec);
+  EXPECT_NE(json.find("\\u0009"), std::string::npos) << json;
+  RunSpec reparsed;
+  ASSERT_TRUE(ParseRunSpecJson(json, &reparsed).ok()) << json;
+  EXPECT_EQ(reparsed.workload, spec.workload);
+  EXPECT_EQ(RunSpecToJson(reparsed), json);
 }
 
 TEST(SpecJsonTest, SignalKeyValidatesAndRoundTrips) {

@@ -45,15 +45,6 @@ void Usage(const char* argv0) {
       argv0);
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -145,9 +136,7 @@ int main(int argc, char** argv) {
   options.on_result = [&](const SessionResult& result) {
     std::string line;
     if (!result.status.ok()) {
-      line = "{\"workload\":\"" + JsonEscape(result.spec.workload) +
-             "\",\"error\":\"" + JsonEscape(result.status.message()) +
-             "\"}";
+      line = RunErrorJson(result.spec.workload, result.status.message());
     } else {
       line = result.result_json;
     }

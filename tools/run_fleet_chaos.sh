@@ -95,7 +95,8 @@ if [[ "${exit_code}" -ne 0 ]]; then
   echo "error: coordinator exited ${exit_code} on SIGTERM" >&2
   exit 1
 fi
-head -1 "${state}" | grep -q '^bati-fleet-state v1$'
+head -1 "${state}" | grep -q '^bati-fleet-state v2$'
+sed -n 2p "${state}" | grep -Eq '^checksum [0-9a-f]{8} [0-9]+$'
 out2="${workdir}/interrupt2.jsonl"
 "${fleet}" --specs "${specs}" --out "${out2}" --workers 2 \
   --state "${state}" --resume --heartbeat-ms 20 --lease-timeout-ms 700

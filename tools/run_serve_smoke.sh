@@ -68,7 +68,8 @@ if [[ "${exit_code}" -ne 0 ]]; then
   echo "error: daemon exited ${exit_code} on SIGTERM" >&2
   exit 1
 fi
-head -1 "${workdir}/state.ckpt" | grep -q '^bati-serve v2$'
+head -1 "${workdir}/state.ckpt" | grep -q '^bati-serve v3$'
+sed -n 2p "${workdir}/state.ckpt" | grep -Eq '^checksum [0-9a-f]{8} [0-9]+$'
 grep -q '^tenant smoke$' "${workdir}/state.ckpt"
 
 echo "serve smoke: OK"
