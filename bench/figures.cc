@@ -3,7 +3,14 @@
 // (vanilla, two-phase, AutoAdmin) or against the existing RL approaches
 // (DBA-bandits, No-DBA), with one panel per K in {5, 10, 20}.
 //
-//   figures --figure N      N in {8..13, 16..19}
+// Figures 22-23: ablation of the MCTS policies under one rollout strategy
+// — {UCT, Prior} action selection x {BCE ("only"), Best-Greedy
+// ("+Greedy")} extraction — across all five workloads and every K.
+// "UCT Only" = mcts-uct-bce, "UCT + Greedy" = mcts-uct-bg, "Prior Only" =
+// mcts-prior-bce, "Prior + Greedy" = mcts-prior-bg, each with the rollout
+// suffix (-fix0: fixed-step (myopic), -rnd: randomized-step).
+//
+//   figures --figure N      N in {8..13, 16..19, 22, 23}
 //
 // Set BATI_SCALE=full for the paper-scale sweep.
 
@@ -42,10 +49,22 @@ constexpr Figure kFigures[] = {
     {19, "tpch", "TPC-H", Rivals::kRl, false},
 };
 
+struct Ablation {
+  int number;
+  const char* rollout;
+  /// Appended to every MCTS variant name.
+  const char* suffix;
+};
+
+constexpr Ablation kAblations[] = {
+    {22, "fixed-step (myopic) rollout", "-fix0"},
+    {23, "randomized-step rollout", "-rnd"},
+};
+
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --figure N\n"
-               "  N is one of 8 9 10 11 12 13 16 17 18 19\n",
+               "  N is one of 8 9 10 11 12 13 16 17 18 19 22 23\n",
                argv0);
 }
 
@@ -71,6 +90,35 @@ void Print(const Figure& figure) {
   }
 }
 
+void Print(const Ablation& ablation) {
+  const BenchScale scale = GetBenchScale();
+  std::vector<std::string> algos;
+  for (const char* policy :
+       {"mcts-uct-bce", "mcts-uct-bg", "mcts-prior-bce", "mcts-prior-bg"}) {
+    algos.push_back(std::string(policy) + ablation.suffix);
+  }
+  struct Panel {
+    const char* workload;
+    bool small;
+  };
+  const Panel panels[] = {{"job", true},
+                          {"tpch", true},
+                          {"tpcds", false},
+                          {"real-d", false},
+                          {"real-m", false}};
+  for (const Panel& panel : panels) {
+    const WorkloadBundle& bundle = LoadBundle(panel.workload);
+    for (int k : scale.cardinalities) {
+      PrintSeriesTable("Figure " + std::to_string(ablation.number) +
+                           ": ablation (" + ablation.rollout + "), " +
+                           panel.workload + ", K=" + std::to_string(k),
+                       bundle, algos,
+                       panel.small ? scale.small_budgets : scale.large_budgets,
+                       k, /*storage_bytes=*/0.0, scale.seeds);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace bati
 
@@ -86,6 +134,12 @@ int main(int argc, char** argv) {
   for (const Figure& figure : kFigures) {
     if (figure.number == number) {
       Print(figure);
+      return 0;
+    }
+  }
+  for (const Ablation& ablation : kAblations) {
+    if (ablation.number == number) {
+      Print(ablation);
       return 0;
     }
   }

@@ -10,7 +10,7 @@ std::string CostEngineStats::ToString() const {
       buf, sizeof(buf),
       "what-if calls=%lld (cache hits=%lld, batched=%lld), derived "
       "lookups=%lld (+%lld delta), index entries=%lld "
-      "(scanned=%lld, pruned=%lld, shards=%d), executor wall=%.3fs, "
+      "(scanned=%lld, pruned=%lld), executor wall=%.3fs, "
       "simulated what-if=%.1fs",
       static_cast<long long>(what_if_calls),
       static_cast<long long>(cache_hits),
@@ -19,8 +19,8 @@ std::string CostEngineStats::ToString() const {
       static_cast<long long>(delta_lookups),
       static_cast<long long>(index_entries),
       static_cast<long long>(index_scanned_entries),
-      static_cast<long long>(index_pruned_entries), index_shards,
-      executor_wall_seconds, simulated_whatif_seconds);
+      static_cast<long long>(index_pruned_entries), executor_wall_seconds,
+      simulated_whatif_seconds);
   std::string out = buf;
   if (replayed_calls > 0) {
     std::snprintf(buf, sizeof(buf),
@@ -65,7 +65,6 @@ std::string CostEngineStats::ToJson() const {
       "\"derived_lookups\":%lld,\"delta_lookups\":%lld,"
       "\"index_entries\":%lld,\"index_scanned_entries\":%lld,"
       "\"index_pruned_entries\":%lld,\"lower_bound_lookups\":%lld,"
-      "\"index_shards\":%d,"
       "\"executor_wall_seconds\":%.6f,"
       "\"simulated_whatif_seconds\":%.3f,"
       "\"degraded_cells\":%lld,\"fault_transient_errors\":%lld,"
@@ -82,8 +81,8 @@ std::string CostEngineStats::ToJson() const {
       static_cast<long long>(index_entries),
       static_cast<long long>(index_scanned_entries),
       static_cast<long long>(index_pruned_entries),
-      static_cast<long long>(lower_bound_lookups), index_shards,
-      executor_wall_seconds, simulated_whatif_seconds,
+      static_cast<long long>(lower_bound_lookups), executor_wall_seconds,
+      simulated_whatif_seconds,
       static_cast<long long>(degraded_cells),
       static_cast<long long>(fault_transient_errors),
       static_cast<long long>(fault_sticky_failures),

@@ -33,9 +33,6 @@ struct CostEngineStats {
   /// Cost lower-bound lookups (superset-max / additive probes issued on
   /// behalf of the budget governor).
   int64_t lower_bound_lookups = 0;
-  /// Power-of-two shard count of the DerivedCostIndex that produced these
-  /// counters (0 when no index contributed a snapshot).
-  int index_shards = 0;
   /// Real wall-clock seconds spent inside the executor (optimizer calls,
   /// including the parallel CostMany() path).
   double executor_wall_seconds = 0.0;

@@ -29,10 +29,8 @@ CostService::CostService(const WhatIfOptimizer* optimizer,
       meter_(budget),
       executor_(optimizer, workload, candidates),
       index_(workload == nullptr ? 0 : workload->num_queries(),
-             candidates == nullptr
-                 ? 0
-                 : static_cast<int>(candidates->size()),
-             options.index_shards),
+             candidates == nullptr ? 0
+                                   : static_cast<int>(candidates->size())),
       options_(options) {
   BATI_CHECK(optimizer_ != nullptr);
   BATI_CHECK(workload_ != nullptr);
@@ -134,12 +132,13 @@ int CostService::BeginRound(const char* phase) {
   return round;
 }
 
-CellQuote CostService::MakeQuote(int query_id, const Config& config) const {
+CellQuote CostService::MakeQuote(int query_id, const Config& config,
+                                 int64_t ahead) const {
   CellQuote quote;
   quote.query_id = query_id;
   quote.base_cost = BaseCost(query_id);
-  quote.calls_made = meter_.calls_made();
-  quote.remaining_budget = meter_.remaining();
+  quote.calls_made = std::min(meter_.calls_made() + ahead, meter_.budget());
+  quote.remaining_budget = std::max<int64_t>(meter_.remaining() - ahead, 0);
   if (!governor_->WantsCostBounds()) {
     // Early-stop-only governor: OnCell never consults the bracket, so the
     // bound probes would be pure overhead.
@@ -178,11 +177,11 @@ void CostService::RecordEvent(bool charged, int query_id,
   journal_.push_back(std::move(e));
 }
 
-CheckpointEvent CostService::PopReplayEvent(
+CellOutcome CostService::PopReplayEvent(
     int query_id, const std::vector<size_t>& positions) {
   BATI_CHECK(replay_pos_ < replay_end_ &&
              "checkpoint journal exhausted before the checkpointed round");
-  CheckpointEvent e = journal_[replay_pos_];
+  const CheckpointEvent& e = journal_[replay_pos_];
   if (e.query_id != query_id || e.positions != positions) {
     std::fprintf(stderr,
                  "bati: checkpoint replay diverged at event %zu: recorded "
@@ -193,7 +192,12 @@ CheckpointEvent CostService::PopReplayEvent(
              "checkpoint replay diverged from the recorded run");
   ++replay_pos_;
   executor_.AccumulateReplaySimSeconds(e.sim_seconds);
-  return e;
+  CellOutcome outcome;
+  outcome.status =
+      e.charged ? Status::Ok() : Status::Unavailable("journaled failure");
+  outcome.cost = e.cost;
+  outcome.sim_seconds = e.sim_seconds;
+  return outcome;
 }
 
 double CostService::DegradeCell(int query_id, const Config& config) {
@@ -215,76 +219,9 @@ std::optional<double> CostService::WhatIfCost(int query_id,
                                               const Config& config) {
   BATI_CHECK(query_id >= 0 && query_id < num_queries());
   if (config.empty()) return BaseCost(query_id);
-  if (const double* cached = index_.Find(query_id, config)) {
-    meter_.RecordCacheHit();
-    return *cached;
-  }
-  CellQuote quote;
-  if (governor_ != nullptr) {
-    if (governor_->ShouldStop()) return std::nullopt;
-    quote = MakeQuote(query_id, config);
-    if (governor_->OnCell(quote) == CellDecision::kSkip) {
-      if (tracer_ != nullptr) TraceGovernorSkip(quote);
-      return quote.derived_upper;  // free: the budget unit is banked
-    }
-  }
-  if (!FaultsEnabled()) {
-    // Fault-free path, charge-then-evaluate: bit-identical to the
-    // pre-fault engine. Replay substitutes only the evaluation.
-    if (!meter_.TryCharge(query_id, config)) return std::nullopt;
-    const std::vector<size_t> positions = config.ToIndices();
-    double cost;
-    if (replaying()) {
-      const CheckpointEvent e = PopReplayEvent(query_id, positions);
-      BATI_CHECK(e.charged);
-      cost = e.cost;
-    } else {
-      cost = executor_.EvaluateCell(query_id, positions);
-      if (journal_enabled_) {
-        RecordEvent(/*charged=*/true, query_id, positions, cost,
-                    optimizer_->EstimateCallSeconds(
-                        workload_->queries[static_cast<size_t>(query_id)]));
-      }
-    }
-    index_.Add(query_id, config, positions, cost);
-    NoteEvaluated(query_id, cost);
-    if (governor_ != nullptr) {
-      governor_->OnCharged(quote, cost, floor_workload_cost_);
-    }
-    return cost;
-  }
-  // Fault-injected path, evaluate-then-charge: the retry loop burns
-  // simulated time whether or not it succeeds, but the budget (and the
-  // layout trace) records only successful cells. Exhausted retries degrade
-  // to the derived cost — the same answer a governor skip gives — so the
-  // caller never sees a failure.
-  if (!meter_.HasBudget()) return std::nullopt;
-  const std::vector<size_t> positions = config.ToIndices();
-  bool success;
-  double cost = 0.0;
-  if (replaying()) {
-    const CheckpointEvent e = PopReplayEvent(query_id, positions);
-    success = e.charged;
-    cost = e.cost;
-  } else {
-    const CellOutcome outcome =
-        executor_.EvaluateCellWithRetry(query_id, positions, config.Hash());
-    success = outcome.status.ok();
-    cost = outcome.cost;
-    if (journal_enabled_) {
-      RecordEvent(success, query_id, positions, success ? cost : 0.0,
-                  outcome.sim_seconds);
-    }
-  }
-  if (!success) return DegradeCell(query_id, config);
-  const bool charged = meter_.TryCharge(query_id, config);
-  BATI_CHECK(charged);  // HasBudget() held and nothing charged in between
-  index_.Add(query_id, config, positions, cost);
-  NoteEvaluated(query_id, cost);
-  if (governor_ != nullptr) {
-    governor_->OnCharged(quote, cost, floor_workload_cost_);
-  }
-  return cost;
+  std::optional<double> out;
+  ResolveCells({&query_id, 1}, config, {&out, 1}, /*batched=*/false);
+  return out;
 }
 
 std::vector<std::optional<double>> CostService::WhatIfCostMany(
@@ -296,110 +233,20 @@ std::vector<std::optional<double>> CostService::WhatIfCostMany(
     }
     return out;
   }
-  if (FaultsEnabled()) {
-    WhatIfCostManyFaulted(query_ids, config, &out);
-    return out;
-  }
-  // Charge sequentially in input order — exactly the cells a WhatIfCost()
-  // loop would buy — and collect the uncached, affordable ones. Governed
-  // runs consult the governor per cell before charging; skip decisions
-  // quote the cache as of batch entry (see header).
-  std::vector<WhatIfExecutor::CellRef> to_run;
-  std::vector<size_t> run_slots;  // out[] slot of each cell in to_run
-  std::vector<CellQuote> run_quotes;  // governed runs: quote per to_run cell
-  // (duplicate slot, first-occurrence slot): a repeated query later in the
-  // batch is a cache hit in loop semantics.
-  std::vector<std::pair<size_t, size_t>> duplicates;
-  for (size_t i = 0; i < query_ids.size(); ++i) {
-    const int q = query_ids[i];
-    BATI_CHECK(q >= 0 && q < num_queries());
-    if (const double* cached = index_.Find(q, config)) {
-      meter_.RecordCacheHit();
-      out[i] = *cached;
-      continue;
-    }
-    size_t first = to_run.size();
-    for (size_t j = 0; j < to_run.size(); ++j) {
-      if (to_run[j].query_id == q) {
-        first = j;
-        break;
-      }
-    }
-    if (first < to_run.size()) {
-      meter_.RecordCacheHit();
-      duplicates.emplace_back(i, run_slots[first]);
-      continue;
-    }
-    if (governor_ != nullptr) {
-      if (governor_->ShouldStop()) continue;  // nullopt: stopped
-      CellQuote quote = MakeQuote(q, config);
-      if (governor_->OnCell(quote) == CellDecision::kSkip) {
-        if (tracer_ != nullptr) TraceGovernorSkip(quote);
-        out[i] = quote.derived_upper;
-        continue;
-      }
-      if (!meter_.TryCharge(q, config)) continue;  // nullopt: exhausted
-      to_run.push_back(WhatIfExecutor::CellRef{q, &config});
-      run_slots.push_back(i);
-      run_quotes.push_back(quote);
-      continue;
-    }
-    if (!meter_.TryCharge(q, config)) continue;  // nullopt: exhausted
-    to_run.push_back(WhatIfExecutor::CellRef{q, &config});
-    run_slots.push_back(i);
-  }
-  if (!to_run.empty()) {
-    const std::vector<size_t> positions = config.ToIndices();
-    // Whether this batch is replayed is decided once: the journal can run
-    // out only at the batch's last attempt, and the cells after the pop
-    // loop must not re-journal a replayed batch.
-    const bool replay_batch = replaying();
-    std::vector<double> costs;
-    if (replay_batch) {
-      costs.reserve(to_run.size());
-      for (const WhatIfExecutor::CellRef& cell : to_run) {
-        const CheckpointEvent e = PopReplayEvent(cell.query_id, positions);
-        BATI_CHECK(e.charged);
-        costs.push_back(e.cost);
-      }
-    } else {
-      costs = executor_.EvaluateCells(to_run);
-    }
-    for (size_t j = 0; j < to_run.size(); ++j) {
-      index_.Add(to_run[j].query_id, config, positions, costs[j]);
-      NoteEvaluated(to_run[j].query_id, costs[j]);
-      if (governor_ != nullptr) {
-        governor_->OnCharged(run_quotes[j], costs[j], floor_workload_cost_);
-      }
-      if (journal_enabled_ && !replay_batch) {
-        RecordEvent(
-            /*charged=*/true, to_run[j].query_id, positions, costs[j],
-            optimizer_->EstimateCallSeconds(
-                workload_->queries[static_cast<size_t>(to_run[j].query_id)]));
-      }
-      out[run_slots[j]] = costs[j];
-    }
-  }
-  for (const auto& [slot, source] : duplicates) out[slot] = out[source];
+  ResolveCells(query_ids, config, out, /*batched=*/true);
   return out;
 }
 
-void CostService::WhatIfCostManyFaulted(
-    const std::vector<int>& query_ids, const Config& config,
-    std::vector<std::optional<double>>* out_ptr) {
-  std::vector<std::optional<double>>& out = *out_ptr;
+void CostService::ResolveCells(std::span<const int> query_ids,
+                               const Config& config,
+                               std::span<std::optional<double>> out,
+                               bool batched) {
   // Stage 1 — classify, without charging: cache hits, duplicates, governor
-  // skips/stops. Pending cells are the distinct uncached ones, in input
-  // order.
-  struct PendingCell {
-    size_t slot = 0;  // out[] slot of the first occurrence
-    int query_id = -1;
-    CellQuote quote;
-  };
-  std::vector<PendingCell> pending;
-  // (duplicate slot, pending index): resolved after evaluation from the
-  // first occurrence's outcome.
-  std::vector<std::pair<size_t, size_t>> duplicates;
+  // stops and skips. Pending cells are the distinct uncached ones, in input
+  // order; the k-th is quoted as if the k cells ahead of it were charged.
+  pending_.clear();
+  pending_ids_.clear();
+  duplicates_.clear();
   for (size_t i = 0; i < query_ids.size(); ++i) {
     const int q = query_ids[i];
     BATI_CHECK(q >= 0 && q < num_queries());
@@ -408,102 +255,96 @@ void CostService::WhatIfCostManyFaulted(
       out[i] = *cached;
       continue;
     }
-    size_t first = pending.size();
-    for (size_t j = 0; j < pending.size(); ++j) {
-      if (pending[j].query_id == q) {
-        first = j;
-        break;
-      }
-    }
-    if (first < pending.size()) {
-      duplicates.emplace_back(i, first);
+    const auto first = std::find(pending_ids_.begin(), pending_ids_.end(), q);
+    if (first != pending_ids_.end()) {
+      duplicates_.emplace_back(
+          i, static_cast<size_t>(first - pending_ids_.begin()));
       continue;
     }
-    PendingCell cell;
-    cell.slot = i;
-    cell.query_id = q;
+    CellQuote quote;
+    quote.query_id = q;
     if (governor_ != nullptr) {
       if (governor_->ShouldStop()) continue;  // nullopt: stopped
-      cell.quote = MakeQuote(q, config);
-      if (governor_->OnCell(cell.quote) == CellDecision::kSkip) {
-        if (tracer_ != nullptr) TraceGovernorSkip(cell.quote);
-        out[i] = cell.quote.derived_upper;
+      quote = MakeQuote(q, config, static_cast<int64_t>(pending_.size()));
+      if (governor_->OnCell(quote) == CellDecision::kSkip) {
+        if (tracer_ != nullptr) TraceGovernorSkip(quote);
+        out[i] = quote.derived_upper;  // free: the budget unit is banked
         continue;
       }
     }
-    pending.push_back(std::move(cell));
+    if (!meter_.HasBudget()) continue;  // nullopt: exhausted
+    pending_.push_back(PendingCell{i, quote});
+    pending_ids_.push_back(q);
   }
-  // Stage 2 — evaluate-then-commit in budget-sized chunks. Budget is
-  // charged only on success, so the batch attempts up to `remaining` cells
-  // concurrently, commits in input order, and attempts the next chunk if
-  // failures left budget unspent — reproducing exactly the attempt set of
-  // the sequential WhatIfCost() loop (outcomes are per-cell pure).
-  enum : char { kUnresolved = 0, kCharged = 1, kDegraded = 2 };
-  std::vector<char> state(pending.size(), kUnresolved);
-  if (!pending.empty()) {
-    const std::vector<size_t> positions = config.ToIndices();
-    const bool replay_batch = replaying();
-    size_t next = 0;
-    while (next < pending.size() && meter_.HasBudget()) {
-      const size_t take =
-          std::min(pending.size() - next,
-                   static_cast<size_t>(meter_.remaining()));
-      std::vector<CellOutcome> outcomes;
-      if (!replay_batch) {
-        std::vector<WhatIfExecutor::CellRef> refs;
-        refs.reserve(take);
-        for (size_t j = next; j < next + take; ++j) {
-          refs.push_back(WhatIfExecutor::CellRef{pending[j].query_id,
-                                                 &config});
-        }
-        outcomes = executor_.EvaluateCellsWithRetry(refs);
-      }
+  if (pending_.empty()) return;
+  // Stages 2 and 3 — evaluate-then-commit in budget-sized chunks. Budget is
+  // charged only on success, so a chunk attempts up to `remaining` cells,
+  // commits them in input order, and the next chunk is attempted only if
+  // failures left budget unspent — exactly the attempt set of the
+  // sequential WhatIfCost() loop (outcomes are per-cell pure). Without
+  // failures the first chunk is the whole affordable prefix.
+  const std::vector<size_t> positions = config.ToIndices();
+  // Whether the cells are replayed is decided once: the journal can run out
+  // only at a batch's last attempt, and the cells after it must not be
+  // journaled again.
+  const bool replay = replaying();
+  outcomes_.resize(pending_.size());
+  size_t next = 0;
+  while (next < pending_.size() && meter_.HasBudget()) {
+    const size_t take = std::min(pending_.size() - next,
+                                 static_cast<size_t>(meter_.remaining()));
+    const std::span<CellOutcome> chunk(outcomes_.data() + next, take);
+    if (replay) {
       for (size_t j = 0; j < take; ++j) {
-        PendingCell& cell = pending[next + j];
-        bool success;
-        double cost = 0.0;
-        if (replay_batch) {
-          const CheckpointEvent e = PopReplayEvent(cell.query_id, positions);
-          success = e.charged;
-          cost = e.cost;
-        } else {
-          const CellOutcome& o = outcomes[j];
-          success = o.status.ok();
-          cost = o.cost;
-          if (journal_enabled_) {
-            RecordEvent(success, cell.query_id, positions,
-                        success ? cost : 0.0, o.sim_seconds);
-          }
-        }
-        if (success) {
-          const bool charged = meter_.TryCharge(cell.query_id, config);
-          BATI_CHECK(charged);  // the chunk never exceeds remaining budget
-          index_.Add(cell.query_id, config, positions, cost);
-          NoteEvaluated(cell.query_id, cost);
-          if (governor_ != nullptr) {
-            governor_->OnCharged(cell.quote, cost, floor_workload_cost_);
-          }
-          out[cell.slot] = cost;
-          state[next + j] = kCharged;
-        } else {
-          out[cell.slot] = DegradeCell(cell.query_id, config);
-          state[next + j] = kDegraded;
-        }
+        chunk[j] = PopReplayEvent(pending_ids_[next + j], positions);
       }
-      next += take;
+    } else {
+      executor_.Evaluate(config, positions,
+                         std::span<const int>(pending_ids_.data() + next, take),
+                         chunk, batched);
     }
-  }
-  // Stage 3 — duplicates copy their first occurrence's answer: a cache hit
-  // when it was charged, the same degraded answer when it degraded, nullopt
-  // when the budget ran out before it was attempted.
-  for (const auto& [slot, pidx] : duplicates) {
-    if (state[pidx] == kCharged) {
-      meter_.RecordCacheHit();
-      out[slot] = out[pending[pidx].slot];
-    } else if (state[pidx] == kDegraded) {
-      out[slot] = out[pending[pidx].slot];
+    for (size_t j = next; j < next + take; ++j) {
+      out[pending_[j].slot] =
+          CommitCell(config, positions, pending_[j].quote, outcomes_[j],
+                     journal_enabled_ && !replay);
     }
+    next += take;
   }
+  // Duplicates copy their first occurrence's answer: a cache hit when it was
+  // charged, the same degraded answer when it degraded, nullopt when the
+  // budget ran out before it was attempted.
+  for (const auto& [slot, p] : duplicates_) {
+    if (p >= next) continue;
+    if (outcomes_[p].status.ok()) meter_.RecordCacheHit();
+    out[slot] = out[pending_[p].slot];
+  }
+}
+
+double CostService::CommitCell(const Config& config,
+                               const std::vector<size_t>& positions,
+                               CellQuote& quote, const CellOutcome& outcome,
+                               bool journal) {
+  const int q = quote.query_id;
+  const bool success = outcome.status.ok();
+  if (journal) {
+    RecordEvent(success, q, positions, success ? outcome.cost : 0.0,
+                outcome.sim_seconds);
+  }
+  // Exhausted retries degrade to the derived cost — the same answer a
+  // governor skip gives — so the caller never sees a failure.
+  if (!success) return DegradeCell(q, config);
+  // The governor's improvement curve is indexed by the charge count: the
+  // meter's, not the classification-time projection, which failures ahead
+  // of this cell would have overstated.
+  quote.calls_made = meter_.calls_made();
+  const bool charged = meter_.TryCharge(q, config);
+  BATI_CHECK(charged);  // chunks never exceed the remaining budget
+  index_.Add(q, config, positions, outcome.cost);
+  NoteEvaluated(q, outcome.cost);
+  if (governor_ != nullptr) {
+    governor_->OnCharged(quote, outcome.cost, floor_workload_cost_);
+  }
+  return outcome.cost;
 }
 
 Status CostService::ResumeFromCheckpoint(const EngineCheckpoint& ckpt) {

@@ -4,7 +4,9 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "budget/governor.h"
@@ -31,10 +33,10 @@ struct CostEngineOptions {
   /// Budget governor (skipping / early stopping), src/budget/.
   BudgetGovernorOptions governor;
   /// Injected what-if failures, src/faults/. With `faults.enabled` the
-  /// engine evaluates every uncached cell through the executor's
-  /// retry/backoff loop, charges the budget only on success, and answers a
-  /// cell that exhausted its retries with the derived cost d(q, C) — the
-  /// same degradation a governor skip uses — so tuners run unmodified.
+  /// executor's retry/backoff loop consults the fault schedule; a cell that
+  /// exhausts its retries is never charged and is answered with the derived
+  /// cost d(q, C) — the same degradation a governor skip uses — so tuners
+  /// run unmodified.
   FaultOptions faults;
   /// Retry/backoff parameters; consulted only when faults are enabled.
   RetryPolicy retry;
@@ -57,10 +59,6 @@ struct CostEngineOptions {
   /// decisions.
   MetricsRegistry* metrics = nullptr;
   Tracer* tracer = nullptr;
-  /// Shard count for the DerivedCostIndex (rounded up to a power of two);
-  /// 0 picks DerivedCostIndex::kDefaultShards. Sharding changes contention
-  /// and counter attribution, never lookup results.
-  int index_shards = 0;
   /// Thread-pool size for the executor's batched WhatIfCostMany() path;
   /// 0 picks min(hardware_concurrency, 8). Never affects results.
   int whatif_pool_size = 0;
@@ -74,7 +72,7 @@ struct CostEngineOptions {
 ///  * BudgetMeter — counting, exhaustion, and the layout trace (paper
 ///    Definition 1);
 ///  * WhatIfExecutor — optimizer invocation, materialization, simulated
-///    latency, and the batched (thread-pooled) CostMany() path;
+///    latency, the retry loop, and thread-pooled batch evaluation;
 ///  * DerivedCostIndex — the what-if cache plus posting lists answering
 ///    Equation-1 subset minima incrementally;
 ///  * BudgetGovernor (optional, src/budget/) — a policy layer between the
@@ -188,7 +186,9 @@ class CostService {
   /// concurrently by the executor. Results are identical to the loop, with
   /// one governed-run caveat: skip decisions quote the cache as of batch
   /// entry (a sequential loop would see cells cached earlier in the same
-  /// batch). Decisions stay deterministic either way.
+  /// batch), while the quote's budget state is advanced by the cells ahead
+  /// of it in the batch, exactly as the loop would see it. Decisions stay
+  /// deterministic either way.
   std::vector<std::optional<double>> WhatIfCostMany(
       const std::vector<int>& query_ids, const Config& config);
 
@@ -291,9 +291,30 @@ class CostService {
   const Status& checkpoint_status() const { return checkpoint_status_; }
 
  private:
+  /// The one cell pipeline behind WhatIfCost() (a single cell) and
+  /// WhatIfCostMany() (`batched`), for a non-empty `config`; writes each
+  /// cell's answer to out[i] (left nullopt when the budget is exhausted or
+  /// the governor has stopped the run). Three stages:
+  ///  1. classify — cache hit, duplicate of an earlier pending cell,
+  ///     governor stop/skip, or pending;
+  ///  2. evaluate — the pending cells through the executor (or the journal
+  ///     while replaying), in chunks no larger than the remaining budget;
+  ///  3. commit — in input order, each chunk's outcomes (CommitCell()).
+  void ResolveCells(std::span<const int> query_ids, const Config& config,
+                    std::span<std::optional<double>> out, bool batched);
+
   /// Builds the governor's quote for one uncached cell: derived upper
-  /// bound, clamped cost lower bound, and budget state.
-  CellQuote MakeQuote(int query_id, const Config& config) const;
+  /// bound, clamped cost lower bound, and the budget state the cell sees
+  /// behind `ahead` pending cells of its batch (capped at the budget).
+  CellQuote MakeQuote(int query_id, const Config& config, int64_t ahead) const;
+
+  /// Commits one evaluated cell: journals the attempt when `journal`, then
+  /// on success charges it, caches it, folds it into the floor and reports
+  /// it to the governor (at the meter's count before the charge); on
+  /// failure degrades it. Returns the caller's answer.
+  double CommitCell(const Config& config, const std::vector<size_t>& positions,
+                    CellQuote& quote, const CellOutcome& outcome,
+                    bool journal);
 
   /// Folds a freshly evaluated cell into the per-query optimistic floor
   /// (the governor's improvement-curve y axis).
@@ -304,21 +325,16 @@ class CostService {
                    const std::vector<size_t>& positions, double cost,
                    double sim_seconds);
 
-  /// Pops the next journaled attempt during replay, checking it matches the
-  /// requested cell (any mismatch means the replayed tuner diverged from
-  /// the original run — a corrupted checkpoint or a different binary) and
-  /// crediting its simulated seconds to the executor.
-  CheckpointEvent PopReplayEvent(int query_id,
-                                 const std::vector<size_t>& positions);
+  /// Pops the next journaled attempt during replay as the cell's outcome,
+  /// checking it matches the requested cell (any mismatch means the
+  /// replayed tuner diverged from the original run — a corrupted checkpoint
+  /// or a different binary) and crediting its simulated seconds to the
+  /// executor.
+  CellOutcome PopReplayEvent(int query_id,
+                             const std::vector<size_t>& positions);
 
   /// Answers one cell with the derived cost after retries were exhausted.
   double DegradeCell(int query_id, const Config& config);
-
-  /// The fault-injected WhatIfCostMany() body: classify without charging,
-  /// evaluate-then-commit in budget-sized chunks, resolve duplicates last.
-  void WhatIfCostManyFaulted(const std::vector<int>& query_ids,
-                             const Config& config,
-                             std::vector<std::optional<double>>* out);
 
   /// Checks the replayed engine state against the checkpoint header when
   /// BeginRound() reaches the checkpointed round.
@@ -350,6 +366,21 @@ class CostService {
   /// workload sum: the best workload cost the cache currently supports.
   std::vector<double> floor_costs_;
   double floor_workload_cost_ = 0.0;
+
+  /// A pending cell of the pipeline: its out[] slot and governor quote
+  /// (quote.query_id is the cell's query).
+  struct PendingCell {
+    size_t slot = 0;
+    CellQuote quote;
+  };
+  /// ResolveCells() scratch, reused across calls so a single WhatIfCost()
+  /// allocates nothing beyond the positions and the materialized
+  /// configuration. pending_ids_ and outcomes_ run parallel to pending_;
+  /// duplicates_ holds (out slot, pending index) pairs.
+  std::vector<PendingCell> pending_;
+  std::vector<int> pending_ids_;
+  std::vector<CellOutcome> outcomes_;
+  std::vector<std::pair<size_t, size_t>> duplicates_;
 
   // ---- Fault tolerance and checkpoint/resume state. ----
   CostEngineOptions options_;

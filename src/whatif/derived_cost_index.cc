@@ -18,33 +18,13 @@ double NowSeconds() {
 
 }  // namespace
 
-DerivedCostIndex::DerivedCostIndex(int num_queries, int num_candidates,
-                                   int num_shards) {
-  BATI_CHECK(num_queries >= 0 && num_candidates >= 0 && num_shards >= 0);
-  if (num_shards == 0) num_shards = kDefaultShards;
-  // Round up to a power of two so shard_of() is a mask, and never keep more
-  // shards than queries (one query per shard is already fully spread).
-  size_t shards = 1;
-  unsigned bits = 0;
-  const size_t cap = static_cast<size_t>(std::max(1, num_queries));
-  while (static_cast<int>(shards) < num_shards && shards * 2 <= cap) {
-    shards <<= 1;
-    ++bits;
-  }
-  shard_mask_ = shards - 1;
-  shard_bits_ = bits;
-  shards_ = std::vector<Shard>(shards);
-  counters_ = std::vector<ShardCounters>(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    // Queries landing in shard s: ids with (id & mask) == s.
-    const size_t count =
-        (static_cast<size_t>(num_queries) + shards - 1 - s) / shards;
-    shards_[s].queries.resize(count);
-    for (QueryIndex& qi : shards_[s].queries) {
-      qi.postings.resize(static_cast<size_t>(num_candidates));
-      qi.singleton.assign(static_cast<size_t>(num_candidates),
-                          std::numeric_limits<double>::quiet_NaN());
-    }
+DerivedCostIndex::DerivedCostIndex(int num_queries, int num_candidates) {
+  BATI_CHECK(num_queries >= 0 && num_candidates >= 0);
+  queries_.resize(static_cast<size_t>(num_queries));
+  for (QueryIndex& qi : queries_) {
+    qi.postings.resize(static_cast<size_t>(num_candidates));
+    qi.singleton.assign(static_cast<size_t>(num_candidates),
+                        std::numeric_limits<double>::quiet_NaN());
   }
 }
 
@@ -58,14 +38,12 @@ const double* DerivedCostIndex::Find(int query_id,
 void DerivedCostIndex::Add(int query_id, const Config& config,
                            const std::vector<size_t>& positions,
                            double cost) {
-  Shard& shard = shards_[shard_of(query_id)];
-  std::lock_guard<std::mutex> lock(shard.add_mu);
-  QueryIndex& qi = shard.queries[slot_of(query_id)];
+  QueryIndex& qi = queries_[static_cast<size_t>(query_id)];
   auto [it, inserted] = qi.exact.emplace(config, cost);
   BATI_CHECK(inserted && "cell inserted twice");
   const int32_t id = static_cast<int32_t>(qi.entries.size());
   qi.entries.push_back(Entry{config, cost});
-  counters_of(query_id).entries.fetch_add(1, std::memory_order_relaxed);
+  ++entries_;
 
   // Keep the global ordering and every touched posting list cost-ascending.
   auto cost_less = [&qi](int32_t a, double c) {
@@ -91,10 +69,8 @@ void DerivedCostIndex::Add(int query_id, const Config& config,
 
 double DerivedCostIndex::SubsetMin(int query_id, const Config& config,
                                    double base) const {
-  ShardCounters& counters = counters_of(query_id);
-  const int64_t lookup_no =
-      counters.derived_lookups.fetch_add(1, std::memory_order_relaxed);
-  // Deterministic 1-in-64 sampling keyed off the shard's lookup counter:
+  const int64_t lookup_no = derived_lookups_++;
+  // Deterministic 1-in-64 sampling keyed off the lookup counter:
   // this is the hottest path in the engine (rollout-heavy tuners issue tens
   // of derived lookups per counted call), so both the wall clock and the
   // histogram stay out of 63/64 of the lookups, and whether a lookup is
@@ -126,9 +102,8 @@ double DerivedCostIndex::SubsetMin(int query_id, const Config& config,
       }
     }
   }
-  counters.scanned_entries.fetch_add(scanned, std::memory_order_relaxed);
-  counters.pruned_entries.fetch_add(total - scanned,
-                                    std::memory_order_relaxed);
+  scanned_entries_ += scanned;
+  pruned_entries_ += total - scanned;
   if (sampled && obs_scan_depth_ != nullptr) {
     obs_scan_depth_->Record(static_cast<double>(scanned));
   }
@@ -138,9 +113,7 @@ double DerivedCostIndex::SubsetMin(int query_id, const Config& config,
 
 double DerivedCostIndex::SubsetMinWithAdd(int query_id, const Config& config,
                                           size_t pos, double current) const {
-  ShardCounters& counters = counters_of(query_id);
-  const int64_t lookup_no =
-      counters.delta_lookups.fetch_add(1, std::memory_order_relaxed);
+  const int64_t lookup_no = delta_lookups_++;
   const QueryIndex& qi = at(query_id);
   const std::vector<int32_t>& list = qi.postings[pos];
   double best = current;
@@ -154,10 +127,9 @@ double DerivedCostIndex::SubsetMinWithAdd(int query_id, const Config& config,
       break;
     }
   }
-  counters.scanned_entries.fetch_add(scanned, std::memory_order_relaxed);
-  counters.pruned_entries.fetch_add(
-      static_cast<int64_t>(list.size()) - scanned, std::memory_order_relaxed);
-  // Same 1-in-64 sampling as SubsetMin, keyed off the shard's delta counter.
+  scanned_entries_ += scanned;
+  pruned_entries_ += static_cast<int64_t>(list.size()) - scanned;
+  // Same 1-in-64 sampling as SubsetMin, keyed off the delta counter.
   if (obs_delta_scan_depth_ != nullptr && (lookup_no & 63) == 0) {
     obs_delta_scan_depth_->Record(static_cast<double>(scanned));
   }
@@ -184,8 +156,7 @@ double DerivedCostIndex::SingletonMin(int query_id, const Config& config,
 double DerivedCostIndex::SupersetMaxLowerBound(int query_id,
                                                const Config& config,
                                                double floor) const {
-  ShardCounters& counters = counters_of(query_id);
-  counters.lower_bound_lookups.fetch_add(1, std::memory_order_relaxed);
+  ++lower_bound_lookups_;
   const QueryIndex& qi = at(query_id);
   const size_t members = config.count();
   int64_t scanned = 0;
@@ -200,17 +171,14 @@ double DerivedCostIndex::SupersetMaxLowerBound(int query_id,
       break;
     }
   }
-  counters.scanned_entries.fetch_add(scanned, std::memory_order_relaxed);
-  counters.pruned_entries.fetch_add(
-      static_cast<int64_t>(qi.by_cost.size()) - scanned,
-      std::memory_order_relaxed);
+  scanned_entries_ += scanned;
+  pruned_entries_ += static_cast<int64_t>(qi.by_cost.size()) - scanned;
   return bound;
 }
 
 double DerivedCostIndex::AdditiveLowerBound(int query_id, const Config& config,
                                             double base, double floor) const {
-  counters_of(query_id).lower_bound_lookups.fetch_add(
-      1, std::memory_order_relaxed);
+  ++lower_bound_lookups_;
   const QueryIndex& qi = at(query_id);
   double bound = base;
   for (size_t pos : config.ToIndices()) {
@@ -225,35 +193,15 @@ int64_t DerivedCostIndex::entry_count(int query_id) const {
   return static_cast<int64_t>(at(query_id).entries.size());
 }
 
-int64_t DerivedCostIndex::total_entries() const {
-  int64_t total = 0;
-  for (const ShardCounters& c : counters_) {
-    total += c.entries.load(std::memory_order_relaxed);
-  }
-  return total;
-}
+int64_t DerivedCostIndex::total_entries() const { return entries_; }
 
 void DerivedCostIndex::AccumulateStats(CostEngineStats* stats) const {
-  // One pass over the shards, each counter read exactly once: the sums form
-  // a single consistent snapshot whatever the shard count, so no lookup can
-  // be double-counted into the engine stats.
-  int64_t derived = 0, delta = 0, scanned = 0, pruned = 0, lower = 0,
-          entries = 0;
-  for (const ShardCounters& c : counters_) {
-    derived += c.derived_lookups.load(std::memory_order_relaxed);
-    delta += c.delta_lookups.load(std::memory_order_relaxed);
-    scanned += c.scanned_entries.load(std::memory_order_relaxed);
-    pruned += c.pruned_entries.load(std::memory_order_relaxed);
-    lower += c.lower_bound_lookups.load(std::memory_order_relaxed);
-    entries += c.entries.load(std::memory_order_relaxed);
-  }
-  stats->derived_lookups += derived;
-  stats->delta_lookups += delta;
-  stats->index_entries += entries;
-  stats->index_scanned_entries += scanned;
-  stats->index_pruned_entries += pruned;
-  stats->lower_bound_lookups += lower;
-  stats->index_shards = num_shards();
+  stats->derived_lookups += derived_lookups_;
+  stats->delta_lookups += delta_lookups_;
+  stats->index_entries += entries_;
+  stats->index_scanned_entries += scanned_entries_;
+  stats->index_pruned_entries += pruned_entries_;
+  stats->lower_bound_lookups += lower_bound_lookups_;
 }
 
 void DerivedCostIndex::SetObservability(MetricsRegistry* metrics) {

@@ -1,10 +1,8 @@
 #ifndef BATI_WHATIF_DERIVED_COST_INDEX_H_
 #define BATI_WHATIF_DERIVED_COST_INDEX_H_
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -36,34 +34,19 @@ namespace bati {
 ///    and its remaining members are inside C;
 ///  * known singleton costs (Equation 2).
 ///
-/// Storage and synchronization are sharded by query hash (query_id modulo a
-/// power-of-two shard count): each shard owns an independent slice of the
-/// per-query structures, its own Add mutex, and its own cache-line-aligned
-/// observability counters. Lookups on different shards therefore never
-/// touch the same cache line, and mutations of different shards never
-/// contend on one lock. Within a shard, Add() is serialized by the shard
-/// mutex; const lookups only read immutable index structure plus the
-/// shard's relaxed atomics, so they are race-free against each other.
-/// Concurrent Add and lookup *on the same query's shard* remain
-/// single-writer territory, exactly as before the sharding (the engine
-/// issues Adds sequentially in input order).
+/// Single-threaded: each CostService owns one index and builds, queries
+/// and destroys it on the thread that runs the tuner. The executor's pool
+/// only invokes the optimizer and never touches the index, so nothing here
+/// is synchronized.
 class DerivedCostIndex {
  public:
-  /// Shard count used when the constructor is passed `num_shards == 0`.
-  static constexpr int kDefaultShards = 16;
-
-  /// `num_shards` is rounded up to a power of two; 0 picks kDefaultShards.
-  DerivedCostIndex(int num_queries, int num_candidates, int num_shards = 0);
-
-  /// Power-of-two number of shards in use.
-  int num_shards() const { return static_cast<int>(shards_.size()); }
+  DerivedCostIndex(int num_queries, int num_candidates);
 
   /// The cached cost of an exact cell, or nullptr when unknown.
   const double* Find(int query_id, const Config& config) const;
 
   /// Inserts a freshly evaluated cell. `positions` must equal
-  /// config.ToIndices(). A cell must not be inserted twice. Serialized per
-  /// shard; Adds to different shards may run concurrently.
+  /// config.ToIndices(). A cell must not be inserted twice.
   void Add(int query_id, const Config& config,
            const std::vector<size_t>& positions, double cost);
 
@@ -108,14 +91,11 @@ class DerivedCostIndex {
   int64_t entry_count(int query_id) const;
   int64_t total_entries() const;
 
-  /// Adds one consistent snapshot of this layer's counters into `stats`:
-  /// every shard's counters are read exactly once and summed, so no lookup
-  /// is counted twice (or attributed to two shards) regardless of shard
-  /// count or sampling. Also records the shard count.
+  /// Adds this layer's counters into `stats`.
   void AccumulateStats(CostEngineStats* stats) const;
 
   /// Wires scan-depth histograms and a deterministically sampled (1-in-64,
-  /// keyed off the per-shard lookup counter) lookup wall-latency histogram.
+  /// keyed off the lookup counter) lookup wall-latency histogram.
   /// Null unwires. Pure observation: lookup results and the stats counters
   /// are unaffected.
   void SetObservability(MetricsRegistry* metrics);
@@ -140,44 +120,20 @@ class DerivedCostIndex {
     int32_t best_entry = -1;
   };
 
-  /// Observability counters, one cache line per shard so concurrent
-  /// lookups on different shards never false-share. Mutable atomics so the
-  /// read-only Equation-1/2 API stays const and race-free.
-  struct alignas(64) ShardCounters {
-    std::atomic<int64_t> derived_lookups{0};
-    std::atomic<int64_t> delta_lookups{0};
-    std::atomic<int64_t> scanned_entries{0};
-    std::atomic<int64_t> pruned_entries{0};
-    std::atomic<int64_t> lower_bound_lookups{0};
-    std::atomic<int64_t> entries{0};
-  };
-
-  struct Shard {
-    /// Queries with (id & shard_mask) == shard index, slot id >> shard_bits.
-    std::vector<QueryIndex> queries;
-    /// Serializes Add() within this shard.
-    std::mutex add_mu;
-  };
-
-  size_t shard_of(int query_id) const {
-    return static_cast<size_t>(query_id) & shard_mask_;
-  }
-  size_t slot_of(int query_id) const {
-    return static_cast<size_t>(query_id) >> shard_bits_;
-  }
   const QueryIndex& at(int query_id) const {
-    return shards_[shard_of(query_id)].queries[slot_of(query_id)];
-  }
-  ShardCounters& counters_of(int query_id) const {
-    return counters_[shard_of(query_id)];
+    return queries_[static_cast<size_t>(query_id)];
   }
 
-  std::vector<Shard> shards_;
-  mutable std::vector<ShardCounters> counters_;
-  size_t shard_mask_ = 0;
-  unsigned shard_bits_ = 0;
-  // Observability instruments (null when not wired); recording through them
-  // is relaxed-atomic, keeping const lookups race-free.
+  std::vector<QueryIndex> queries_;
+  int64_t entries_ = 0;
+  /// Observability counters; mutable so the read-only Equation-1/2 API
+  /// stays const.
+  mutable int64_t derived_lookups_ = 0;
+  mutable int64_t delta_lookups_ = 0;
+  mutable int64_t scanned_entries_ = 0;
+  mutable int64_t pruned_entries_ = 0;
+  mutable int64_t lower_bound_lookups_ = 0;
+  // Observability instruments (null when not wired).
   LatencyHistogram* obs_scan_depth_ = nullptr;
   LatencyHistogram* obs_delta_scan_depth_ = nullptr;
   LatencyHistogram* obs_lookup_wall_us_ = nullptr;

@@ -107,54 +107,16 @@ std::vector<Index> WhatIfExecutor::Materialize(const Config& config) const {
   return out;
 }
 
-std::shared_ptr<WhatIfExecutor::Job> WhatIfExecutor::BuildJob(
-    const std::vector<CellRef>& cells) const {
-  auto job = std::make_shared<Job>();
-  job->cells.reserve(cells.size());
-  job->results.assign(cells.size(), 0.0);
-  // Materialize each distinct configuration once per batch (in practice all
-  // cells share a single one); distinctness is by pointer, matching how
-  // CostService builds the batch.
-  std::vector<const Config*> seen;
-  for (const CellRef& cell : cells) {
-    size_t idx = seen.size();
-    for (size_t j = 0; j < seen.size(); ++j) {
-      if (seen[j] == cell.config) {
-        idx = j;
-        break;
-      }
-    }
-    if (idx == seen.size()) {
-      seen.push_back(cell.config);
-      job->materialized.push_back(Materialize(*cell.config));
-      job->config_hashes.push_back(cell.config->Hash());
-    }
-    job->cells.push_back(Job::Cell{cell.query_id, idx});
-  }
-  return job;
-}
-
-double WhatIfExecutor::CellCost(const Job& job, size_t i) const {
-  const Job::Cell& cell = job.cells[i];
-  const Query& query =
-      workload_->queries[static_cast<size_t>(cell.query_id)];
-  return optimizer_->Cost(query, job.materialized[cell.config_idx]);
-}
-
-double WhatIfExecutor::ObservedCellCost(const Job& job, size_t i) const {
-  if (obs_cell_wall_us_ == nullptr) return CellCost(job, i);
-  const uint64_t ticket =
-      obs_ticket_.fetch_add(1, std::memory_order_relaxed);
-  if ((ticket & kObsSampleMask) != 0) return CellCost(job, i);
-  const double t0 = NowSeconds();
-  const double cost = CellCost(job, i);
-  obs_cell_wall_us_->Record((NowSeconds() - t0) * 1e6);
-  return cost;
-}
-
 CellOutcome WhatIfExecutor::RunCellWithRetry(
-    int query_id, const std::vector<Index>& materialized,
-    uint64_t config_hash) const {
+    int query_id, const std::vector<Index>& materialized, uint64_t config_hash,
+    double sim_start) const {
+  // SetObservability() wires both per-cell histograms together, so the
+  // wall histogram stands for both.
+  const bool sampled =
+      (obs_cell_wall_us_ != nullptr || tracer_ != nullptr) &&
+      (obs_ticket_.fetch_add(1, std::memory_order_relaxed) & kObsSampleMask) ==
+          0;
+  const double t0 = sampled ? NowSeconds() : 0.0;
   const Query& query = workload_->queries[static_cast<size_t>(query_id)];
   const double base_latency = optimizer_->EstimateCallSeconds(query);
   CellOutcome out;
@@ -164,143 +126,120 @@ CellOutcome WhatIfExecutor::RunCellWithRetry(
     out.cost = optimizer_->Cost(query, materialized);
     out.sim_seconds = base_latency;
     out.attempts = 1;
-    return out;
-  }
-  for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
-    out.attempts = attempt;
-    const FaultDecision d = injector_->Decide(query_id, config_hash, attempt);
-    const double latency = base_latency * d.latency_multiplier;
-    const bool timed_out = retry_.call_timeout_seconds > 0.0 &&
-                           latency > retry_.call_timeout_seconds;
-    if (timed_out) {
-      out.sim_seconds += retry_.call_timeout_seconds;
-      out.status = Status::DeadlineExceeded("what-if call timed out");
-      ++out.timeout_faults;
-    } else if (d.kind == FaultKind::kTransient) {
-      out.sim_seconds += latency;
-      out.status = Status::Unavailable("transient what-if fault");
-      ++out.transient_faults;
-    } else if (d.kind == FaultKind::kSticky) {
-      out.sim_seconds += latency;
-      out.status = Status::Unavailable("sticky what-if fault");
-      ++out.sticky_faults;
-    } else {
-      out.sim_seconds += latency;
-      out.status = Status::Ok();
-      out.cost = optimizer_->Cost(query, materialized);
-      return out;
+  } else {
+    for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
+      out.attempts = attempt;
+      const FaultDecision d =
+          injector_->Decide(query_id, config_hash, attempt);
+      const double latency = base_latency * d.latency_multiplier;
+      const bool timed_out = retry_.call_timeout_seconds > 0.0 &&
+                             latency > retry_.call_timeout_seconds;
+      if (timed_out) {
+        out.sim_seconds += retry_.call_timeout_seconds;
+        out.status = Status::DeadlineExceeded("what-if call timed out");
+        ++out.timeout_faults;
+      } else if (d.kind == FaultKind::kTransient) {
+        out.sim_seconds += latency;
+        out.status = Status::Unavailable("transient what-if fault");
+        ++out.transient_faults;
+      } else if (d.kind == FaultKind::kSticky) {
+        out.sim_seconds += latency;
+        out.status = Status::Unavailable("sticky what-if fault");
+        ++out.sticky_faults;
+      } else {
+        out.sim_seconds += latency;
+        out.status = Status::Ok();
+        out.cost = optimizer_->Cost(query, materialized);
+        break;
+      }
+      if (attempt < retry_.max_attempts) {
+        out.sim_seconds += retry_.BackoffSeconds(attempt);
+      }
     }
-    if (attempt < retry_.max_attempts) {
-      out.sim_seconds += retry_.BackoffSeconds(attempt);
+  }
+  if (sampled) {
+    const double wall_us = (NowSeconds() - t0) * 1e6;
+    if (obs_cell_wall_us_ != nullptr) obs_cell_wall_us_->Record(wall_us);
+    if (obs_cell_sim_s_ != nullptr) obs_cell_sim_s_->Record(out.sim_seconds);
+    if (tracer_ != nullptr) {
+      tracer_->Complete(
+          "whatif.call", "whatif", tracer_->NowUs() - wall_us, wall_us,
+          sim_start, out.sim_seconds,
+          {{"query", static_cast<double>(query_id)},
+           {"indexes", static_cast<double>(materialized.size())}});
     }
   }
   return out;
 }
 
-double WhatIfExecutor::EvaluateCell(int query_id,
-                                    const std::vector<size_t>& positions) {
+void WhatIfExecutor::Evaluate(const Config& config,
+                              const std::vector<size_t>& positions,
+                              std::span<const int> query_ids,
+                              std::span<CellOutcome> outcomes, bool batched) {
+  BATI_CHECK(query_ids.size() == outcomes.size());
   const double start = NowSeconds();
+  const double sim_start = simulated_seconds_;
   std::vector<Index> materialized;
   materialized.reserve(positions.size());
   for (size_t pos : positions) {
     materialized.push_back((*candidates_)[pos]);
   }
-  const Query& query = workload_->queries[static_cast<size_t>(query_id)];
-  const double sim_start = simulated_seconds_;
-  double cost = optimizer_->Cost(query, materialized);
-  const double sim = optimizer_->EstimateCallSeconds(query);
-  simulated_seconds_ += sim;
-  const double wall = NowSeconds() - start;
-  wall_seconds_ += wall;
-  if (obs_cell_sim_s_ != nullptr || obs_cell_wall_us_ != nullptr ||
-      tracer_ != nullptr) {
-    const uint64_t ticket =
-        obs_ticket_.fetch_add(1, std::memory_order_relaxed);
-    if ((ticket & kObsSampleMask) == 0) {
-      if (obs_cell_sim_s_ != nullptr) obs_cell_sim_s_->Record(sim);
-      if (obs_cell_wall_us_ != nullptr) obs_cell_wall_us_->Record(wall * 1e6);
-      if (tracer_ != nullptr) {
-        const double wall_us = wall * 1e6;
-        tracer_->Complete("whatif.call", "whatif", tracer_->NowUs() - wall_us,
-                          wall_us, sim_start, sim,
-                          {{"query", static_cast<double>(query_id)},
-                           {"indexes", static_cast<double>(positions.size())}});
-      }
+  const uint64_t config_hash = config.Hash();
+  if (query_ids.size() >= kParallelThreshold) {
+    auto job = std::make_shared<Job>();
+    job->query_ids = query_ids;
+    job->outcomes = outcomes;
+    job->materialized = std::move(materialized);
+    job->config_hash = config_hash;
+    job->sim_start = sim_start;
+    RunJob(job);
+  } else {
+    for (size_t i = 0; i < query_ids.size(); ++i) {
+      outcomes[i] = RunCellWithRetry(query_ids[i], materialized, config_hash,
+                                     sim_start);
     }
   }
-  return cost;
+  // All accounting in input order: per-cell outcomes are pure, so the
+  // totals are identical to the sequential loop.
+  for (const CellOutcome& outcome : outcomes) AccountOutcome(outcome);
+  const double wall = NowSeconds() - start;
+  wall_seconds_ += wall;
+  if (batched) {
+    batched_cells_ += static_cast<int64_t>(outcomes.size());
+    ObserveBatch(outcomes.size(), wall, sim_start);
+  }
 }
 
 void WhatIfExecutor::RunJob(const std::shared_ptr<Job>& job) {
-  if (job->cells.size() >= kParallelThreshold) {
-    EnsurePool();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      job_ = job;
-      job_generation_.fetch_add(1, std::memory_order_release);
-      work_cv_.notify_all();
-    }
-    // Completion fast path: spin on the lock-free counter — for a typical
-    // batch the workers finish well inside the spin budget and the
-    // coordinator never sleeps.
-    const size_t total = job->cells.size();
-    bool finished = false;
-    const int coordinator_spins = SpinBudget(kCoordinatorSpinIters);
-    for (int spin = 0; spin < coordinator_spins; ++spin) {
-      if (job->done.load(std::memory_order_acquire) == total) {
-        finished = true;
-        break;
-      }
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!finished) {
-      done_cv_.wait(lock, [&] {
-        return job->done.load(std::memory_order_acquire) == total;
-      });
-    }
-    job_.reset();
-  } else {
-    for (size_t i = 0; i < job->cells.size(); ++i) {
-      if (job->with_retry) {
-        job->outcomes[i] =
-            RunCellWithRetry(job->cells[i].query_id,
-                             job->materialized[job->cells[i].config_idx],
-                             job->config_hashes[job->cells[i].config_idx]);
-      } else {
-        job->results[i] = ObservedCellCost(*job, i);
-      }
+  EnsurePool();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    job_ = job;
+    job_generation_.fetch_add(1, std::memory_order_release);
+    work_cv_.notify_all();
+  }
+  // Completion fast path: spin on the lock-free counter — for a typical
+  // batch the workers finish well inside the spin budget and the
+  // coordinator never sleeps.
+  const size_t total = job->query_ids.size();
+  bool finished = false;
+  const int coordinator_spins = SpinBudget(kCoordinatorSpinIters);
+  for (int spin = 0; spin < coordinator_spins; ++spin) {
+    if (job->done.load(std::memory_order_acquire) == total) {
+      finished = true;
+      break;
     }
   }
+  std::unique_lock<std::mutex> lock(mu_);
+  if (!finished) {
+    done_cv_.wait(lock, [&] {
+      return job->done.load(std::memory_order_acquire) == total;
+    });
+  }
+  job_.reset();
 }
 
-std::vector<double> WhatIfExecutor::EvaluateCells(
-    const std::vector<CellRef>& cells) {
-  const double start = NowSeconds();
-  const double sim_start = simulated_seconds_;
-  std::vector<double> out(cells.size(), 0.0);
-  if (!cells.empty()) {
-    std::shared_ptr<Job> job = BuildJob(cells);
-    RunJob(job);
-    out = std::move(job->results);
-  }
-  // Simulated latency is summed in input order so batched accounting is
-  // bit-identical to the sequential path.
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const double sim = optimizer_->EstimateCallSeconds(
-        workload_->queries[static_cast<size_t>(cells[i].query_id)]);
-    simulated_seconds_ += sim;
-    if (obs_cell_sim_s_ != nullptr && (i & kObsSampleMask) == 0) {
-      obs_cell_sim_s_->Record(sim);
-    }
-  }
-  batched_cells_ += static_cast<int64_t>(cells.size());
-  const double wall = NowSeconds() - start;
-  wall_seconds_ += wall;
-  ObserveBatch("whatif.batch", cells.size(), wall, sim_start);
-  return out;
-}
-
-void WhatIfExecutor::ObserveBatch(const char* name, size_t cells, double wall,
+void WhatIfExecutor::ObserveBatch(size_t cells, double wall,
                                   double sim_start) {
   if (obs_batch_cells_ != nullptr) {
     obs_batch_cells_->Record(static_cast<double>(cells));
@@ -308,8 +247,8 @@ void WhatIfExecutor::ObserveBatch(const char* name, size_t cells, double wall,
   if (obs_batch_wall_us_ != nullptr) obs_batch_wall_us_->Record(wall * 1e6);
   if (tracer_ != nullptr) {
     const double wall_us = wall * 1e6;
-    tracer_->Complete(name, "whatif", tracer_->NowUs() - wall_us, wall_us,
-                      sim_start, simulated_seconds_ - sim_start,
+    tracer_->Complete("whatif.batch", "whatif", tracer_->NowUs() - wall_us,
+                      wall_us, sim_start, simulated_seconds_ - sim_start,
                       {{"cells", static_cast<double>(cells)},
                        {"pooled", cells >= kParallelThreshold ? 1.0 : 0.0}});
   }
@@ -321,7 +260,6 @@ void WhatIfExecutor::AccountOutcome(const CellOutcome& outcome) {
   sticky_faults_ += outcome.sticky_faults;
   timeout_faults_ += outcome.timeout_faults;
   retry_attempts_ += outcome.attempts > 0 ? outcome.attempts - 1 : 0;
-  if (obs_cell_sim_s_ != nullptr) obs_cell_sim_s_->Record(outcome.sim_seconds);
   if (obs_retry_attempts_ != nullptr) {
     obs_retry_attempts_->Record(static_cast<double>(outcome.attempts));
   }
@@ -335,43 +273,6 @@ void WhatIfExecutor::AccountOutcome(const CellOutcome& outcome) {
          {"sticky", static_cast<double>(outcome.sticky_faults)},
          {"timeouts", static_cast<double>(outcome.timeout_faults)}});
   }
-}
-
-CellOutcome WhatIfExecutor::EvaluateCellWithRetry(
-    int query_id, const std::vector<size_t>& positions,
-    uint64_t config_hash) {
-  const double start = NowSeconds();
-  std::vector<Index> materialized;
-  materialized.reserve(positions.size());
-  for (size_t pos : positions) {
-    materialized.push_back((*candidates_)[pos]);
-  }
-  CellOutcome out = RunCellWithRetry(query_id, materialized, config_hash);
-  AccountOutcome(out);
-  wall_seconds_ += NowSeconds() - start;
-  return out;
-}
-
-std::vector<CellOutcome> WhatIfExecutor::EvaluateCellsWithRetry(
-    const std::vector<CellRef>& cells) {
-  const double start = NowSeconds();
-  const double sim_start = simulated_seconds_;
-  std::vector<CellOutcome> out(cells.size());
-  if (!cells.empty()) {
-    std::shared_ptr<Job> job = BuildJob(cells);
-    job->with_retry = true;
-    job->outcomes.assign(cells.size(), CellOutcome{});
-    RunJob(job);
-    out = std::move(job->outcomes);
-  }
-  // All accounting in input order: per-cell outcomes are pure, so the
-  // totals are bit-identical to the sequential loop.
-  for (const CellOutcome& outcome : out) AccountOutcome(outcome);
-  batched_cells_ += static_cast<int64_t>(cells.size());
-  const double wall = NowSeconds() - start;
-  wall_seconds_ += wall;
-  ObserveBatch("whatif.batch_retry", cells.size(), wall, sim_start);
-  return out;
 }
 
 void WhatIfExecutor::EnsurePool() {
@@ -417,26 +318,22 @@ void WhatIfExecutor::WorkerLoop() {
     }
     // The shared_ptr keeps the job alive, and its ticket counter belongs to
     // this job alone: once the batch has finished, every remaining claim
-    // overruns cells.size() and is a no-op, so arriving late here is safe.
+    // overruns the job's cell count and is a no-op, so arriving late here is
+    // safe.
     size_t done_here = 0;
     while (true) {
       // Claim cells in chunks: one atomic RMW per kClaimChunk cells, and a
-      // worker's result writes land on (mostly) whole cache lines instead of
-      // interleaving double-width stores with its neighbours.
+      // worker's outcome writes land on neighbouring memory instead of
+      // interleaving with other workers' stores.
+      const size_t total = job->query_ids.size();
       size_t begin = job->next.fetch_add(Job::kClaimChunk,
                                          std::memory_order_relaxed);
-      if (begin >= job->cells.size()) break;
-      const size_t end =
-          std::min(begin + Job::kClaimChunk, job->cells.size());
+      if (begin >= total) break;
+      const size_t end = std::min(begin + Job::kClaimChunk, total);
       for (size_t i = begin; i < end; ++i) {
-        if (job->with_retry) {
-          job->outcomes[i] =
-              RunCellWithRetry(job->cells[i].query_id,
-                               job->materialized[job->cells[i].config_idx],
-                               job->config_hashes[job->cells[i].config_idx]);
-        } else {
-          job->results[i] = ObservedCellCost(*job, i);
-        }
+        job->outcomes[i] =
+            RunCellWithRetry(job->query_ids[i], job->materialized,
+                             job->config_hash, job->sim_start);
         ++done_here;
       }
     }
@@ -446,7 +343,7 @@ void WhatIfExecutor::WorkerLoop() {
       // coordinator usually observes the counter in its spin phase anyway.
       const size_t prev =
           job->done.fetch_add(done_here, std::memory_order_acq_rel);
-      if (prev + done_here == job->cells.size()) {
+      if (prev + done_here == job->query_ids.size()) {
         std::lock_guard<std::mutex> lock(mu_);
         done_cv_.notify_all();
       }

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -64,27 +65,18 @@ struct CellOutcome {
 /// The execution layer of the cost engine: wraps the what-if optimizer and
 /// owns configuration materialization, simulated-latency accounting (the
 /// paper's Figure 2 "time spent on what-if calls"), real wall-clock
-/// accounting for observability, and — when a FaultInjector is configured —
-/// the retry/backoff loop around every optimizer invocation.
+/// accounting for observability, and the retry/backoff loop around every
+/// optimizer invocation — a single attempt that always succeeds when no
+/// FaultInjector is configured.
 ///
-/// The executor never meters anything itself — callers (the CostService
-/// façade) charge the BudgetMeter around the executor: *before* dispatch on
-/// the fault-free path, and *after* a successful outcome on the
-/// fault-injected path (failed cells are never charged). Either way the
-/// batched EvaluateCells()/EvaluateCellsWithRetry() paths, which fan
-/// independent cells out over a lazily started thread pool, stay inside the
-/// budget: charging is sequential and deterministic, only the pure
+/// The executor never meters anything itself: the CostService façade
+/// charges the BudgetMeter for each successful outcome, in input order,
+/// after Evaluate() returns (failed cells are never charged). Batches fan
+/// independent cells out over a lazily started thread pool; only the pure
 /// optimizer invocations (and the pure per-cell fault schedule) run
-/// concurrently.
+/// concurrently, so results and accounting are deterministic.
 class WhatIfExecutor {
  public:
-  /// A (query, configuration) cell to evaluate. `config` must outlive the
-  /// EvaluateCells() call.
-  struct CellRef {
-    int query_id = -1;
-    const Config* config = nullptr;
-  };
-
   /// `optimizer`, `workload`, `candidates` must outlive the executor.
   WhatIfExecutor(const WhatIfOptimizer* optimizer, const Workload* workload,
                  const std::vector<Index>* candidates);
@@ -93,59 +85,43 @@ class WhatIfExecutor {
   WhatIfExecutor(const WhatIfExecutor&) = delete;
   WhatIfExecutor& operator=(const WhatIfExecutor&) = delete;
 
-  /// Arms fault injection: every *WithRetry evaluation consults `injector`
-  /// (which must outlive the executor) and retries per `policy`. Must be
-  /// called before the first evaluation.
+  /// Arms fault injection: every evaluation consults `injector` (which must
+  /// outlive the executor) and retries per `policy`. Must be called before
+  /// the first evaluation.
   void ConfigureFaults(const FaultInjector* injector,
                        const RetryPolicy& policy);
 
   /// Fixes the thread-pool size for batched evaluation. 0 (the default)
   /// picks min(hardware_concurrency, 8). Must be called before the first
-  /// batched evaluation — the pool is started lazily and never resized.
+  /// pooled evaluation — the pool is started lazily and never resized.
   /// Pool size never affects results (cells are pure and accounting is
   /// input-ordered), only wall-clock speed.
   void SetPoolSize(size_t n) { pool_size_ = n; }
 
   /// Wires the executor's observability instruments (either argument may be
-  /// null; both must outlive the executor). Evaluations then record per-cell
-  /// and per-batch latency histograms and span/retry trace events — pure
-  /// observation behind null-pointer guards, so an unwired executor runs the
-  /// exact pre-observability code. Must be called before the first
+  /// null; both must outlive the executor). Evaluations then record sampled
+  /// per-cell and per-batch latency histograms and span/retry trace events
+  /// — pure observation behind null-pointer guards, so an unwired executor
+  /// runs the exact pre-observability code. Must be called before the first
   /// evaluation, like ConfigureFaults().
   void SetObservability(MetricsRegistry* metrics, Tracer* tracer);
 
   /// Materializes a configuration into concrete index definitions.
   std::vector<Index> Materialize(const Config& config) const;
 
-  /// Evaluates one cell given the configuration's member positions — the
-  /// caller already computed ToIndices(), so the index list is materialized
-  /// exactly once. Accumulates simulated and wall-clock seconds. Fault-free
-  /// path: never consults the injector.
-  double EvaluateCell(int query_id, const std::vector<size_t>& positions);
-
-  /// Evaluates a batch of independent cells, returning costs in input
-  /// order. Batches of kParallelThreshold cells or more run on the thread
-  /// pool; smaller ones inline. Results and every accumulated statistic are
-  /// identical to evaluating the cells sequentially (the optimizer is pure
-  /// and simulated seconds are summed in input order). Fault-free path.
-  std::vector<double> EvaluateCells(const std::vector<CellRef>& cells);
-
-  /// Evaluates one cell through the fault-injected retry loop.
-  /// `config_hash` is Config::Hash() of the cell's configuration (the fault
-  /// schedule's cell key). Burns the outcome's simulated seconds; never
+  /// Evaluates the cells (query_ids[i], config) through the retry loop into
+  /// outcomes[i]. `positions` must equal config.ToIndices(); the
+  /// configuration is materialized once. kParallelThreshold or more cells
+  /// run on the thread pool, fewer inline. Because the optimizer and the
+  /// fault schedule are pure per (cell, attempt), outcomes are identical to
+  /// the sequential loop regardless of thread interleaving, and all
+  /// accounting is accumulated in input order. `batched` marks cells that
+  /// arrived through a batched entry point: they count into
+  /// batched_cells() and are observed as one whatif.batch span. Never
   /// touches the budget.
-  CellOutcome EvaluateCellWithRetry(int query_id,
-                                    const std::vector<size_t>& positions,
-                                    uint64_t config_hash);
-
-  /// Batched equivalent of EvaluateCellWithRetry, concurrent for batches of
-  /// kParallelThreshold cells or more. Because the fault schedule is a pure
-  /// per-(cell, attempt) function, outcomes — costs, failures, attempt
-  /// counts, and per-cell simulated seconds — are bit-identical to the
-  /// sequential loop regardless of thread interleaving; all accounting is
-  /// accumulated in input order.
-  std::vector<CellOutcome> EvaluateCellsWithRetry(
-      const std::vector<CellRef>& cells);
+  void Evaluate(const Config& config, const std::vector<size_t>& positions,
+                std::span<const int> query_ids,
+                std::span<CellOutcome> outcomes, bool batched);
 
   /// Uncounted ground-truth cost of one query (evaluation only).
   double TrueCost(const Query& query,
@@ -175,7 +151,7 @@ class WhatIfExecutor {
   /// Real wall-clock seconds spent inside the executor so far.
   double wall_seconds() const { return wall_seconds_; }
 
-  /// Cells that went through a batched entry point.
+  /// Cells evaluated with `batched` set.
   int64_t batched_cells() const { return batched_cells_; }
 
   /// Retry-loop observability: failed attempts by kind, and retries (every
@@ -188,62 +164,53 @@ class WhatIfExecutor {
   /// Minimum batch size that engages the thread pool.
   static constexpr size_t kParallelThreshold = 16;
 
-  /// Per-cell wall timings and per-call trace spans are recorded for one
-  /// cell in every (kObsSampleMask + 1): the clock reads and the tracer's
-  /// mutex would otherwise dominate the micro-second simulated what-if call
-  /// itself. Sampling is by an observation-only ticket counter, so it can
-  /// never feed back into the run. Simulated-clock histograms and batch- and
-  /// round-level spans are not sampled — they stay complete.
+  /// Per-cell observations (wall and simulated-time histograms, the
+  /// whatif.call span) are recorded for one cell in every
+  /// (kObsSampleMask + 1): the clock reads and the tracer's mutex would
+  /// otherwise dominate the micro-second simulated what-if call itself.
+  /// Sampling is by an observation-only ticket counter, so it can never
+  /// feed back into the run. Batch- and round-level spans and the retry
+  /// records are not sampled — they stay complete.
   static constexpr uint64_t kObsSampleMask = 15;
 
  private:
-  // One batch, self-contained. Workers hold the job through a shared_ptr,
-  // so a worker that stalls between observing a job and claiming a ticket
-  // can only ever drain *this* job's counter — by the time the batch has
+  // One pooled batch. Workers hold the job through a shared_ptr, so a
+  // worker that stalls between observing a job and claiming a ticket can
+  // only ever drain *this* job's counter — by the time the batch has
   // completed the counter is exhausted, so a stale worker claims nothing,
-  // touches no results, and cannot disturb a later batch. Every distinct
-  // configuration in the batch is materialized exactly once, up front.
+  // touches no outcomes, and cannot disturb a later batch.
   struct Job {
-    /// Cells claimed per ticket: 8 doubles = one cache line of results per
-    /// claim, and an 8x cut in ticket contention. Small enough that the
-    /// worst-case imbalance (one worker stuck with a full chunk) is a few
-    /// microseconds of what-if calls.
+    /// Cells claimed per ticket: an 8x cut in ticket contention, and small
+    /// enough that the worst-case imbalance (one worker stuck with a full
+    /// chunk) is a few microseconds of what-if calls.
     static constexpr size_t kClaimChunk = 8;
-    struct Cell {
-      int query_id = -1;
-      size_t config_idx = 0;  // into `materialized`
-    };
-    std::vector<Cell> cells;
-    std::vector<std::vector<Index>> materialized;
-    std::vector<uint64_t> config_hashes;  // parallel to `materialized`
-    std::vector<double> results;
-    /// Retry-loop outcomes; sized (and written) only when `with_retry`.
-    std::vector<CellOutcome> outcomes;
-    bool with_retry = false;
+    std::span<const int> query_ids;
+    std::span<CellOutcome> outcomes;
+    std::vector<Index> materialized;
+    uint64_t config_hash = 0;
+    double sim_start = 0.0;
     std::atomic<size_t> next{0};
     /// Cells completed; lock-free so workers never take the executor mutex
     /// on the completion path (only the last finisher does, to notify).
     std::atomic<size_t> done{0};
   };
 
-  std::shared_ptr<Job> BuildJob(const std::vector<CellRef>& cells) const;
-  double CellCost(const Job& job, size_t i) const;
-  /// CellCost plus the per-cell wall-latency histogram when one is wired
-  /// (worker threads record through relaxed atomics, so this is pool-safe).
-  double ObservedCellCost(const Job& job, size_t i) const;
   /// The retry loop for one cell: a pure function of the cell and the fault
   /// schedule (plus the stateless optimizer), safe to run on any worker.
+  /// One call in (kObsSampleMask + 1) also records the per-cell
+  /// observations, stamping the span at `sim_start` (the evaluation's
+  /// simulated start).
   CellOutcome RunCellWithRetry(int query_id,
                                const std::vector<Index>& materialized,
-                               uint64_t config_hash) const;
+                               uint64_t config_hash, double sim_start) const;
+  /// Publishes a job to the pool and waits for every cell to complete.
   void RunJob(const std::shared_ptr<Job>& job);
   /// Merges one outcome's counters into the executor totals (coordinator
   /// thread only, input order).
   void AccountOutcome(const CellOutcome& outcome);
   /// Batch-level observability (coordinator thread only): size/latency
-  /// histograms plus a Complete span covering the whole batch.
-  void ObserveBatch(const char* name, size_t cells, double wall,
-                    double sim_start);
+  /// histograms plus a whatif.batch span covering the whole batch.
+  void ObserveBatch(size_t cells, double wall, double sim_start);
   void EnsurePool();
   void WorkerLoop();
 
@@ -260,7 +227,7 @@ class WhatIfExecutor {
   LatencyHistogram* obs_batch_cells_ = nullptr;
   LatencyHistogram* obs_batch_wall_us_ = nullptr;
   LatencyHistogram* obs_retry_attempts_ = nullptr;
-  /// Sampling ticket for per-cell wall timings/spans; mutable because cell
+  /// Sampling ticket for per-cell observations; mutable because cell
   /// evaluation is const on the worker path. Never read by engine logic.
   mutable std::atomic<uint64_t> obs_ticket_{0};
   double simulated_seconds_ = 0.0;

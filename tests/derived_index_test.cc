@@ -242,86 +242,6 @@ TEST(WhatIfCostMany, DuplicateQueriesAreCacheHits) {
   }
 }
 
-TEST(DerivedCostIndexSharding, ShardCountRoundsToPowerOfTwo) {
-  EXPECT_EQ(DerivedCostIndex(100, 8, 5).num_shards(), 8);
-  EXPECT_EQ(DerivedCostIndex(100, 8, 16).num_shards(), 16);
-  EXPECT_EQ(DerivedCostIndex(100, 8, 1).num_shards(), 1);
-  // The default is kDefaultShards...
-  EXPECT_EQ(DerivedCostIndex(100, 8).num_shards(),
-            DerivedCostIndex::kDefaultShards);
-  // ...capped so no shard can be empty by construction.
-  EXPECT_EQ(DerivedCostIndex(3, 8).num_shards(), 2);
-  EXPECT_EQ(DerivedCostIndex(1, 8).num_shards(), 1);
-  EXPECT_EQ(DerivedCostIndex(0, 0).num_shards(), 1);
-}
-
-// Sharding must change nothing observable except contention: identical
-// lookup results and identical counter *totals* for any shard count.
-TEST(DerivedCostIndexSharding, ResultsAndStatsIdenticalAcrossShardCounts) {
-  constexpr size_t kUniverse = 16;
-  constexpr int kQueries = 23;  // deliberately not a multiple of any count
-  Rng rng(29);
-  DerivedCostIndex one(kQueries, static_cast<int>(kUniverse), 1);
-  DerivedCostIndex four(kQueries, static_cast<int>(kUniverse), 4);
-  DerivedCostIndex sixteen(kQueries, static_cast<int>(kUniverse), 16);
-
-  for (int i = 0; i < 200; ++i) {
-    int q = static_cast<int>(rng.UniformInt(0, kQueries - 1));
-    Config c = RandomConfig(rng, kUniverse, 5);
-    if (one.Find(q, c) != nullptr) continue;
-    double cost = rng.Uniform(1.0, 100.0);
-    one.Add(q, c, c.ToIndices(), cost);
-    four.Add(q, c, c.ToIndices(), cost);
-    sixteen.Add(q, c, c.ToIndices(), cost);
-  }
-  EXPECT_EQ(one.total_entries(), four.total_entries());
-  EXPECT_EQ(one.total_entries(), sixteen.total_entries());
-
-  for (int probe_i = 0; probe_i < 100; ++probe_i) {
-    int q = static_cast<int>(rng.UniformInt(0, kQueries - 1));
-    Config probe = RandomConfig(rng, kUniverse, 7);
-    const double base = 150.0;
-    const double expected = one.SubsetMin(q, probe, base);
-    EXPECT_EQ(four.SubsetMin(q, probe, base), expected);
-    EXPECT_EQ(sixteen.SubsetMin(q, probe, base), expected);
-    EXPECT_EQ(one.entry_count(q), four.entry_count(q));
-    EXPECT_EQ(one.entry_count(q), sixteen.entry_count(q));
-    size_t pos = static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(kUniverse) - 1));
-    if (!probe.test(pos)) {
-      const double expected_delta = one.DeltaAdd(q, probe, pos, base);
-      EXPECT_EQ(four.DeltaAdd(q, probe, pos, base), expected_delta);
-      EXPECT_EQ(sixteen.DeltaAdd(q, probe, pos, base), expected_delta);
-    }
-    EXPECT_EQ(four.SingletonMin(q, probe, base),
-              one.SingletonMin(q, probe, base));
-  }
-
-  // The exact same lookups ran against all three, so summing each index's
-  // per-shard counters once must give equal totals — a lookup attributed to
-  // two shards (or sampled into the wrong shard's counter) would break this.
-  CostEngineStats s1, s4, s16;
-  one.AccumulateStats(&s1);
-  four.AccumulateStats(&s4);
-  sixteen.AccumulateStats(&s16);
-  EXPECT_EQ(s1.derived_lookups, s4.derived_lookups);
-  EXPECT_EQ(s1.derived_lookups, s16.derived_lookups);
-  EXPECT_EQ(s1.delta_lookups, s4.delta_lookups);
-  EXPECT_EQ(s1.delta_lookups, s16.delta_lookups);
-  EXPECT_EQ(s1.index_entries, s4.index_entries);
-  EXPECT_EQ(s1.index_entries, s16.index_entries);
-  EXPECT_EQ(s1.index_shards, 1);
-  EXPECT_EQ(s4.index_shards, 4);
-  EXPECT_EQ(s16.index_shards, 16);
-
-  // Accumulating twice adds the same snapshot again — no hidden reset, no
-  // double counting within one call.
-  CostEngineStats twice = s4;
-  four.AccumulateStats(&twice);
-  EXPECT_EQ(twice.derived_lookups, 2 * s4.derived_lookups);
-  EXPECT_EQ(twice.index_entries, 2 * s4.index_entries);
-}
-
 TEST(EngineStats, CountersTrackActivity) {
   ServicePair f(50);
   Config c(static_cast<size_t>(f.batched.num_candidates()));

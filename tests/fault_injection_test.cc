@@ -235,11 +235,32 @@ TEST(FaultedEngine, ConcurrentBatchMatchesSequentialLoopTightBudget) {
 
 // ---- Default off: bit-identical to the fault-free engine. --------------
 
-TEST(FaultedEngine, ZeroRatesMatchFaultFreeUngoverned) {
+// Every deterministic field of two runs: the outcome and the engine
+// counters (executor wall time is the only nondeterministic one).
+void ExpectSameRun(const RunOutcome& a, const RunOutcome& b) {
+  EXPECT_EQ(a.true_improvement, b.true_improvement);
+  EXPECT_EQ(a.derived_improvement, b.derived_improvement);
+  EXPECT_EQ(a.calls_used, b.calls_used);
+  EXPECT_EQ(a.config_size, b.config_size);
+  EXPECT_EQ(a.config_positions, b.config_positions);
+  EXPECT_EQ(a.whatif_seconds, b.whatif_seconds);
+  EXPECT_EQ(a.other_seconds, b.other_seconds);
+  EXPECT_EQ(a.trace, b.trace);
+  EXPECT_EQ(a.governor_skipped, b.governor_skipped);
+  EXPECT_EQ(a.governor_banked, b.governor_banked);
+  EXPECT_EQ(a.governor_reallocated, b.governor_reallocated);
+  EXPECT_EQ(a.governor_stop_round, b.governor_stop_round);
+  EXPECT_EQ(b.degraded_cells, 0);
+  CostEngineStats ea = a.engine;
+  CostEngineStats eb = b.engine;
+  ea.executor_wall_seconds = eb.executor_wall_seconds = 0.0;
+  EXPECT_EQ(ea.ToJson(), eb.ToJson());
+}
+
+TEST(FaultedEngine, ZeroRatesMatchFaultFree) {
   // With fault injection *armed* but all rates zero, every attempt
   // succeeds first try: outcome and accounting equal the fault-free
-  // engine on ungoverned runs (the charge happens after the evaluation
-  // instead of before, which no observable state distinguishes).
+  // engine — the cells take the same path either way.
   for (const char* algorithm : kAllAlgorithms) {
     SCOPED_TRACE(algorithm);
     const WorkloadBundle& bundle = LoadBundle("toy");
@@ -260,6 +281,23 @@ TEST(FaultedEngine, ZeroRatesMatchFaultFreeUngoverned) {
     EXPECT_EQ(a.whatif_seconds, b.whatif_seconds);
     EXPECT_EQ(a.trace, b.trace);
     EXPECT_EQ(b.degraded_cells, 0);
+  }
+  // Governed batched tuners: the governor's improvement curve is indexed
+  // by the charge count, which an armed fault model must not shift. (Toy
+  // batches are too small for early stopping to notice; TPC-H's are not.)
+  for (const char* algorithm : {"dba-bandits", "no-dba"}) {
+    SCOPED_TRACE(std::string("tpch/governed/") + algorithm);
+    const WorkloadBundle& bundle = LoadBundle("tpch");
+    RunSpec plain;
+    plain.workload = "tpch";
+    plain.algorithm = algorithm;
+    plain.budget = 60;
+    plain.max_indexes = 5;
+    plain.seed = 7;
+    plain.governor = BudgetGovernorOptions::Enabled();
+    RunSpec faulted = plain;
+    faulted.faults = Faults(0.0, 0.0, 0.0);
+    ExpectSameRun(RunOnce(bundle, plain), RunOnce(bundle, faulted));
   }
 }
 
@@ -296,8 +334,8 @@ TEST(FaultedEngine, AllAlgorithmsCompleteUnderTenPercentFaults) {
 }
 
 TEST(FaultedEngine, AllAlgorithmsCompleteUnderTenPercentFaultsTpch) {
-  // 22 queries: batched EvaluateCells() crosses the thread-pool threshold,
-  // so the retry path runs concurrently here.
+  // 22 queries: a WhatIfCostMany() batch crosses the thread-pool
+  // threshold, so the retry loop runs concurrently here.
   ExpectAllAlgorithmsComplete("tpch", 120);
 }
 
