@@ -162,37 +162,42 @@ BENCHMARK(BM_SubsetScanDerivedCost);
 // benchmarks below answer the same Equation-1 lookups; the indexed one must
 // be several times faster at >= 1000 entries (the layering's raison d'etre).
 
+/// A one-query cache of random cells over a universe of `universe`
+/// candidates. At 64 candidates a configuration is one word and the entry
+/// signature is exact; at 5,142 (Real-M's candidate count) positions 64
+/// apart alias onto one signature bit.
 struct SyntheticCache {
   DerivedCostIndex index;
   std::vector<std::pair<Config, double>> flat;  // the pre-refactor cache
   std::vector<Config> probes;
   double base = 1000.0;
 
-  explicit SyntheticCache(int entries) : index(1, 64) {
+  SyntheticCache(int entries, int universe) : index(1, universe) {
     Rng rng(21);
+    const auto draw = [&rng, universe] {
+      return static_cast<size_t>(rng.UniformInt(0, universe - 1));
+    };
     while (static_cast<int>(flat.size()) < entries) {
-      Config c(64);
+      Config c(static_cast<size_t>(universe));
       int members = static_cast<int>(rng.UniformInt(1, 6));
-      for (int i = 0; i < members; ++i) {
-        c.set(static_cast<size_t>(rng.UniformInt(0, 63)));
-      }
-      if (index.Find(0, c) != nullptr) continue;
+      for (int i = 0; i < members; ++i) c.set(draw());
+      if (index.Find(0, c).has_value()) continue;
       double cost = rng.Uniform(1.0, 999.0);
       index.Add(0, c, c.ToIndices(), cost);
       flat.emplace_back(c, cost);
     }
     for (int i = 0; i < 64; ++i) {
-      Config p(64);
-      for (int j = 0; j < 10; ++j) {
-        p.set(static_cast<size_t>(rng.UniformInt(0, 63)));
-      }
+      Config p(static_cast<size_t>(universe));
+      for (int j = 0; j < 10; ++j) p.set(draw());
       probes.push_back(p);
     }
   }
 };
 
+// Arguments: cached entries, candidate universe.
 void BM_DerivedLookupBruteForce(benchmark::State& state) {
-  SyntheticCache cache(static_cast<int>(state.range(0)));
+  SyntheticCache cache(static_cast<int>(state.range(0)),
+                       static_cast<int>(state.range(1)));
   size_t i = 0;
   for (auto _ : state) {
     const Config& probe = cache.probes[i++ % cache.probes.size()];
@@ -204,10 +209,14 @@ void BM_DerivedLookupBruteForce(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_DerivedLookupBruteForce)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_DerivedLookupBruteForce)
+    ->Args({1000, 64})
+    ->Args({4000, 64})
+    ->Args({4000, 5142});
 
 void BM_DerivedLookupIndexed(benchmark::State& state) {
-  SyntheticCache cache(static_cast<int>(state.range(0)));
+  SyntheticCache cache(static_cast<int>(state.range(0)),
+                       static_cast<int>(state.range(1)));
   size_t i = 0;
   for (auto _ : state) {
     const Config& probe = cache.probes[i++ % cache.probes.size()];
@@ -216,12 +225,15 @@ void BM_DerivedLookupIndexed(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_DerivedLookupIndexed)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_DerivedLookupIndexed)
+    ->Args({1000, 64})
+    ->Args({4000, 64})
+    ->Args({4000, 5142});
 
 void BM_DerivedDeltaAdd(benchmark::State& state) {
   // The greedy inner-argmax probe: d(q, C u {pos}) - d(q, C) through the
   // posting list of `pos` only.
-  SyntheticCache cache(static_cast<int>(state.range(0)));
+  SyntheticCache cache(static_cast<int>(state.range(0)), 64);
   size_t i = 0;
   for (auto _ : state) {
     const Config& probe = cache.probes[i++ % cache.probes.size()];

@@ -5,7 +5,7 @@
 namespace bati {
 
 namespace {
-constexpr size_t kBitsPerWord = 64;
+constexpr size_t kBitsPerWord = DynamicBitset::kBitsPerWord;
 
 size_t WordsFor(size_t universe) {
   return (universe + kBitsPerWord - 1) / kBitsPerWord;
@@ -26,11 +26,6 @@ size_t DynamicBitset::count() const {
   size_t total = 0;
   for (uint64_t w : words_) total += static_cast<size_t>(std::popcount(w));
   return total;
-}
-
-bool DynamicBitset::test(size_t pos) const {
-  BATI_CHECK(pos < universe_size_);
-  return (words_[pos / kBitsPerWord] >> (pos % kBitsPerWord)) & 1ULL;
 }
 
 void DynamicBitset::set(size_t pos) {
@@ -67,18 +62,10 @@ bool DynamicBitset::IsSubsetOf(const DynamicBitset& other) const {
   return true;
 }
 
-bool DynamicBitset::IsSubsetOfWith(const DynamicBitset& other,
-                                   size_t extra) const {
-  CheckCompatible(other);
-  BATI_CHECK(extra < universe_size_);
-  const size_t extra_word = extra / kBitsPerWord;
-  const uint64_t extra_bit = 1ULL << (extra % kBitsPerWord);
-  for (size_t i = 0; i < words_.size(); ++i) {
-    uint64_t outside = words_[i] & ~other.words_[i];
-    if (i == extra_word) outside &= ~extra_bit;
-    if (outside != 0) return false;
-  }
-  return true;
+uint64_t DynamicBitset::Fold() const {
+  uint64_t folded = 0;
+  for (uint64_t w : words_) folded |= w;
+  return folded;
 }
 
 bool DynamicBitset::Intersects(const DynamicBitset& other) const {

@@ -16,6 +16,8 @@ namespace bati {
 /// is word-packed with O(words) set algebra.
 class DynamicBitset {
  public:
+  static constexpr size_t kBitsPerWord = 64;
+
   /// Empty set over a universe of `universe_size` elements.
   explicit DynamicBitset(size_t universe_size = 0);
 
@@ -28,9 +30,18 @@ class DynamicBitset {
   /// Number of elements in the set.
   size_t count() const;
 
-  bool empty() const { return count() == 0; }
+  /// Stops at the first non-zero word.
+  bool empty() const {
+    for (uint64_t w : words_) {
+      if (w != 0) return false;
+    }
+    return true;
+  }
 
-  bool test(size_t pos) const;
+  bool test(size_t pos) const {
+    BATI_CHECK(pos < universe_size_);
+    return (words_[pos / kBitsPerWord] >> (pos % kBitsPerWord)) & 1ULL;
+  }
   void set(size_t pos);
   void reset(size_t pos);
   void clear();
@@ -44,10 +55,10 @@ class DynamicBitset {
   /// True iff this is a subset of (or equal to) `other`.
   bool IsSubsetOf(const DynamicBitset& other) const;
 
-  /// True iff this is a subset of `other` ∪ {extra}: the subset test the
-  /// derived-cost index runs per posting-list entry, without materializing
-  /// the extended configuration.
-  bool IsSubsetOfWith(const DynamicBitset& other, size_t extra) const;
+  /// The OR of the words: bit b is set iff some element is congruent to b
+  /// mod kBitsPerWord. A set S can be a subset of T only if
+  /// (S.Fold() & ~T.Fold()) == 0, a one-word pre-test for IsSubsetOf.
+  uint64_t Fold() const;
 
   /// True iff the two sets share at least one element.
   bool Intersects(const DynamicBitset& other) const;

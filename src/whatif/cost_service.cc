@@ -250,9 +250,9 @@ void CostService::ResolveCells(std::span<const int> query_ids,
   for (size_t i = 0; i < query_ids.size(); ++i) {
     const int q = query_ids[i];
     BATI_CHECK(q >= 0 && q < num_queries());
-    if (const double* cached = index_.Find(q, config)) {
+    if (const std::optional<double> cached = index_.Find(q, config)) {
       meter_.RecordCacheHit();
-      out[i] = *cached;
+      out[i] = cached;
       continue;
     }
     const auto first = std::find(pending_ids_.begin(), pending_ids_.end(), q);
@@ -485,15 +485,13 @@ void CostService::MaybeWriteCheckpoint() {
 
 bool CostService::IsKnown(int query_id, const Config& config) const {
   if (config.empty()) return true;
-  return index_.Find(query_id, config) != nullptr;
+  return index_.Find(query_id, config).has_value();
 }
 
 std::optional<double> CostService::CachedCost(int query_id,
                                               const Config& config) const {
   if (config.empty()) return BaseCost(query_id);
-  const double* cached = index_.Find(query_id, config);
-  if (cached == nullptr) return std::nullopt;
-  return *cached;
+  return index_.Find(query_id, config);
 }
 
 double CostService::DerivedCost(int query_id, const Config& config) const {

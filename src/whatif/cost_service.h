@@ -73,8 +73,9 @@ struct CostEngineOptions {
 ///    Definition 1);
 ///  * WhatIfExecutor — optimizer invocation, materialization, simulated
 ///    latency, the retry loop, and thread-pooled batch evaluation;
-///  * DerivedCostIndex — the what-if cache plus posting lists answering
-///    Equation-1 subset minima incrementally;
+///  * DerivedCostIndex — the what-if cache (one table entry per evaluated
+///    configuration) plus posting lists answering Equation-1 subset minima
+///    incrementally;
 ///  * BudgetGovernor (optional, src/budget/) — a policy layer between the
 ///    tuners and the meter that may skip provably-bounded what-if calls
 ///    (answering with the derived cost, for free) and halt tuning early

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,15 +19,46 @@
 namespace bati {
 namespace {
 
+using Cache = std::vector<std::pair<Config, double>>;
+
 /// The reference implementation: the monolithic linear scan over all cached
 /// (config, cost) cells (what CostService::DerivedCost did before the index).
-double BruteForceSubsetMin(const std::vector<std::pair<Config, double>>& cache,
-                           const Config& probe, double base) {
+double BruteForceSubsetMin(const Cache& cache, const Config& probe,
+                           double base) {
   double best = base;
   for (const auto& [config, cost] : cache) {
     if (cost < best && config.IsSubsetOf(probe)) best = cost;
   }
   return best;
+}
+
+std::optional<double> BruteForceFind(const Cache& cache,
+                                     const Config& probe) {
+  for (const auto& [config, cost] : cache) {
+    if (config == probe) return cost;
+  }
+  return std::nullopt;
+}
+
+double BruteForceSupersetMax(const Cache& cache, const Config& probe,
+                             double floor) {
+  double bound = floor;
+  for (const auto& [config, cost] : cache) {
+    if (probe.IsSubsetOf(config)) bound = std::max(bound, cost);
+  }
+  return bound;
+}
+
+double BruteForceAdditive(const Cache& cache, const Config& probe,
+                          double base, double floor) {
+  double bound = base;
+  for (size_t pos : probe.ToIndices()) {
+    const std::optional<double> single = BruteForceFind(
+        cache, Config::FromIndices(probe.universe_size(), {pos}));
+    if (!single.has_value()) return floor;
+    bound -= std::max(0.0, base - *single);
+  }
+  return std::max(bound, floor);
 }
 
 Config RandomConfig(Rng& rng, size_t universe, int max_members) {
@@ -38,61 +71,139 @@ Config RandomConfig(Rng& rng, size_t universe, int max_members) {
   return c;
 }
 
-TEST(DerivedCostIndex, MatchesBruteForceOnRandomCaches) {
-  constexpr size_t kUniverse = 24;
+/// A config drawn from `pool`, so random configs overlap often enough to
+/// be subsets of one another even in a wide universe.
+Config PoolConfig(Rng& rng, size_t universe, const std::vector<size_t>& pool,
+                  int max_members) {
+  Config c(universe);
+  int members = static_cast<int>(rng.UniformInt(1, max_members));
+  for (int i = 0; i < members; ++i) {
+    c.set(pool[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1))]);
+  }
+  return c;
+}
+
+/// Candidate positions the random caches draw from. A universe of up to 64
+/// uses every position. Wider universes use a few residues mod 64 repeated
+/// in words spread across the universe: positions 64 apart share a
+/// signature bit, so the signature filter passes entries the exact member
+/// test must reject, and probes span word boundaries.
+std::vector<size_t> PositionPool(size_t universe) {
+  std::vector<size_t> pool;
+  if (universe <= 64) {
+    for (size_t pos = 0; pos < universe; ++pos) pool.push_back(pos);
+    return pool;
+  }
+  const size_t words = (universe + 63) / 64;
+  for (size_t j = 0; j < 8; ++j) {
+    const size_t word = j * (words - 1) / 7;
+    for (size_t residue : {0, 1, 31, 63}) {
+      const size_t pos = word * 64 + residue;
+      if (pos < universe &&
+          std::find(pool.begin(), pool.end(), pos) == pool.end()) {
+        pool.push_back(pos);
+      }
+    }
+  }
+  return pool;
+}
+
+void CheckAgainstBruteForce(size_t universe) {
   constexpr int kQueries = 3;
-  Rng rng(7);
+  const std::vector<size_t> pool = PositionPool(universe);
+  Rng rng(7 + universe);
   for (int trial = 0; trial < 20; ++trial) {
-    DerivedCostIndex index(kQueries, static_cast<int>(kUniverse));
-    std::vector<std::vector<std::pair<Config, double>>> brute(kQueries);
+    DerivedCostIndex index(kQueries, static_cast<int>(universe));
+    std::vector<Cache> brute(kQueries);
     std::vector<double> base(kQueries);
     for (int q = 0; q < kQueries; ++q) base[static_cast<size_t>(q)] =
         rng.Uniform(50.0, 200.0);
 
     // Populate a random cache. Duplicate cells are skipped, as the façade
-    // guarantees (a cell is evaluated at most once).
+    // guarantees (a cell is evaluated at most once). Configurations are
+    // often reused across queries, and every insert is bracketed by Find()
+    // calls on the same configuration, so the resolve memo sees a miss,
+    // then the Add(), then must answer with a hit.
     int cells = static_cast<int>(rng.UniformInt(10, 120));
+    Config last = PoolConfig(rng, universe, pool, 6);
     for (int i = 0; i < cells; ++i) {
       int q = static_cast<int>(rng.UniformInt(0, kQueries - 1));
-      Config c = RandomConfig(rng, kUniverse, 6);
-      if (index.Find(q, c) != nullptr) continue;
+      Config c =
+          rng.Bernoulli(0.3) ? last : PoolConfig(rng, universe, pool, 6);
+      Cache& cache = brute[static_cast<size_t>(q)];
+      const std::optional<double> known = BruteForceFind(cache, c);
+      ASSERT_EQ(index.Find(q, c), known);
+      if (known.has_value()) continue;
       // Costs can tie (integral draws) to exercise tie semantics.
-      double cost = static_cast<double>(
-          rng.UniformInt(1, 100));
+      double cost = static_cast<double>(rng.UniformInt(1, 100));
       index.Add(q, c, c.ToIndices(), cost);
-      brute[static_cast<size_t>(q)].emplace_back(c, cost);
+      cache.emplace_back(c, cost);
+      ASSERT_EQ(index.Find(q, c), cost);
+      // The memo now holds `c`; the previous configuration still resolves
+      // through the table, for every query.
+      for (int other = 0; other < kQueries; ++other) {
+        ASSERT_EQ(index.Find(other, last),
+                  BruteForceFind(brute[static_cast<size_t>(other)], last));
+      }
+      ASSERT_EQ(index.Find(q, c), cost);
+      last = c;
     }
 
     // Exact-cell lookups agree with the raw cache.
     for (int q = 0; q < kQueries; ++q) {
       for (const auto& [config, cost] : brute[static_cast<size_t>(q)]) {
-        const double* found = index.Find(q, config);
-        ASSERT_NE(found, nullptr);
-        EXPECT_EQ(*found, cost);  // bit-identical, no tolerance
+        EXPECT_EQ(index.Find(q, config), cost);  // bit-identical
       }
     }
 
-    // Subset-minimum, incremental with-add, and delta lookups all agree
-    // with the brute-force scan on random probes.
+    // Subset-minimum, incremental with-add, delta, singleton and both lower
+    // bounds all agree with brute-force scans on random probes.
     for (int probe_i = 0; probe_i < 40; ++probe_i) {
-      Config probe = RandomConfig(rng, kUniverse, 8);
+      Config probe = probe_i % 4 == 0 ? RandomConfig(rng, universe, 8)
+                                      : PoolConfig(rng, universe, pool, 8);
       int q = static_cast<int>(rng.UniformInt(0, kQueries - 1));
+      const Cache& cache = brute[static_cast<size_t>(q)];
       double b = base[static_cast<size_t>(q)];
-      double expected =
-          BruteForceSubsetMin(brute[static_cast<size_t>(q)], probe, b);
+      double expected = BruteForceSubsetMin(cache, probe, b);
       EXPECT_EQ(index.SubsetMin(q, probe, b), expected);
 
-      size_t pos = static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(kUniverse) - 1));
+      Config small = PoolConfig(rng, universe, pool, 3);
+      const double floor = probe_i % 2 == 0 ? 0.0 : 30.0;
+      EXPECT_EQ(index.SupersetMaxLowerBound(q, small, floor),
+                BruteForceSupersetMax(cache, small, floor));
+      EXPECT_EQ(index.SupersetMaxLowerBound(q, probe, floor),
+                BruteForceSupersetMax(cache, probe, floor));
+      EXPECT_EQ(index.AdditiveLowerBound(q, small, b, floor),
+                BruteForceAdditive(cache, small, b, floor));
+
+      double singleton = b;
+      for (size_t pos : probe.ToIndices()) {
+        const std::optional<double> c =
+            BruteForceFind(cache, Config::FromIndices(universe, {pos}));
+        if (c.has_value()) singleton = std::min(singleton, *c);
+      }
+      EXPECT_EQ(index.SingletonMin(q, probe, b), singleton);
+
+      size_t pos = pool[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1))];
       if (probe.test(pos)) continue;
       double with_add = index.SubsetMinWithAdd(q, probe, pos, expected);
-      double expected_with = BruteForceSubsetMin(
-          brute[static_cast<size_t>(q)], probe.With(pos), b);
+      double expected_with = BruteForceSubsetMin(cache, probe.With(pos), b);
       EXPECT_EQ(with_add, expected_with);
       EXPECT_EQ(index.DeltaAdd(q, probe, pos, b),
                 expected_with - expected);
       EXPECT_LE(index.DeltaAdd(q, probe, pos, b), 0.0);
     }
+  }
+}
+
+TEST(DerivedCostIndex, MatchesBruteForceOnRandomCaches) {
+  // One word; three words (positions 64 apart share a signature bit); and
+  // Real-M's candidate count.
+  for (size_t universe : {24, 130, 5142}) {
+    SCOPED_TRACE("universe " + std::to_string(universe));
+    CheckAgainstBruteForce(universe);
   }
 }
 

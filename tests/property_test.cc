@@ -2,8 +2,9 @@
 // (workload, algorithm) combination — budget compliance, constraint
 // compliance, layout validity, and derivation consistency.
 
-#include <set>
 #include <tuple>
+#include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -41,13 +42,16 @@ TEST_P(TunerSweep, BudgetConstraintsAndLayoutInvariants) {
   EXPECT_LE(result.best_config.count(), static_cast<size_t>(k));
 
   // Every layout cell is valid and unique (a cache prevents re-buying).
-  std::set<std::pair<int, uint64_t>> seen;
+  // Keyed on the configuration itself, so two distinct configurations with
+  // colliding hashes are not mistaken for a repeated cell.
+  std::vector<std::unordered_set<Config, DynamicBitsetHash>> seen(
+      static_cast<size_t>(bundle.workload.num_queries()));
   for (const LayoutEntry& entry : service.layout()) {
-    EXPECT_GE(entry.query_id, 0);
-    EXPECT_LT(entry.query_id, bundle.workload.num_queries());
+    ASSERT_GE(entry.query_id, 0);
+    ASSERT_LT(entry.query_id, bundle.workload.num_queries());
     EXPECT_FALSE(entry.config.empty());
     EXPECT_TRUE(
-        seen.emplace(entry.query_id, entry.config.Hash()).second)
+        seen[static_cast<size_t>(entry.query_id)].insert(entry.config).second)
         << "duplicate counted what-if call";
   }
 
