@@ -4,10 +4,7 @@
 //  * single-thread Explain() throughput through the fast path (SoA
 //    StatsView + memoized skeletons + arena scratch) and through the
 //    preserved reference path, per-call p50/p95 latency, the fast/reference
-//    speedup ratio, and the plan-memo hit rate;
-//  * WhatIfCostMany() cell throughput at 1/4/8 executor threads (workloads
-//    with >= WhatIfExecutor::kParallelThreshold queries only — smaller
-//    batches never engage the pool).
+//    speedup ratio, and the plan-memo hit rate.
 //
 // Results land in a JSON file (--out, default BENCH_whatif.json). With
 // --baseline pointing at a committed previous result, the binary exits
@@ -33,8 +30,6 @@
 #include "common/file_util.h"
 #include "optimizer/what_if.h"
 #include "tuner/candidate_gen.h"
-#include "whatif/cost_service.h"
-#include "whatif/whatif_executor.h"
 #include "workload/generators.h"
 
 namespace bati {
@@ -80,17 +75,9 @@ struct SingleThreadResult {
   int64_t ref_calls = 0;
 };
 
-struct CostManyResult {
-  bool ran = false;
-  double cells_per_sec[3] = {0.0, 0.0, 0.0};  // 1, 4, 8 threads
-  double scaling_4 = 0.0;                     // vs 1 thread
-  double scaling_8 = 0.0;
-};
-
 struct WorkloadResult {
   std::string name;
   SingleThreadResult single;
-  CostManyResult many;
 };
 
 /// Runs `body(call_index)` repeatedly until at least `min_seconds` elapsed
@@ -207,61 +194,14 @@ SingleThreadResult BenchSingleThread(const Workload& w,
   return r;
 }
 
-CostManyResult BenchCostMany(const Workload& w, const CandidateSet& candidates,
-                             bool quick) {
-  CostManyResult r;
-  if (static_cast<size_t>(w.num_queries()) <
-      WhatIfExecutor::kParallelThreshold) {
-    return r;  // batches this small never engage the pool
-  }
-  r.ran = true;
-  const auto position_sets =
-      SamplePositionSets(candidates.size(), quick ? 6 : 16, 6, 0x90A1);
-  std::vector<int> all_queries;
-  for (int q = 0; q < w.num_queries(); ++q) all_queries.push_back(q);
-  // Every (config, query) cell is distinct, so every cell is an uncached
-  // evaluation: the benchmark measures the executor, not the cache.
-  const int64_t budget =
-      static_cast<int64_t>(position_sets.size()) * w.num_queries() + 16;
-
-  // One shared fast-path optimizer: warming its skeleton memo up front
-  // makes the three thread counts measure identical work.
-  WhatIfOptimizer optimizer(w.database);
-  for (const Query& q : w.queries) optimizer.Cost(q, {});
-
-  const int threads[3] = {1, 4, 8};
-  for (int t = 0; t < 3; ++t) {
-    CostEngineOptions options;
-    options.whatif_pool_size = threads[t];
-    // Fresh service per thread count: identical work, empty cache.
-    CostService service(&optimizer, &w, &candidates.indexes, budget, options);
-    const double start = NowSeconds();
-    int64_t cells = 0;
-    for (const auto& set : position_sets) {
-      Config c = service.EmptyConfig();
-      for (int pos : set) c.set(static_cast<size_t>(pos));
-      std::vector<std::optional<double>> out =
-          service.WhatIfCostMany(all_queries, c);
-      cells += static_cast<int64_t>(out.size());
-    }
-    r.cells_per_sec[t] =
-        static_cast<double>(cells) / (NowSeconds() - start);
-  }
-  if (r.cells_per_sec[0] > 0.0) {
-    r.scaling_4 = r.cells_per_sec[1] / r.cells_per_sec[0];
-    r.scaling_8 = r.cells_per_sec[2] / r.cells_per_sec[0];
-  }
-  return r;
-}
-
 std::string ToJson(const std::vector<WorkloadResult>& results) {
   std::string out = "{\n  \"suite\": \"whatif_hot_path\",\n";
   out += "  \"gate\": \"speedup\",\n";
   char buf[512];
-  // Thread-scaling numbers are only meaningful relative to the cores the
-  // machine actually had; record it so trajectories across machines can be
-  // read correctly (the regression gate uses the machine-independent
-  // fast/reference speedup ratio only).
+  // Absolute calls/sec are only comparable on the same machine; record its
+  // cores so trajectories across machines can be read correctly (the
+  // regression gate uses the machine-independent fast/reference speedup
+  // ratio only).
   std::snprintf(buf, sizeof(buf), "  \"hardware_concurrency\": %u,\n",
                 std::thread::hardware_concurrency());
   out += buf;
@@ -287,20 +227,6 @@ std::string ToJson(const std::vector<WorkloadResult>& results) {
         static_cast<long long>(r.single.fast_calls),
         static_cast<long long>(r.single.ref_calls));
     out += buf;
-    if (r.many.ran) {
-      std::snprintf(buf, sizeof(buf),
-                    ",\n      \"cost_many\": {\n"
-                    "        \"cells_per_sec_1t\": %.1f,\n"
-                    "        \"cells_per_sec_4t\": %.1f,\n"
-                    "        \"cells_per_sec_8t\": %.1f,\n"
-                    "        \"scaling_4t\": %.3f,\n"
-                    "        \"scaling_8t\": %.3f\n"
-                    "      }",
-                    r.many.cells_per_sec[0], r.many.cells_per_sec[1],
-                    r.many.cells_per_sec[2], r.many.scaling_4,
-                    r.many.scaling_8);
-      out += buf;
-    }
     out += "\n    }";
     out += i + 1 < results.size() ? ",\n" : "\n";
   }
@@ -370,15 +296,6 @@ int Run(int argc, char** argv) {
                  name, r.single.fast_calls_per_sec, r.single.ref_calls_per_sec,
                  r.single.speedup, r.single.p50_us, r.single.p95_us,
                  100.0 * r.single.memo_hit_rate);
-    r.many = BenchCostMany(w, candidates, quick);
-    if (r.many.ran) {
-      std::fprintf(stderr,
-                   "[bench_whatif] %s: CostMany %.0f/%.0f/%.0f cells/s at "
-                   "1/4/8 threads (x%.2f, x%.2f)\n",
-                   name, r.many.cells_per_sec[0], r.many.cells_per_sec[1],
-                   r.many.cells_per_sec[2], r.many.scaling_4,
-                   r.many.scaling_8);
-    }
     results.push_back(std::move(r));
   }
 

@@ -1,6 +1,7 @@
 #include "common/flags.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,7 +38,8 @@ bool ParseDoubleFlag(const char* flag, const char* v, double* out) {
   errno = 0;
   char* end = nullptr;
   const double parsed = std::strtod(v, &end);
-  if (*v == '\0' || errno != 0 || end == nullptr || *end != '\0') {
+  if (*v == '\0' || errno != 0 || end == nullptr || *end != '\0' ||
+      !std::isfinite(parsed)) {
     std::fprintf(stderr, "invalid number for %s: '%s'\n", flag, v);
     return false;
   }

@@ -9,7 +9,9 @@ namespace bati {
 
 /// Strict numeric flag parsing: the whole token must parse — no silent
 /// atoll-style truncation to 0. Prints a clear error to stderr and returns
-/// false otherwise. `flag` names the flag in the error message.
+/// false otherwise. `flag` names the flag in the error message. Doubles
+/// must be finite: "nan" and "inf" are rejected, so they never slip past a
+/// bound check (every comparison with NaN is false).
 bool ParseInt64Flag(const char* flag, const char* v, int64_t* out);
 bool ParseUint64Flag(const char* flag, const char* v, uint64_t* out);
 bool ParseDoubleFlag(const char* flag, const char* v, double* out);

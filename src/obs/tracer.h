@@ -51,9 +51,8 @@ struct TraceEvent {
 /// what-if batches, retries, governor decisions, checkpoint writes...).
 /// Records land in a fixed-capacity ring buffer: once full, the oldest
 /// record is overwritten and counted in dropped() — a run can never grow the
-/// trace beyond `capacity` events. Recording is mutex-serialized (events
-/// arrive from the coordinator thread and occasionally the executor pool)
-/// and cheap enough to leave on for whole tuning runs; with no Tracer wired
+/// trace beyond `capacity` events. Recording is mutex-serialized (a tracer
+/// may be shared by concurrent sessions) and cheap enough to leave on for whole tuning runs; with no Tracer wired
 /// up the instrumented code paths skip even the mutex.
 ///
 /// Export formats:

@@ -1,6 +1,6 @@
 #include "tuner/time_budget.h"
 
-#include <algorithm>
+#include <cstdint>
 
 #include "common/macros.h"
 
@@ -27,7 +27,12 @@ int64_t CallBudgetForTime(const WhatIfOptimizer& optimizer,
   double usable = budget_seconds * (1.0 - overhead_fraction);
   double per_call = AverageCallSeconds(optimizer, workload);
   if (per_call <= 0.0) return 0;
-  return std::max<int64_t>(0, static_cast<int64_t>(usable / per_call));
+  const double calls = usable / per_call;
+  if (!(calls > 0.0)) return 0;  // zero, negative or NaN time
+  // 2^63 is the first double past INT64_MAX; casting it or anything larger
+  // to int64_t is undefined, so huge and infinite budgets saturate.
+  if (calls >= static_cast<double>(INT64_MAX)) return INT64_MAX;
+  return static_cast<int64_t>(calls);
 }
 
 double ExpectedSecondsForCalls(const WhatIfOptimizer& optimizer,

@@ -14,7 +14,8 @@ namespace bati {
 /// by the average time of a what-if call, which is transparent to the end
 /// user"). `overhead_fraction` reserves a share of the time for non-what-if
 /// work (parsing, candidate generation, bookkeeping; Figure 2 measures this
-/// at 7-25%).
+/// at 7-25%). Non-positive times give 0 calls; times too large for an
+/// int64_t call count (including infinity) saturate at INT64_MAX.
 int64_t CallBudgetForTime(const WhatIfOptimizer& optimizer,
                           const Workload& workload, double budget_seconds,
                           double overhead_fraction = 0.15);

@@ -29,8 +29,8 @@ struct LayoutEntry {
 /// the number of calls made, the cache-hit counter, and the layout trace.
 /// Charging is the single gate every counted optimizer invocation must pass
 /// through — the executor never runs a cell the meter did not approve, which
-/// is what makes the budget a hard cap even on the batched (multi-threaded)
-/// evaluation path: cells are charged sequentially before dispatch.
+/// is what makes the budget a hard cap even on the batched evaluation path:
+/// a batch attempts at most the remaining budget's worth of cells.
 class BudgetMeter {
  public:
   explicit BudgetMeter(int64_t budget);

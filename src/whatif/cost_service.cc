@@ -51,9 +51,6 @@ CostService::CostService(const WhatIfOptimizer* optimizer,
     governor_ = std::make_unique<BudgetGovernor>(options_.governor, budget,
                                                  base_workload_cost_);
   }
-  if (options_.whatif_pool_size > 0) {
-    executor_.SetPoolSize(static_cast<size_t>(options_.whatif_pool_size));
-  }
   if (options_.faults.enabled) {
     injector_ = std::make_unique<FaultInjector>(options_.faults);
     executor_.ConfigureFaults(injector_.get(), options_.retry);

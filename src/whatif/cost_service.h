@@ -59,8 +59,9 @@ struct CostEngineOptions {
   /// decisions.
   MetricsRegistry* metrics = nullptr;
   Tracer* tracer = nullptr;
-  /// Thread-pool size for the executor's batched WhatIfCostMany() path;
-  /// 0 picks min(hardware_concurrency, 8). Never affects results.
+  /// Ignored: the executor evaluates every cell on the calling thread. Kept
+  /// only so the frozen perfbench driver, which still assigns it, builds;
+  /// nothing reads it.
   int whatif_pool_size = 0;
 };
 
@@ -72,7 +73,7 @@ struct CostEngineOptions {
 ///  * BudgetMeter — counting, exhaustion, and the layout trace (paper
 ///    Definition 1);
 ///  * WhatIfExecutor — optimizer invocation, materialization, simulated
-///    latency, the retry loop, and thread-pooled batch evaluation;
+///    latency, the retry loop, and batch evaluation on the calling thread;
 ///  * DerivedCostIndex — the what-if cache (one table entry per evaluated
 ///    configuration) plus posting lists answering Equation-1 subset minima
 ///    incrementally;
@@ -96,8 +97,8 @@ struct CostEngineOptions {
 /// Batched and incremental entry points for hot paths:
 ///
 ///  * WhatIfCostMany() — semantics of a WhatIfCost() loop (identical
-///    charging order, caching, and results) with the uncached cells
-///    evaluated concurrently by the executor's thread pool.
+///    charging order, caching, and results) with the uncached cells of one
+///    configuration materialized once and evaluated as one executor batch.
 ///  * DerivedCosts() — d(q, C) for every query at once.
 ///  * DerivedCostWithAdd() / DerivedCostDeltaAdd() — d(q, C ∪ {z}) through
 ///    the posting-list index, without rescanning the cache.

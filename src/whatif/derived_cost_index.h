@@ -49,9 +49,8 @@ namespace bati {
 ///  * known singleton costs (Equation 2), stored with the posting lists.
 ///
 /// Single-threaded: each CostService owns one index and builds, queries
-/// and destroys it on the thread that runs the tuner. The executor's pool
-/// only invokes the optimizer and never touches the index, so nothing here
-/// is synchronized.
+/// and destroys it on the thread that runs the tuner, so nothing here is
+/// synchronized.
 class DerivedCostIndex {
  public:
   DerivedCostIndex(int num_queries, int num_candidates);

@@ -16,23 +16,6 @@ double NowSeconds() {
       .count();
 }
 
-// Bounded spin budgets (iterations of one relaxed atomic load each, roughly
-// 1-2ns per iteration). A batch is worth ~30-150us of work and batches arrive
-// back to back separated only by the service's serial accounting phase, so a
-// worker that sleeps on the condition variable pays a futex wake (~10-50us)
-// per batch — comparable to its whole share of the work. Spinning across the
-// gap keeps workers hot; the condition variable remains as the fallback so
-// idle pools still park. On a single-core machine spinning only steals the
-// timeslice from whoever holds the work, so the budget drops to zero and
-// every wait goes straight to the condition variable.
-constexpr int kWorkerSpinIters = 60000;      // ~100us
-constexpr int kCoordinatorSpinIters = 200000;  // ~300us, covers a full batch
-
-int SpinBudget(int iters) {
-  static const bool multicore = std::thread::hardware_concurrency() > 1;
-  return multicore ? iters : 0;
-}
-
 }  // namespace
 
 double RetryPolicy::BackoffSeconds(int attempt) const {
@@ -57,15 +40,6 @@ WhatIfExecutor::WhatIfExecutor(const WhatIfOptimizer* optimizer,
   BATI_CHECK(optimizer_ != nullptr);
   BATI_CHECK(workload_ != nullptr);
   BATI_CHECK(candidates_ != nullptr);
-}
-
-WhatIfExecutor::~WhatIfExecutor() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_.store(true, std::memory_order_release);
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
 }
 
 void WhatIfExecutor::ConfigureFaults(const FaultInjector* injector,
@@ -109,13 +83,12 @@ std::vector<Index> WhatIfExecutor::Materialize(const Config& config) const {
 
 CellOutcome WhatIfExecutor::RunCellWithRetry(
     int query_id, const std::vector<Index>& materialized, uint64_t config_hash,
-    double sim_start) const {
+    double sim_start) {
   // SetObservability() wires both per-cell histograms together, so the
   // wall histogram stands for both.
   const bool sampled =
       (obs_cell_wall_us_ != nullptr || tracer_ != nullptr) &&
-      (obs_ticket_.fetch_add(1, std::memory_order_relaxed) & kObsSampleMask) ==
-          0;
+      (obs_ticket_++ & kObsSampleMask) == 0;
   const double t0 = sampled ? NowSeconds() : 0.0;
   const Query& query = workload_->queries[static_cast<size_t>(query_id)];
   const double base_latency = optimizer_->EstimateCallSeconds(query);
@@ -185,58 +158,17 @@ void WhatIfExecutor::Evaluate(const Config& config,
     materialized.push_back((*candidates_)[pos]);
   }
   const uint64_t config_hash = config.Hash();
-  if (query_ids.size() >= kParallelThreshold) {
-    auto job = std::make_shared<Job>();
-    job->query_ids = query_ids;
-    job->outcomes = outcomes;
-    job->materialized = std::move(materialized);
-    job->config_hash = config_hash;
-    job->sim_start = sim_start;
-    RunJob(job);
-  } else {
-    for (size_t i = 0; i < query_ids.size(); ++i) {
-      outcomes[i] = RunCellWithRetry(query_ids[i], materialized, config_hash,
-                                     sim_start);
-    }
+  for (size_t i = 0; i < query_ids.size(); ++i) {
+    outcomes[i] =
+        RunCellWithRetry(query_ids[i], materialized, config_hash, sim_start);
+    AccountOutcome(outcomes[i]);
   }
-  // All accounting in input order: per-cell outcomes are pure, so the
-  // totals are identical to the sequential loop.
-  for (const CellOutcome& outcome : outcomes) AccountOutcome(outcome);
   const double wall = NowSeconds() - start;
   wall_seconds_ += wall;
   if (batched) {
     batched_cells_ += static_cast<int64_t>(outcomes.size());
     ObserveBatch(outcomes.size(), wall, sim_start);
   }
-}
-
-void WhatIfExecutor::RunJob(const std::shared_ptr<Job>& job) {
-  EnsurePool();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    job_ = job;
-    job_generation_.fetch_add(1, std::memory_order_release);
-    work_cv_.notify_all();
-  }
-  // Completion fast path: spin on the lock-free counter — for a typical
-  // batch the workers finish well inside the spin budget and the
-  // coordinator never sleeps.
-  const size_t total = job->query_ids.size();
-  bool finished = false;
-  const int coordinator_spins = SpinBudget(kCoordinatorSpinIters);
-  for (int spin = 0; spin < coordinator_spins; ++spin) {
-    if (job->done.load(std::memory_order_acquire) == total) {
-      finished = true;
-      break;
-    }
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!finished) {
-    done_cv_.wait(lock, [&] {
-      return job->done.load(std::memory_order_acquire) == total;
-    });
-  }
-  job_.reset();
 }
 
 void WhatIfExecutor::ObserveBatch(size_t cells, double wall,
@@ -249,8 +181,7 @@ void WhatIfExecutor::ObserveBatch(size_t cells, double wall,
     const double wall_us = wall * 1e6;
     tracer_->Complete("whatif.batch", "whatif", tracer_->NowUs() - wall_us,
                       wall_us, sim_start, simulated_seconds_ - sim_start,
-                      {{"cells", static_cast<double>(cells)},
-                       {"pooled", cells >= kParallelThreshold ? 1.0 : 0.0}});
+                      {{"cells", static_cast<double>(cells)}});
   }
 }
 
@@ -272,82 +203,6 @@ void WhatIfExecutor::AccountOutcome(const CellOutcome& outcome) {
          {"transient", static_cast<double>(outcome.transient_faults)},
          {"sticky", static_cast<double>(outcome.sticky_faults)},
          {"timeouts", static_cast<double>(outcome.timeout_faults)}});
-  }
-}
-
-void WhatIfExecutor::EnsurePool() {
-  if (!workers_.empty()) return;
-  size_t n = pool_size_;
-  if (n == 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    n = std::min<size_t>(hw == 0 ? 2 : hw, 8);
-  }
-  workers_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-void WhatIfExecutor::WorkerLoop() {
-  uint64_t seen_generation = 0;
-  while (true) {
-    // Spin briefly for the next batch before parking: batches arrive back to
-    // back, and the publish is visible through the atomic generation without
-    // touching mu_. Falls through to the condition variable when no work
-    // shows up (idle pool, shutdown).
-    const int worker_spins = SpinBudget(kWorkerSpinIters);
-    for (int spin = 0; spin < worker_spins; ++spin) {
-      if (job_generation_.load(std::memory_order_acquire) !=
-              seen_generation ||
-          shutdown_.load(std::memory_order_acquire)) {
-        break;
-      }
-    }
-    std::shared_ptr<Job> job;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] {
-        return shutdown_.load(std::memory_order_relaxed) ||
-               (job_ != nullptr &&
-                job_generation_.load(std::memory_order_relaxed) !=
-                    seen_generation);
-      });
-      if (shutdown_.load(std::memory_order_relaxed)) return;
-      seen_generation = job_generation_.load(std::memory_order_relaxed);
-      job = job_;
-    }
-    // The shared_ptr keeps the job alive, and its ticket counter belongs to
-    // this job alone: once the batch has finished, every remaining claim
-    // overruns the job's cell count and is a no-op, so arriving late here is
-    // safe.
-    size_t done_here = 0;
-    while (true) {
-      // Claim cells in chunks: one atomic RMW per kClaimChunk cells, and a
-      // worker's outcome writes land on neighbouring memory instead of
-      // interleaving with other workers' stores.
-      const size_t total = job->query_ids.size();
-      size_t begin = job->next.fetch_add(Job::kClaimChunk,
-                                         std::memory_order_relaxed);
-      if (begin >= total) break;
-      const size_t end = std::min(begin + Job::kClaimChunk, total);
-      for (size_t i = begin; i < end; ++i) {
-        job->outcomes[i] =
-            RunCellWithRetry(job->query_ids[i], job->materialized,
-                             job->config_hash, job->sim_start);
-        ++done_here;
-      }
-    }
-    if (done_here > 0) {
-      // Lock-free completion: only the worker that finishes the batch takes
-      // the mutex (to pair the notify with the coordinator's wait); the
-      // coordinator usually observes the counter in its spin phase anyway.
-      const size_t prev =
-          job->done.fetch_add(done_here, std::memory_order_acq_rel);
-      if (prev + done_here == job->query_ids.size()) {
-        std::lock_guard<std::mutex> lock(mu_);
-        done_cv_.notify_all();
-      }
-    }
   }
 }
 

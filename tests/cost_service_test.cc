@@ -1,4 +1,8 @@
+#include <fstream>
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -192,6 +196,49 @@ TEST(CostService, MaterializeRoundTripsPositions) {
   ASSERT_EQ(mats.size(), 2u);
   EXPECT_TRUE(mats[0] == f.bundle.candidates.indexes[2]);
   EXPECT_TRUE(mats[1] == f.bundle.candidates.indexes[5]);
+}
+
+// The calling process's thread count from /proc/self/status, or -1 where
+// that file does not exist.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+// A CostService owns no threads: a batched WhatIfCostMany() runs every
+// cell on the calling thread, with or without the fault/retry loop. Fleet
+// workers fork sessions and rely on this.
+TEST(CostService, BatchedEvaluationStartsNoThreads) {
+  if (ProcessThreads() < 0) GTEST_SKIP() << "no /proc/self/status";
+  const WorkloadBundle& bundle = LoadBundle("tpch");
+  std::vector<int> queries;
+  for (int q = 0; q < bundle.workload.num_queries(); ++q) queries.push_back(q);
+  ASSERT_EQ(queries.size(), 22u);
+  for (const bool faulted : {false, true}) {
+    CostEngineOptions options;
+    if (faulted) {
+      options.faults.enabled = true;
+      options.faults.transient_rate = 0.2;
+      options.faults.spike_rate = 0.1;
+    }
+    CostService service(bundle.optimizer.get(), &bundle.workload,
+                        &bundle.candidates.indexes, /*budget=*/1000, options);
+    Config config = service.EmptyConfig();
+    config.set(0);
+    config.set(3);
+    const int before = ProcessThreads();
+    std::vector<std::optional<double>> costs =
+        service.WhatIfCostMany(queries, config);
+    EXPECT_EQ(ProcessThreads(), before) << "faulted=" << faulted;
+    ASSERT_EQ(costs.size(), queries.size());
+    for (const std::optional<double>& cost : costs) {
+      EXPECT_TRUE(cost.has_value());
+    }
+  }
 }
 
 }  // namespace

@@ -128,6 +128,25 @@ TEST(FlagParserTest, EnforcesBounds) {
   }
 }
 
+TEST(FlagParserTest, RejectsNonFiniteDoubles) {
+  // NaN compares false against every bound, so it must be refused at parse
+  // time; infinities are never a meaningful flag value either.
+  for (const char* flag : {"--factor", "--rate"}) {
+    for (const char* bad : {"nan", "NaN", "-nan", "inf", "-inf", "infinity"}) {
+      Parsed out;
+      FlagParser parser = MakeParser(&out);
+      Argv argv({flag, bad});
+      EXPECT_FALSE(parser.Parse(argv.argc(), argv.argv()))
+          << flag << " " << bad;
+    }
+  }
+  double value = 0.0;
+  EXPECT_FALSE(ParseDoubleFlag("--x", "nan", &value));
+  EXPECT_FALSE(ParseDoubleFlag("--x", "inf", &value));
+  EXPECT_TRUE(ParseDoubleFlag("--x", "1e300", &value));
+  EXPECT_EQ(value, 1e300);
+}
+
 TEST(FlagParserTest, EqualsFormWorksForEveryValuedKind) {
   Parsed out;
   FlagParser parser = MakeParser(&out);

@@ -1,3 +1,6 @@
+#include <cstdint>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "harness/experiment.h"
@@ -42,6 +45,18 @@ TEST(TimeBudget, OverheadFractionReservesTime) {
 TEST(TimeBudget, ZeroTimeYieldsZeroCalls) {
   const WorkloadBundle& bundle = LoadBundle("tpch");
   EXPECT_EQ(CallBudgetForTime(*bundle.optimizer, bundle.workload, 0.0), 0);
+  EXPECT_EQ(CallBudgetForTime(*bundle.optimizer, bundle.workload, -180.0), 0);
+}
+
+TEST(TimeBudget, HugeAndInfiniteTimesSaturate) {
+  // The call count no longer fits an int64_t: it saturates rather than
+  // wrapping through an out-of-range double -> int64_t cast.
+  const WorkloadBundle& bundle = LoadBundle("tpch");
+  EXPECT_EQ(CallBudgetForTime(*bundle.optimizer, bundle.workload, 6e301),
+            INT64_MAX);
+  EXPECT_EQ(CallBudgetForTime(*bundle.optimizer, bundle.workload,
+                              std::numeric_limits<double>::infinity()),
+            INT64_MAX);
 }
 
 TEST(TimeBudget, MoreComplexWorkloadsGetFewerCallsPerMinute) {

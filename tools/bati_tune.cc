@@ -132,9 +132,9 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   parser.AddString("checkpoint", &args->checkpoint);
   parser.AddString("resume", &args->resume);
   parser.AddInt64("budget", &args->budget, /*min=*/0);
-  parser.AddDouble("minutes", &args->minutes);
+  parser.AddDouble("minutes", &args->minutes, /*min=*/0.0);
   parser.AddInt64("k", &args->k, /*min=*/1);
-  parser.AddDouble("storage-gb", &args->storage_gb);
+  parser.AddDouble("storage-gb", &args->storage_gb, /*min=*/0.0);
   parser.AddUint64("seed", &args->seed);
   parser.AddDouble("skip-threshold", &args->skip_threshold);
   parser.AddDouble("stop-threshold", &args->stop_threshold);
