@@ -68,10 +68,10 @@ CellResult RunCell(const char* workload, const char* algorithm,
       static_cast<long long>(gov.calls_used), cell.calls_saved_pct,
       plain.true_improvement, gov.true_improvement,
       cell.improvement_delta_pct,
-      static_cast<long long>(gov.governor_skipped),
-      static_cast<long long>(gov.governor_banked),
-      static_cast<long long>(gov.governor_reallocated),
-      gov.governor_stop_round);
+      static_cast<long long>(gov.engine.governor_skipped_calls),
+      static_cast<long long>(gov.engine.governor_banked_calls),
+      static_cast<long long>(gov.engine.governor_reallocated_calls),
+      gov.engine.governor_stop_round);
   std::fflush(stdout);
   return cell;
 }

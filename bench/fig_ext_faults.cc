@@ -69,7 +69,7 @@ CellResult RunCell(const char* workload, const char* algorithm,
       static_cast<long long>(plain.calls_used),
       static_cast<long long>(fault.calls_used), plain.true_improvement,
       fault.true_improvement, cell.improvement_delta_pct,
-      static_cast<long long>(fault.degraded_cells),
+      static_cast<long long>(fault.engine.degraded_cells),
       static_cast<long long>(fault.engine.fault_transient_errors),
       static_cast<long long>(fault.engine.fault_sticky_failures),
       static_cast<long long>(fault.engine.fault_timeouts),

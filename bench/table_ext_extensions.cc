@@ -8,11 +8,10 @@
 // paper flags as a possibility for real optimizer cost models.
 
 #include <cstdio>
+#include <memory>
 #include <string>
 
-#include "common/stats.h"
 #include "harness/experiment.h"
-#include "whatif/cost_service.h"
 #include "workload/compression.h"
 
 namespace {
@@ -42,8 +41,9 @@ void PolicyStudy(const char* workload, int64_t budget, int k,
 void NoiseStudy(const char* workload, int64_t budget, int k,
                 const std::vector<uint64_t>& seeds) {
   // Rebuild the pipeline with a deliberately non-monotone optimizer.
-  Workload w = MakeWorkloadByName(workload);
-  CandidateSet candidates = GenerateCandidates(w);
+  WorkloadBundle bundle;
+  bundle.workload = MakeWorkloadByName(workload);
+  bundle.candidates = GenerateCandidates(bundle.workload);
   std::printf(
       "# Robustness to non-monotone optimizer costs (%s, budget=%lld, "
       "K=%d)\n",
@@ -52,22 +52,18 @@ void NoiseStudy(const char* workload, int64_t budget, int k,
   for (double noise : {0.0, 0.1, 0.3}) {
     CostModelParams params;
     params.monotonicity_noise = noise;
-    WhatIfOptimizer optimizer(w.database, params);
-    TuningContext ctx;
-    ctx.workload = &w;
-    ctx.candidates = &candidates;
-    ctx.constraints.max_indexes = k;
-
+    bundle.optimizer =
+        std::make_shared<WhatIfOptimizer>(bundle.workload.database, params);
     std::printf("%-8.2f", noise);
     for (const char* algo : {"mcts", "two-phase-greedy"}) {
-      RunningStats stats;
-      for (uint64_t seed : seeds) {
-        CostService service(&optimizer, &w, &candidates.indexes, budget);
-        auto tuner = MakeTuner(algo, ctx, seed);
-        TuningResult result = tuner->Tune(service);
-        stats.Add(service.TrueImprovement(result.best_config));
-      }
-      std::printf(" %14.2f +-%4.2f", stats.mean(), stats.stddev());
+      RunSpec spec;
+      spec.workload = workload;
+      spec.algorithm = algo;
+      spec.budget = budget;
+      spec.max_indexes = k;
+      // Not the registry's bundle, so the seeds run one after another.
+      CellStats cell = RunSeeds(bundle, spec, seeds);
+      std::printf(" %14.2f +-%4.2f", cell.mean, cell.stddev);
     }
     std::printf("\n");
   }
@@ -107,15 +103,17 @@ void CompressionStudy(int64_t budget, int k) {
       "budget=%lld, K=%d\n",
       compressed.workload.num_queries(), static_cast<long long>(budget), k);
 
-  TuningContext ctx;
-  ctx.workload = &compressed.workload;
-  ctx.candidates = &comp_candidates;
-  ctx.constraints.max_indexes = k;
-  CostService comp_service(full.optimizer.get(), &compressed.workload,
-                           &comp_candidates.indexes, budget);
-  auto tuner = MakeTuner("mcts", ctx, 1);
-  TuningResult result = tuner->Tune(comp_service);
-  std::vector<Index> chosen = comp_service.Materialize(result.best_config);
+  WorkloadBundle comp_bundle{std::move(compressed.workload), full.optimizer,
+                             std::move(comp_candidates)};
+  RunSpec spec;
+  spec.workload = "tpcds-compressed";
+  spec.algorithm = "mcts";
+  spec.budget = budget;
+  spec.max_indexes = k;
+  TuningSession session(comp_bundle, spec);
+  session.Run();
+  std::vector<Index> chosen =
+      session.service().Materialize(session.result().best_config);
   double base = 0.0, tuned = 0.0;
   for (const Query& q : full.workload.queries) {
     base += full.optimizer->Cost(q, {});

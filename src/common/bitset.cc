@@ -38,10 +38,6 @@ void DynamicBitset::reset(size_t pos) {
   words_[pos / kBitsPerWord] &= ~(1ULL << (pos % kBitsPerWord));
 }
 
-void DynamicBitset::clear() {
-  for (uint64_t& w : words_) w = 0;
-}
-
 DynamicBitset DynamicBitset::With(size_t pos) const {
   DynamicBitset out = *this;
   out.set(pos);

@@ -44,7 +44,6 @@ class DynamicBitset {
   }
   void set(size_t pos);
   void reset(size_t pos);
-  void clear();
 
   /// Returns a copy with `pos` added.
   DynamicBitset With(size_t pos) const;

@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -118,6 +119,18 @@ void FlagParser::AddOptionalValue(const std::string& name, bool* flag_out,
   flags_.push_back(flag);
 }
 
+void FlagParser::AddField(const std::string& name, JsonKind kind,
+                          std::vector<JsonField>* out) {
+  Flag flag;
+  flag.name = "--" + name;
+  flag.kind = Kind::kField;
+  flag.key = name;
+  std::replace(flag.key.begin(), flag.key.end(), '-', '_');
+  flag.field_kind = kind;
+  flag.fields = out;
+  flags_.push_back(flag);
+}
+
 const FlagParser::Flag* FlagParser::Find(const std::string& name) const {
   for (const Flag& flag : flags_) {
     if (flag.name == name) return &flag;
@@ -159,8 +172,28 @@ bool FlagParser::Apply(const Flag& flag, const char* value) {
       }
       *flag.str = value;
       return true;
+    case Kind::kField: {
+      JsonField field;
+      field.kind = flag.field_kind;
+      if (field.kind == JsonKind::kBool) {
+        field.boolean = true;  // a switch, like kBool
+      } else if (field.kind == JsonKind::kString) {
+        field.str = value;
+      } else {
+        JsonCursor cursor(value);
+        if (!cursor.ReadScalar(&field).ok() ||
+            field.kind != JsonKind::kNumber || !cursor.AtEnd()) {
+          std::fprintf(stderr, "invalid number for %s: '%s'\n", name, value);
+          return false;
+        }
+      }
+      field.key = flag.key;
+      flag.fields->push_back(std::move(field));
+      return true;
+    }
     case Kind::kBool:
-      break;  // handled by the caller; bools never reach Apply()
+      *flag.boolean = true;  // Parse() passes no value
+      return true;
   }
   BATI_CHECK(false && "unhandled flag kind");
   return false;
@@ -183,12 +216,14 @@ bool FlagParser::Parse(int argc, char** argv, bool* help) const {
       std::fprintf(stderr, "unknown flag: %s\n", name.c_str());
       return false;
     }
-    if (flag->kind == Kind::kBool) {
+    if (flag->kind == Kind::kBool ||
+        (flag->kind == Kind::kField &&
+         flag->field_kind == JsonKind::kBool)) {
       if (eq != std::string::npos) {
         std::fprintf(stderr, "%s takes no value\n", name.c_str());
         return false;
       }
-      *flag->boolean = true;
+      Apply(*flag, "");
       continue;
     }
     if (flag->kind == Kind::kOptionalValue) {

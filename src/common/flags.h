@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
+
 namespace bati {
 
 /// Strict numeric flag parsing: the whole token must parse — no silent
@@ -55,6 +57,15 @@ class FlagParser {
   void AddOptionalValue(const std::string& name, bool* flag,
                         std::string* value);
 
+  /// Registers `--name` as the spec-line key `name` spelled with '_' for
+  /// '-' (`--fault-rate` is the key "fault_rate"). Each occurrence appends
+  /// one JsonField of `kind` to *out, in command-line order: a kBool flag
+  /// takes no value and appends true, a kNumber value must be a JSON
+  /// number, and a kString value is taken verbatim. Bounds are left to
+  /// whoever reads the fields.
+  void AddField(const std::string& name, JsonKind kind,
+                std::vector<JsonField>* out);
+
   /// Parses argv[1..argc). Returns false after printing a one-line error
   /// on any violation. `--help` / `-h` also return false (the caller
   /// prints usage either way) with *help set when provided.
@@ -62,7 +73,7 @@ class FlagParser {
 
  private:
   enum class Kind { kString, kBool, kInt64, kUint64, kDouble, kRate,
-                    kOptionalValue };
+                    kOptionalValue, kField };
   struct Flag {
     std::string name;  // with the leading "--"
     Kind kind = Kind::kString;
@@ -73,6 +84,9 @@ class FlagParser {
     double* dbl = nullptr;
     int64_t min_i64 = INT64_MIN;
     double min_dbl = -1e300;
+    std::string key;  // kField: the spec-line key
+    JsonKind field_kind = JsonKind::kString;
+    std::vector<JsonField>* fields = nullptr;
   };
 
   const Flag* Find(const std::string& name) const;

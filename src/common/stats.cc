@@ -24,16 +24,4 @@ double RunningStats::stddev() const {
   return std::sqrt(m2_ / static_cast<double>(n_ - 1));
 }
 
-double Mean(const std::vector<double>& v) {
-  RunningStats s;
-  for (double x : v) s.Add(x);
-  return s.mean();
-}
-
-double StdDev(const std::vector<double>& v) {
-  RunningStats s;
-  for (double x : v) s.Add(x);
-  return s.stddev();
-}
-
 }  // namespace bati

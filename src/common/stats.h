@@ -2,7 +2,6 @@
 #define BATI_COMMON_STATS_H_
 
 #include <cstddef>
-#include <vector>
 
 namespace bati {
 
@@ -29,12 +28,6 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-/// Mean of a vector; 0 for empty input.
-double Mean(const std::vector<double>& v);
-
-/// Sample standard deviation of a vector; 0 for fewer than two elements.
-double StdDev(const std::vector<double>& v);
 
 }  // namespace bati
 

@@ -140,14 +140,4 @@ double ColumnStore::Quantile(int t, int c, double fraction) const {
   return pool[std::min(idx, pool.size() - 1)];
 }
 
-double ColumnStore::CumulativeAtOrBelow(int t, int c, double v) const {
-  const TableData& td = tables_[static_cast<size_t>(t)];
-  const std::vector<double>& pool = td.pools[static_cast<size_t>(c)];
-  const std::vector<double>& cdf = td.pool_cdf[static_cast<size_t>(c)];
-  const size_t idx = static_cast<size_t>(
-      std::upper_bound(pool.begin(), pool.end(), v) - pool.begin());
-  if (idx == 0) return 0.0;
-  return cdf[idx - 1];
-}
-
 }  // namespace bati::exec

@@ -67,10 +67,6 @@ class ColumnStore {
   /// predicates with a target selectivity. fraction is clamped to [0, 1].
   double Quantile(int t, int c, double fraction) const;
 
-  /// P(column <= v) under the generator's distribution (the inverse of
-  /// Quantile up to pool granularity).
-  double CumulativeAtOrBelow(int t, int c, double v) const;
-
  private:
   struct TableData {
     int64_t rows = 0;

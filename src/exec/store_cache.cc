@@ -53,10 +53,4 @@ std::shared_ptr<const ColumnStore> GetOrMaterializeStore(
   return entry->store;
 }
 
-size_t StoreCacheSize() {
-  StoreCache& cache = Cache();
-  std::lock_guard<std::mutex> lock(cache.mu);
-  return cache.entries.size();
-}
-
 }  // namespace bati::exec

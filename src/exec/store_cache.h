@@ -29,9 +29,6 @@ namespace bati::exec {
 std::shared_ptr<const ColumnStore> GetOrMaterializeStore(
     std::shared_ptr<const Database> db, const StoreOptions& options);
 
-/// Number of distinct (database, options) stores materialized so far.
-size_t StoreCacheSize();
-
 }  // namespace bati::exec
 
 #endif  // BATI_EXEC_STORE_CACHE_H_

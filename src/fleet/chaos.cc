@@ -1,7 +1,5 @@
 #include "fleet/chaos.h"
 
-#include <cstdio>
-
 #include "common/macros.h"
 
 namespace bati {
@@ -22,16 +20,6 @@ double ToUnit(uint64_t h) {
 }
 
 }  // namespace
-
-std::string ChaosOptions::ToString() const {
-  if (!enabled) return "chaos=off";
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "chaos=seed:%llu,kill:%g,stall:%g,garble:%g,max_attempts:%d",
-                static_cast<unsigned long long>(seed), kill_rate, stall_rate,
-                garble_rate, max_faulty_attempts);
-  return buf;
-}
 
 ChaosInjector::ChaosInjector(const ChaosOptions& options)
     : options_(options) {

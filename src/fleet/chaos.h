@@ -2,7 +2,6 @@
 #define BATI_FLEET_CHAOS_H_
 
 #include <cstdint>
-#include <string>
 
 namespace bati {
 
@@ -44,9 +43,6 @@ struct ChaosOptions {
   /// task terminates after a bounded number of re-dispatches even at
   /// rates close to 1. Must stay below the coordinator's max_attempts.
   int max_faulty_attempts = 4;
-
-  /// One-line rendering for logs and the fleet summary.
-  std::string ToString() const;
 };
 
 /// What the injector decided for one (task, attempt) execution.

@@ -672,10 +672,7 @@ void ServeDaemon::EnsureResult(PendingTune* tune) {
     results_.erase(it);
   }
   tune->have_result = true;
-  if (result.cancelled) {
-    tune->failed = true;
-    tune->error = "cancelled";
-  } else if (!result.status.ok()) {
+  if (!result.status.ok()) {
     tune->failed = true;
     tune->error = result.status.message();
   } else {

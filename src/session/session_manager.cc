@@ -51,40 +51,6 @@ void SessionManager::Start() {
   work_cv_.notify_all();
 }
 
-bool SessionManager::Cancel(uint64_t id) {
-  SessionResult result;
-  bool found = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [workload, queue] : queues_) {
-      for (auto it = queue.begin(); it != queue.end(); ++it) {
-        if (it->id != id) continue;
-        result.id = it->id;
-        result.spec = std::move(it->spec);
-        result.cancelled = true;
-        queue.erase(it);
-        --queued_;
-        // Count the cancellation as virtually running until it is
-        // recorded, so a concurrent Drain() cannot complete between the
-        // callback firing and the result landing.
-        ++running_;
-        found = true;
-        break;
-      }
-      if (found) break;
-    }
-  }
-  if (!found) return false;
-  if (options_.on_result) options_.on_result(result);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    RecordResultLocked(std::move(result));
-    --running_;
-  }
-  done_cv_.notify_all();
-  return true;
-}
-
 std::vector<SessionResult> SessionManager::Drain() {
   Start();
   std::unique_lock<std::mutex> lock(mu_);
@@ -95,11 +61,6 @@ std::vector<SessionResult> SessionManager::Drain() {
               return a.id < b.id;
             });
   return results;
-}
-
-size_t SessionManager::finished() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return results_.size();
 }
 
 bool SessionManager::PopNextLocked(PendingRun* out) {

@@ -25,15 +25,14 @@ struct SessionManagerOptions {
   /// Artifact-capture switches applied to every session the manager runs.
   SessionOptions session;
   /// When true the workers start idle; nothing runs until Start(). Lets a
-  /// caller submit (and cancel) a whole batch before execution begins.
+  /// caller submit a whole batch before execution begins.
   bool start_paused = false;
-  /// When set, invoked once per terminal result (completed or cancelled)
-  /// as soon as it exists — before Drain() can observe it — so consumers
-  /// (bati_batch's incremental output, the serve daemon's pending-tune
-  /// table) see results the moment they land instead of at drain time.
-  /// Called from worker threads (or the cancelling thread), possibly
-  /// concurrently, with no manager lock held: the callee synchronizes and
-  /// must not block on Drain().
+  /// When set, invoked once per terminal result as soon as it exists —
+  /// before Drain() can observe it — so consumers (bati_batch's incremental
+  /// output, the serve daemon's pending-tune table) see results the moment
+  /// they land instead of at drain time. Called from worker threads,
+  /// possibly concurrently, with no manager lock held: the callee
+  /// synchronizes and must not block on Drain().
   std::function<void(const SessionResult&)> on_result;
 };
 
@@ -43,15 +42,12 @@ struct SessionResult {
   uint64_t id = 0;
   RunSpec spec;
   /// Position in completion order (1-based): the order the scheduler
-  /// actually finished (or cancelled) sessions, which under concurrency
-  /// differs from submission order.
+  /// actually finished sessions, which under concurrency differs from
+  /// submission order.
   uint64_t sequence = 0;
-  /// True when the spec was cancelled while still queued; the outcome is
-  /// then meaningless.
-  bool cancelled = false;
   /// Non-OK when the session could not run (unknown workload name).
   Status status;
-  /// The run's outcome; valid iff !cancelled && status.ok().
+  /// The run's outcome; valid iff status.ok().
   RunOutcome outcome;
   /// Captured artifacts, per SessionManagerOptions::session.
   std::string result_json;
@@ -88,19 +84,10 @@ class SessionManager {
   /// Releases the workers of a start_paused manager. Idempotent.
   void Start();
 
-  /// Cancels a still-queued session: it will never run, and its result
-  /// records cancelled = true. Returns false when `id` is unknown, already
-  /// running, or already complete (a running session is never interrupted).
-  bool Cancel(uint64_t id);
-
-  /// Blocks until every submitted spec has completed (or been cancelled)
-  /// and returns all results so far, sorted by submission id. Implies
+  /// Blocks until every submitted spec has completed and returns all results so far, sorted by submission id. Implies
   /// Start(). The manager stays usable: more specs may be submitted and
   /// drained afterwards.
   std::vector<SessionResult> Drain();
-
-  /// Sessions finished so far (completed or cancelled).
-  size_t finished() const;
 
  private:
   struct PendingRun {
@@ -115,7 +102,7 @@ class SessionManager {
   void RecordResultLocked(SessionResult result);
 
   SessionManagerOptions options_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable work_cv_;  // workers wait for work / shutdown
   std::condition_variable done_cv_;  // Drain() waits for quiescence
   /// FIFO queue per workload, plus the round-robin rotation over workload

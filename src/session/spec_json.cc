@@ -9,8 +9,7 @@ namespace bati {
 Status RunSpecFromFields(const std::vector<JsonField>& fields,
                          RunSpec* spec) {
   *spec = RunSpec();
-  // Governor threshold overrides, applied after the sweep (wired exactly
-  // like bati_tune's --skip-threshold / --stop-threshold / --stop-window).
+  // Governor switches and threshold overrides, applied after the sweep.
   bool early_stop = false;
   bool realloc_budget = false;
   double skip_threshold = -1.0;
@@ -129,12 +128,20 @@ Status ParseRunSpecJson(const std::string& line, RunSpec* spec) {
   return st.ok() ? RunSpecFromFields(fields, spec) : st;
 }
 
-Status ParseRunSpecJsonLine(const std::string& line, int lineno,
-                            RunSpec* spec) {
-  Status st = ParseRunSpecJson(line, spec);
-  if (st.ok()) return st;
-  return Status::InvalidArgument("line " + std::to_string(lineno) + ": " +
-                                 st.message());
+void AddRunSpecFlags(FlagParser* parser, std::vector<JsonField>* fields) {
+  for (const char* key : {"workload", "algorithm", "checkpoint", "resume"}) {
+    parser->AddField(key, JsonKind::kString, fields);
+  }
+  for (const char* key : {"early-stop", "realloc-budget"}) {
+    parser->AddField(key, JsonKind::kBool, fields);
+  }
+  for (const char* key :
+       {"budget", "k", "storage-gb", "seed", "skip-threshold",
+        "stop-threshold", "stop-window", "fault-rate", "fault-sticky",
+        "fault-spike", "fault-spike-factor", "fault-seed", "retry-attempts",
+        "retry-timeout"}) {
+    parser->AddField(key, JsonKind::kNumber, fields);
+  }
 }
 
 std::string RunSpecToJson(const RunSpec& spec) {

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/json.h"
 #include "common/status.h"
 #include "session/tuning_session.h"
@@ -32,26 +33,30 @@ namespace bati {
 ///   checkpoint, resume, trace_out                 path strings
 ///   signal                  "whatif" | "exec-deterministic" | "measured"
 ///
-/// Validation is strict, mirroring the CLI tools: an unknown key, a
-/// malformed value, an out-of-range value, or an unknown algorithm name is
-/// an InvalidArgument error, never a silent default (and never a crash deep
-/// inside MakeTuner). On success `*spec` is a freshly defaulted RunSpec
-/// with the line's fields applied — governor/fault plumbing wired exactly
-/// as bati_tune wires the equivalent flags, and "algorithm" defaulted to
-/// "mcts" (the paper's setting, bati_tune's default) when absent.
+/// Validation is strict: an unknown key, a malformed value, an
+/// out-of-range value, or an unknown algorithm name is an InvalidArgument
+/// error, never a silent default (and never a crash deep inside MakeTuner).
+/// On success `*spec` is a freshly defaulted RunSpec with the line's fields
+/// applied: the governor switches and thresholds wired into
+/// `spec->governor`, `spec->faults.enabled` set when any fault rate is
+/// positive, and "algorithm" defaulted to "mcts" (the paper's setting)
+/// when absent. This file is the only place that maps run options onto a
+/// RunSpec; bati_tune's run flags arrive here as fields too.
 Status ParseRunSpecJson(const std::string& line, RunSpec* spec);
 
 /// The apply half of ParseRunSpecJson: validates already-read fields onto
 /// a freshly defaulted RunSpec. A serve `register` event hands its
-/// non-serve fields straight here.
+/// non-serve fields straight here, and so does bati_tune with the fields
+/// AddRunSpecFlags() collected.
 Status RunSpecFromFields(const std::vector<JsonField>& fields,
                          RunSpec* spec);
 
-/// As ParseRunSpecJson, but errors are prefixed with "line N: " so a
-/// multi-line consumer (bati_batch, bati_serve) reports the offending
-/// input line without every caller re-implementing the bookkeeping.
-Status ParseRunSpecJsonLine(const std::string& line, int lineno,
-                            RunSpec* spec);
+/// Registers bati_tune's run flags on `parser`, one per spec-line key and
+/// spelled with '-' for '_' (`--fault-rate` is "fault_rate"). Each flag
+/// appends its field to `*fields` for RunSpecFromFields(), so the flags
+/// take the spec line's names, bounds and wiring. The keys a command line
+/// sets another way (collect_metrics, trace_out, signal) get no flag.
+void AddRunSpecFlags(FlagParser* parser, std::vector<JsonField>* fields);
 
 /// Serializes a spec back to the flat JSON object ParseRunSpecJson
 /// accepts, emitting only fields that differ from a default RunSpec (plus

@@ -10,7 +10,6 @@
 #include "obs/tracer.h"
 #include "tuner/greedy.h"
 #include "tuner/relaxation.h"
-#include "whatif/cost_service.h"
 #include "whatif/trace_io.h"
 
 namespace bati {
@@ -125,104 +124,92 @@ std::string RunIdentity(const RunSpec& spec) {
 
 TuningSession::TuningSession(const WorkloadBundle& bundle, RunSpec spec,
                              SessionOptions options)
-    : bundle_(&bundle), spec_(std::move(spec)), options_(options) {}
+    : bundle_(&bundle), spec_(std::move(spec)), options_(options) {
+  TuningContext ctx;
+  ctx.workload = &bundle.workload;
+  ctx.candidates = &bundle.candidates;
+  ctx.constraints.max_indexes = spec_.max_indexes;
+  ctx.constraints.max_storage_bytes = spec_.max_storage_bytes;
+
+  CostEngineOptions engine_options;
+  engine_options.governor = spec_.governor;
+  engine_options.faults = spec_.faults;
+  engine_options.retry = spec_.retry;
+  engine_options.checkpoint_path = spec_.checkpoint_path;
+  engine_options.run_identity = RunIdentity(spec_);
+  // When the spec asks for neither sink, the engine runs fully unobserved.
+  if (spec_.collect_metrics) {
+    registry_ = std::make_unique<MetricsRegistry>();
+    engine_options.metrics = registry_.get();
+  }
+  if (!spec_.trace_path.empty() || spec_.trace_buffer > 0) {
+    tracer_ = std::make_unique<Tracer>(spec_.trace_buffer == 0
+                                           ? Tracer::kDefaultCapacity
+                                           : spec_.trace_buffer);
+    engine_options.tracer = tracer_.get();
+  }
+  service_ = std::make_unique<CostService>(
+      bundle.optimizer.get(), &bundle.workload, &bundle.candidates.indexes,
+      spec_.budget, engine_options);
+  if (!spec_.resume_path.empty()) {
+    resume_status_ = service_->ResumeFromFile(spec_.resume_path);
+  }
+  tuner_ = MakeTuner(spec_.algorithm, ctx, spec_.seed);
+}
 
 const RunOutcome& TuningSession::Run() {
   BATI_CHECK(!ran_ && "a TuningSession runs at most once");
   ran_ = true;
-  const WorkloadBundle& bundle = *bundle_;
-  const RunSpec& spec = spec_;
-
-  TuningContext ctx;
-  ctx.workload = &bundle.workload;
-  ctx.candidates = &bundle.candidates;
-  ctx.constraints.max_indexes = spec.max_indexes;
-  ctx.constraints.max_storage_bytes = spec.max_storage_bytes;
-
-  CostEngineOptions engine_options;
-  engine_options.governor = spec.governor;
-  engine_options.faults = spec.faults;
-  engine_options.retry = spec.retry;
-  engine_options.checkpoint_path = spec.checkpoint_path;
-  engine_options.run_identity = RunIdentity(spec);
-  // Observability sinks live on this frame and outlive the service; when
-  // the spec asks for neither, the engine runs fully unobserved.
-  std::unique_ptr<MetricsRegistry> registry;
-  if (spec.collect_metrics) {
-    registry = std::make_unique<MetricsRegistry>();
-    engine_options.metrics = registry.get();
+  if (!resume_status_.ok()) {
+    // A rejected checkpoint must not silently replay a partial prefix, and
+    // a fresh start converges on the identical result anyway, so falling
+    // back is always safe. Loud, then continue un-resumed.
+    std::fprintf(stderr,
+                 "bati: checkpoint %s rejected, starting fresh: %s\n",
+                 spec_.resume_path.c_str(), resume_status_.ToString().c_str());
   }
-  std::unique_ptr<Tracer> tracer;
-  if (!spec.trace_path.empty() || spec.trace_buffer > 0) {
-    tracer = std::make_unique<Tracer>(spec.trace_buffer == 0
-                                          ? Tracer::kDefaultCapacity
-                                          : spec.trace_buffer);
-    engine_options.tracer = tracer.get();
-  }
-  CostService service(bundle.optimizer.get(), &bundle.workload,
-                      &bundle.candidates.indexes, spec.budget,
-                      engine_options);
-  if (!spec.resume_path.empty()) {
-    const Status st = service.ResumeFromFile(spec.resume_path);
-    if (!st.ok()) {
-      // A rejected checkpoint (truncated, checksum mismatch, identity or
-      // shape mismatch) must not silently replay a partial prefix — and a
-      // fresh start converges on the identical result anyway, so falling
-      // back is always safe. Loud, then continue un-resumed.
-      std::fprintf(stderr,
-                   "bati: checkpoint %s rejected, starting fresh: %s\n",
-                   spec.resume_path.c_str(), st.ToString().c_str());
-    }
-  }
-  std::unique_ptr<Tuner> tuner = MakeTuner(spec.algorithm, ctx, spec.seed);
-  TuningResult result = tuner->Tune(service);
+  CostService& service = *service_;
+  result_ = tuner_->Tune(service);
   service.FinishObservability();
 
   RunOutcome& outcome = outcome_;
-  outcome.true_improvement = service.TrueImprovement(result.best_config);
-  outcome.derived_improvement = result.derived_improvement;
+  outcome.true_improvement = service.TrueImprovement(result_.best_config);
+  outcome.derived_improvement = result_.derived_improvement;
   outcome.calls_used = service.calls_made();
-  outcome.config_size = result.best_config.count();
-  outcome.config_positions = result.best_config.ToIndices();
+  outcome.config_size = result_.best_config.count();
+  outcome.config_positions = result_.best_config.ToIndices();
   outcome.whatif_seconds = service.SimulatedWhatIfSeconds();
   outcome.other_seconds =
       kOtherSecondsFixed +
       kOtherSecondsPerCall * static_cast<double>(service.calls_made());
-  if (const std::vector<double>* trace = tuner->progress_trace()) {
+  if (const std::vector<double>* trace = tuner_->progress_trace()) {
     outcome.trace = *trace;
   }
   outcome.engine = service.EngineStats();
-  outcome.governor_skipped = outcome.engine.governor_skipped_calls;
-  outcome.governor_banked = outcome.engine.governor_banked_calls;
-  outcome.governor_reallocated = outcome.engine.governor_reallocated_calls;
-  outcome.governor_stop_round = outcome.engine.governor_stop_round;
-  outcome.degraded_cells = outcome.engine.degraded_cells;
-  if (registry != nullptr) {
+  if (registry_ != nullptr) {
     outcome.has_metrics = true;
-    outcome.metrics = registry->Snapshot();
+    outcome.metrics = registry_->Snapshot();
   }
-  if (tracer != nullptr) {
-    outcome.trace_events = tracer->size();
-    outcome.trace_dropped = tracer->dropped();
-    if (!spec.trace_path.empty()) {
-      const Status st = tracer->WriteChromeJson(spec.trace_path);
+  if (tracer_ != nullptr) {
+    outcome.trace_events = tracer_->size();
+    outcome.trace_dropped = tracer_->dropped();
+    if (!spec_.trace_path.empty()) {
+      const Status st = tracer_->WriteChromeJson(spec_.trace_path);
       if (!st.ok()) {
         std::fprintf(stderr, "trace write failed: %s\n",
                      st.ToString().c_str());
       }
     }
   }
-  // Session artifacts must be captured while the service (and with it the
-  // layout trace and cached costs) is still alive.
   if (options_.capture_result_json) {
-    result_json_ = ResultToJson(service, bundle.workload, tuner->name(),
-                                result.best_config, outcome.true_improvement,
-                                registry != nullptr ? &outcome.metrics
-                                                    : nullptr,
+    result_json_ = ResultToJson(service, bundle_->workload, tuner_->name(),
+                                result_.best_config, outcome.true_improvement,
+                                registry_ != nullptr ? &outcome.metrics
+                                                     : nullptr,
                                 options_.canonical_result_json);
   }
   if (options_.capture_layout_csv) {
-    layout_csv_ = LayoutToCsv(service, bundle.workload);
+    layout_csv_ = LayoutToCsv(service, bundle_->workload);
   }
   return outcome_;
 }

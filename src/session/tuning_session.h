@@ -6,11 +6,13 @@
 #include <vector>
 
 #include "budget/governor.h"
+#include "common/status.h"
 #include "faults/fault_injector.h"
 #include "obs/metrics.h"
 #include "session/bundle_registry.h"
 #include "tuner/tuner.h"
 #include "whatif/cost_engine_stats.h"
+#include "whatif/cost_service.h"
 #include "whatif/whatif_executor.h"
 
 namespace bati {
@@ -51,10 +53,10 @@ struct RunSpec {
   /// replays deterministically from its seed; the engine answers the
   /// journaled prefix instead of re-invoking the optimizer). A checkpoint
   /// that fails validation — truncated, garbled (checksum mismatch), or
-  /// written by a different run identity — is rejected with a loud stderr
-  /// line and the run falls back to a fresh start; since replay converges
-  /// on the identical result, the fallback only costs budget re-spend,
-  /// never correctness.
+  /// written by a different run identity — is rejected: the session
+  /// reports it in resume_status(), and a run that goes ahead anyway warns
+  /// on stderr and starts fresh; since replay converges on the identical
+  /// result, the fallback only costs budget re-spend, never correctness.
   std::string resume_path;
   /// When true, the run records engine metrics (histograms, counters) and
   /// the outcome carries a MetricsSnapshot. Off by default: an unobserved
@@ -102,19 +104,11 @@ struct RunOutcome {
   /// exposes one (greedy family, MCTS, DBA-bandits, No-DBA). When present,
   /// the last point equals `derived_improvement`.
   std::vector<double> trace;
-  /// Cost-engine observability counters for the run (cache hits, derived
-  /// and delta lookups, posting-list pruning, batched cells, wall time).
+  /// Cost-engine counters for the run: cache hits, derived and delta
+  /// lookups, posting-list pruning, batched cells, wall time, the
+  /// governor's skipped/banked/reallocated calls and stop round, and the
+  /// degraded cells of a faulted run.
   CostEngineStats engine;
-  /// Governor decisions, mirrored from `engine` for convenience: what-if
-  /// calls skipped with the saving banked or reallocated, and where early
-  /// stopping fired (-1 = never). All zero / -1 on ungoverned runs.
-  int64_t governor_skipped = 0;
-  int64_t governor_banked = 0;
-  int64_t governor_reallocated = 0;
-  int governor_stop_round = -1;
-  /// Cells answered with the derived cost after exhausting their retries,
-  /// mirrored from `engine`. Zero when fault injection is off.
-  int64_t degraded_cells = 0;
   /// Metrics snapshot of the run; populated iff spec.collect_metrics.
   bool has_metrics = false;
   MetricsSnapshot metrics;
@@ -125,8 +119,9 @@ struct RunOutcome {
 };
 
 /// Session-level switches that are not part of the run's identity: they
-/// only control which artifacts the session keeps after the cost service
-/// is torn down. All off by default.
+/// only control which artifacts Run() captures as strings, which outlive
+/// the session (a SessionManager hands them on in its results). All off by
+/// default.
 struct SessionOptions {
   /// Capture ResultToJson() of the finished run (the exact JSON line
   /// bati_tune --json prints) into TuningSession::result_json().
@@ -142,34 +137,53 @@ struct SessionOptions {
   bool capture_layout_csv = false;
 };
 
-/// One tuning run as a first-class object: a TuningSession owns every
-/// piece of per-run mutable state — the CostService (with governor, fault,
-/// retry, and checkpoint options from the spec), the per-session
-/// MetricsRegistry and Tracer, and the tuner with its spec-seeded RNG —
-/// while sharing the immutable WorkloadBundle (workload, candidate
-/// universe, and the pure WhatIfOptimizer) with any number of concurrent
-/// sessions.
+/// One tuning run as a first-class object, and the only code that turns a
+/// RunSpec into a run. A TuningSession owns every piece of per-run mutable
+/// state — the CostService (with governor, fault, retry, and checkpoint
+/// options from the spec), the per-session MetricsRegistry and Tracer, and
+/// the tuner with its spec-seeded RNG — while sharing the immutable
+/// WorkloadBundle (workload, candidate universe, and the pure
+/// WhatIfOptimizer) with any number of concurrent sessions.
 ///
-/// Invariant: a session executed alone is bit-identical to the classic
-/// RunOnce() path (which is now a thin wrapper over this class) — same
-/// layout CSV bytes, same progress trace, same stats. Concurrent sessions
-/// preserve this per-session because no mutable state is shared.
+/// Lifecycle: the constructor builds the run and applies
+/// spec.resume_path; resume_status() reports how that went; Run() tunes;
+/// afterwards outcome(), service() and tracer() describe the finished run.
+///
+/// Invariant: a session executed alone is bit-identical to RunOnce() (a
+/// thin wrapper over this class) — same layout CSV bytes, same progress
+/// trace, same stats. Concurrent sessions preserve this per-session
+/// because no mutable state is shared.
 class TuningSession {
  public:
-  /// `bundle` must outlive the session.
+  /// Builds the run. `bundle` must outlive the session.
   TuningSession(const WorkloadBundle& bundle, RunSpec spec,
                 SessionOptions options = SessionOptions());
 
   TuningSession(const TuningSession&) = delete;
   TuningSession& operator=(const TuningSession&) = delete;
 
+  /// The result of resuming from spec.resume_path: OK when the spec names
+  /// no checkpoint or the checkpoint was accepted. A rejected checkpoint
+  /// (truncated, checksum mismatch, identity or shape mismatch) leaves the
+  /// service fresh; Run() then warns on stderr and starts over, which
+  /// converges on the identical result. A caller for which a rejected
+  /// checkpoint is fatal (bati_tune) checks this before Run().
+  const Status& resume_status() const { return resume_status_; }
+
   /// Executes the run to completion. Must be called at most once.
   const RunOutcome& Run();
 
   const RunSpec& spec() const { return spec_; }
+  const Tuner& tuner() const { return *tuner_; }
 
-  /// The finished run's outcome; valid after Run().
+  /// The finished run's outcome and the tuner's result; valid after Run().
   const RunOutcome& outcome() const { return outcome_; }
+  const TuningResult& result() const { return result_; }
+
+  /// The run's cost service, and its trace ring (null unless the spec
+  /// enables tracing). Both stay readable after Run().
+  const CostService& service() const { return *service_; }
+  const Tracer* tracer() const { return tracer_.get(); }
 
   /// Captured artifacts (empty unless the matching SessionOptions switch
   /// was set and Run() completed).
@@ -180,7 +194,14 @@ class TuningSession {
   const WorkloadBundle* bundle_;
   RunSpec spec_;
   SessionOptions options_;
+  // The sinks are declared before the service, so they outlive it.
+  std::unique_ptr<MetricsRegistry> registry_;
+  std::unique_ptr<Tracer> tracer_;
+  std::unique_ptr<CostService> service_;
+  std::unique_ptr<Tuner> tuner_;
+  Status resume_status_;
   bool ran_ = false;
+  TuningResult result_;
   RunOutcome outcome_;
   std::string result_json_;
   std::string layout_csv_;

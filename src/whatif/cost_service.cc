@@ -460,10 +460,12 @@ void CostService::MaybeWriteCheckpoint() {
   }
   if (!options_.checkpoint_path.empty()) {
     const Status st = SaveCheckpoint(ckpt, options_.checkpoint_path);
-    if (!st.ok()) {
+    // Only the first failure is reported: an unwritable path fails again
+    // at every round boundary.
+    if (!st.ok() && checkpoint_status_.ok()) {
       std::fprintf(stderr, "bati: checkpoint write failed: %s\n",
                    st.ToString().c_str());
-      if (checkpoint_status_.ok()) checkpoint_status_ = st;
+      checkpoint_status_ = st;
     }
   }
   const double wall_us = (NowSeconds() - start) * 1e6;

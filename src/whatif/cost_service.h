@@ -289,7 +289,8 @@ class CostService {
   }
 
   /// First error encountered while writing checkpoint files (writing is
-  /// best-effort: a failed write warns and the run continues).
+  /// best-effort: the first failed write warns once on stderr and the run
+  /// continues).
   const Status& checkpoint_status() const { return checkpoint_status_; }
 
  private:

@@ -288,12 +288,6 @@ double DerivedCostIndex::AdditiveLowerBound(int query_id, const Config& config,
   return std::max(bound, floor);
 }
 
-int64_t DerivedCostIndex::entry_count(int query_id) const {
-  return static_cast<int64_t>(at(query_id).entries.size());
-}
-
-int64_t DerivedCostIndex::total_entries() const { return entries_; }
-
 void DerivedCostIndex::AccumulateStats(CostEngineStats* stats) const {
   stats->derived_lookups += derived_lookups_;
   stats->delta_lookups += delta_lookups_;

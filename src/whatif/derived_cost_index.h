@@ -100,10 +100,6 @@ class DerivedCostIndex {
   double AdditiveLowerBound(int query_id, const Config& config, double base,
                             double floor = 0.0) const;
 
-  /// Number of cached cells for one query / overall.
-  int64_t entry_count(int query_id) const;
-  int64_t total_entries() const;
-
   /// Adds this layer's counters into `stats`.
   void AccumulateStats(CostEngineStats* stats) const;
 

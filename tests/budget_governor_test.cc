@@ -49,10 +49,10 @@ void ExpectIdenticalOutcomes(const std::string& workload,
   EXPECT_EQ(a.trace, b.trace);
   EXPECT_EQ(a.engine.cache_hits, b.engine.cache_hits);
   // The governor observed but never intervened.
-  EXPECT_EQ(b.governor_skipped, 0);
-  EXPECT_EQ(b.governor_banked, 0);
-  EXPECT_EQ(b.governor_reallocated, 0);
-  EXPECT_EQ(b.governor_stop_round, -1);
+  EXPECT_EQ(b.engine.governor_skipped_calls, 0);
+  EXPECT_EQ(b.engine.governor_banked_calls, 0);
+  EXPECT_EQ(b.engine.governor_reallocated_calls, 0);
+  EXPECT_EQ(b.engine.governor_stop_round, -1);
 }
 
 TEST(GovernorNoOp, ZeroThresholdsAllAlgorithmsToy) {
@@ -247,9 +247,10 @@ TEST(GovernorSmoke, DefaultThresholdsInterveneAndStayWithinBudget) {
   // The meter stays a hard cap regardless of skipping.
   EXPECT_LE(out.calls_used, spec.budget);
   // Accounting invariant surfaces intact through the harness.
-  EXPECT_EQ(out.governor_skipped,
-            out.governor_banked + out.governor_reallocated);
-  EXPECT_GE(out.governor_banked, 0);
+  EXPECT_EQ(out.engine.governor_skipped_calls,
+            out.engine.governor_banked_calls +
+                out.engine.governor_reallocated_calls);
+  EXPECT_GE(out.engine.governor_banked_calls, 0);
   // The run still produces a usable recommendation.
   EXPECT_GT(out.derived_improvement, 0.0);
 }

@@ -469,7 +469,7 @@ TEST(Resume, HarnessCheckpointFileRoundTrip) {
   EXPECT_EQ(full.calls_used, resumed.calls_used);
   EXPECT_EQ(full.config_size, resumed.config_size);
   EXPECT_EQ(full.whatif_seconds, resumed.whatif_seconds);
-  EXPECT_EQ(full.degraded_cells, resumed.degraded_cells);
+  EXPECT_EQ(full.engine.degraded_cells, resumed.engine.degraded_cells);
   std::remove(path.c_str());
 }
 

@@ -100,7 +100,6 @@ TEST_P(SessionDeterminismTest, ConcurrentEqualsSequential) {
   for (size_t i = 0; i < specs.size(); ++i) {
     const std::string label = workload + "/" + specs[i].algorithm;
     ASSERT_TRUE(concurrent[i].status.ok()) << label;
-    ASSERT_FALSE(concurrent[i].cancelled) << label;
     // Byte equality of the layout CSV means the concurrent session made
     // the same what-if calls with the same results in the same order.
     EXPECT_EQ(concurrent[i].layout_csv, sequential[i].layout_csv) << label;

@@ -1,13 +1,16 @@
 // Tests for the session subsystem: the thread-safe BundleRegistry (the
 // regression test for the data race the old `static` LoadBundle map had),
-// the SessionManager's FIFO + per-workload fair scheduling and
-// cancellation, and the JSONL spec parser behind bati_batch.
+// the TuningSession lifecycle, the SessionManager's FIFO + per-workload
+// fair scheduling, the JSONL spec parser behind bati_batch, and the
+// bati_tune run flags that feed the same parser.
 //
 // The registry tests hammer LoadBundle from many threads on purpose; run
 // them under the TSan build (BATI_SANITIZE=thread) to prove the race is
 // gone, not just unlikely.
 
 #include <atomic>
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -93,6 +96,15 @@ TEST(BundleRegistryTest, StablePointerAcrossLookups) {
 // ---------------------------------------------------------------------------
 // TuningSession
 
+RunSpec ToySpec(const std::string& algorithm, int64_t budget = 40) {
+  RunSpec spec;
+  spec.workload = "toy";
+  spec.algorithm = algorithm;
+  spec.budget = budget;
+  spec.max_indexes = 5;
+  return spec;
+}
+
 TEST(TuningSessionTest, SoloSessionMatchesRunOnce) {
   const WorkloadBundle& bundle = LoadBundle("toy");
   RunSpec spec;
@@ -140,17 +152,66 @@ TEST(TuningSessionTest, CapturesArtifactsOnRequest) {
   EXPECT_TRUE(bare.layout_csv().empty());
 }
 
+TEST(TuningSessionTest, ResumeStatusReportsARejectedCheckpoint) {
+  const WorkloadBundle& bundle = LoadBundle("toy");
+  RunSpec spec = ToySpec("vanilla-greedy");
+  const RunOutcome fresh = RunOnce(bundle, spec);
+
+  spec.resume_path = testing::TempDir() + "session_garbage.ckpt";
+  { std::ofstream(spec.resume_path) << "not a checkpoint\n"; }
+  TuningSession session(bundle, spec);
+  // The constructor already tried the checkpoint; a caller can refuse to
+  // run before any tuning happens.
+  EXPECT_FALSE(session.resume_status().ok());
+  // Run() instead falls back to a fresh start, which converges on the
+  // uninterrupted run.
+  const RunOutcome& outcome = session.Run();
+  EXPECT_EQ(outcome.config_positions, fresh.config_positions);
+  EXPECT_EQ(outcome.calls_used, fresh.calls_used);
+  std::remove(spec.resume_path.c_str());
+}
+
+TEST(TuningSessionTest, FinishedServiceAndTracerStayReadable) {
+  RunSpec spec = ToySpec("mcts");
+  spec.trace_buffer = 256;
+  TuningSession session(LoadBundle("toy"), spec);
+  EXPECT_TRUE(session.resume_status().ok());
+  EXPECT_EQ(session.tuner().name().rfind("mcts", 0), 0u);
+  const RunOutcome& outcome = session.Run();
+  EXPECT_EQ(session.service().calls_made(), outcome.calls_used);
+  EXPECT_EQ(session.result().best_config.ToIndices(),
+            outcome.config_positions);
+  ASSERT_NE(session.tracer(), nullptr);
+  EXPECT_EQ(session.tracer()->size(), outcome.trace_events);
+  // Tracing is off unless the spec asks for it.
+  TuningSession bare(LoadBundle("toy"), ToySpec("mcts"));
+  EXPECT_EQ(bare.tracer(), nullptr);
+}
+
+TEST(TuningSessionTest, ReportsAFailedCheckpointWriteOnce) {
+  // A checkpoint path below a regular file can never be written, so every
+  // round boundary of the run fails the same way.
+  const std::string file = testing::TempDir() + "session_not_a_dir";
+  { std::ofstream(file) << "x"; }
+  RunSpec spec = ToySpec("mcts");
+  spec.checkpoint_path = file + "/run.ckpt";
+  testing::internal::CaptureStderr();
+  TuningSession session(LoadBundle("toy"), spec);
+  session.Run();
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(session.service().checkpoint_status().ok());
+  size_t reports = 0;
+  for (size_t pos = err.find("checkpoint write failed");
+       pos != std::string::npos;
+       pos = err.find("checkpoint write failed", pos + 1)) {
+    ++reports;
+  }
+  EXPECT_EQ(reports, 1u) << err;
+  std::remove(file.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // SessionManager
-
-RunSpec ToySpec(const std::string& algorithm, int64_t budget = 40) {
-  RunSpec spec;
-  spec.workload = "toy";
-  spec.algorithm = algorithm;
-  spec.budget = budget;
-  spec.max_indexes = 5;
-  return spec;
-}
 
 TEST(SessionManagerTest, DrainReturnsResultsInSubmissionOrder) {
   SessionManagerOptions options;
@@ -166,11 +227,9 @@ TEST(SessionManagerTest, DrainReturnsResultsInSubmissionOrder) {
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].id, i + 1);
     EXPECT_EQ(results[i].spec.algorithm, algorithms[i]);
-    EXPECT_FALSE(results[i].cancelled);
     EXPECT_TRUE(results[i].status.ok());
     EXPECT_GT(results[i].outcome.calls_used, 0);
   }
-  EXPECT_EQ(manager.finished(), algorithms.size());
 }
 
 TEST(SessionManagerTest, SingleWorkerRunsFifoWithinOneWorkload) {
@@ -210,28 +269,6 @@ TEST(SessionManagerTest, RoundRobinAcrossWorkloadsIsFair) {
   EXPECT_EQ(results[tpch_id - 1].sequence, 2u);
 }
 
-TEST(SessionManagerTest, CancelQueuedSessionNeverRuns) {
-  SessionManagerOptions options;
-  options.parallelism = 1;
-  options.start_paused = true;
-  SessionManager manager(options);
-  const uint64_t keep1 = manager.Submit(ToySpec("vanilla-greedy"));
-  const uint64_t victim = manager.Submit(ToySpec("two-phase-greedy"));
-  const uint64_t keep2 = manager.Submit(ToySpec("dta"));
-  EXPECT_TRUE(manager.Cancel(victim));
-  EXPECT_FALSE(manager.Cancel(victim));  // already cancelled
-  EXPECT_FALSE(manager.Cancel(999));     // unknown ticket
-  manager.Start();
-  std::vector<SessionResult> results = manager.Drain();
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_FALSE(results[keep1 - 1].cancelled);
-  EXPECT_TRUE(results[victim - 1].cancelled);
-  EXPECT_EQ(results[victim - 1].outcome.calls_used, 0);
-  EXPECT_FALSE(results[keep2 - 1].cancelled);
-  // A completed session can no longer be cancelled.
-  EXPECT_FALSE(manager.Cancel(keep1));
-}
-
 TEST(SessionManagerTest, UnknownWorkloadYieldsErrorResult) {
   SessionManagerOptions options;
   options.parallelism = 2;
@@ -259,7 +296,6 @@ TEST(SessionManagerTest, ManagerIsReusableAfterDrain) {
   std::vector<SessionResult> results = manager.Drain();
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(results[2].spec.algorithm, "two-phase-greedy");
-  EXPECT_EQ(manager.finished(), 3u);
 }
 
 TEST(SessionManagerTest, CapturesArtifactsWhenConfigured) {
@@ -380,36 +416,6 @@ TEST(SpecJsonTest, ValidatesAlgorithmAtParseTime) {
   EXPECT_FALSE(IsKnownAlgorithm("greedy"));
 }
 
-TEST(SpecJsonTest, LineParserPrefixesLineNumbers) {
-  // The JSONL entry point must answer each malformed line with a non-OK
-  // status that names the line — never a crash, never a default.
-  struct Case {
-    const char* line;
-    const char* needle;  // expected fragment of the error message
-  };
-  const Case cases[] = {
-      {"{\"workload\":\"toy\",\"algorithm\":\"qlearning\"}", "qlearning"},
-      {"{\"workload\":\"toy\",\"budget\":-5}", "budget"},
-      {"{\"workload\":\"toy\",\"budget\":\"lots\"}", "budget"},
-      {"{\"workload\":\"toy\"} trailing garbage", "trailing"},
-  };
-  int lineno = 40;
-  for (const Case& c : cases) {
-    RunSpec spec;
-    const Status st = ParseRunSpecJsonLine(c.line, lineno, &spec);
-    ASSERT_FALSE(st.ok()) << c.line;
-    EXPECT_NE(st.message().find("line " + std::to_string(lineno)),
-              std::string::npos)
-        << st.message();
-    EXPECT_NE(st.message().find(c.needle), std::string::npos)
-        << st.message();
-    ++lineno;
-  }
-  RunSpec spec;
-  EXPECT_TRUE(
-      ParseRunSpecJsonLine("{\"workload\":\"toy\"}", 7, &spec).ok());
-}
-
 TEST(SpecJsonTest, RunSpecToJsonRoundTrips) {
   RunSpec spec;
   ASSERT_TRUE(ParseRunSpecJson(
@@ -475,6 +481,86 @@ TEST(SpecJsonTest, SignalKeyValidatesAndRoundTrips) {
   ASSERT_TRUE(ParseRunSpecJson("{\"workload\":\"toy\"}", &minimal).ok());
   EXPECT_TRUE(minimal.deploy_signal.empty());
   EXPECT_EQ(RunSpecToJson(minimal).find("signal"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// bati_tune's run flags: AddRunSpecFlags() -> RunSpecFromFields()
+
+/// Parses a bati_tune command line the way the tool does: the run flags
+/// become spec-line fields after a default workload.
+Status SpecFromFlags(std::vector<std::string> args, RunSpec* spec) {
+  std::vector<JsonField> fields(1);
+  fields[0].key = "workload";
+  fields[0].str = "toy";
+  FlagParser parser;
+  AddRunSpecFlags(&parser, &fields);
+  args.insert(args.begin(), "bati_tune");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  if (!parser.Parse(static_cast<int>(argv.size()), argv.data())) {
+    return Status::InvalidArgument("flag rejected");
+  }
+  return RunSpecFromFields(fields, spec);
+}
+
+TEST(RunSpecFlagsTest, FlagsBuildTheSpecTheirLineBuilds) {
+  RunSpec from_flags;
+  const Status st = SpecFromFlags(
+      {"--algorithm", "dba-bandits", "--budget=200", "--k", "5", "--seed",
+       "3", "--storage-gb", "2.5", "--early-stop", "--realloc-budget",
+       "--skip-threshold", "0.02", "--stop-threshold", "0.3",
+       "--stop-window", "40", "--fault-rate", "0.1", "--fault-sticky",
+       "0.01", "--fault-spike", "0.05", "--fault-spike-factor", "8",
+       "--fault-seed", "11", "--retry-attempts", "6", "--retry-timeout",
+       "4.5", "--checkpoint", "c.ckpt", "--resume", "r.ckpt"},
+      &from_flags);
+  ASSERT_TRUE(st.ok()) << st.message();
+  RunSpec from_line;
+  ASSERT_TRUE(ParseRunSpecJson(
+                  "{\"workload\":\"toy\",\"algorithm\":\"dba-bandits\","
+                  "\"budget\":200,\"k\":5,\"seed\":3,\"storage_gb\":2.5,"
+                  "\"early_stop\":true,\"realloc_budget\":true,"
+                  "\"skip_threshold\":0.02,\"stop_threshold\":0.3,"
+                  "\"stop_window\":40,\"fault_rate\":0.1,"
+                  "\"fault_sticky\":0.01,\"fault_spike\":0.05,"
+                  "\"fault_spike_factor\":8,\"fault_seed\":11,"
+                  "\"retry_attempts\":6,\"retry_timeout\":4.5,"
+                  "\"checkpoint\":\"c.ckpt\",\"resume\":\"r.ckpt\"}",
+                  &from_line)
+                  .ok());
+  EXPECT_EQ(RunSpecToJson(from_flags), RunSpecToJson(from_line));
+  EXPECT_EQ(RunIdentity(from_flags), RunIdentity(from_line));
+  EXPECT_TRUE(from_flags.governor.enabled);
+  EXPECT_TRUE(from_flags.faults.enabled);
+
+  // No run flags: bati_tune's defaults are the spec line's.
+  RunSpec bare;
+  ASSERT_TRUE(SpecFromFlags({}, &bare).ok());
+  EXPECT_EQ(RunSpecToJson(bare), "{\"workload\":\"toy\",\"algorithm\":"
+                                 "\"mcts\"}");
+}
+
+TEST(RunSpecFlagsTest, RejectsWhatASpecLineRejects) {
+  // bati_tune used to narrow the first three to K=0, K=-1 and a CHECK
+  // failure, ignore the next two, and abort on the unknown algorithm.
+  const std::vector<std::vector<std::string>> rejected = {
+      {"--k", "4294967296"},
+      {"--k", "4294967295"},
+      {"--retry-attempts", "4294967296", "--fault-rate", "0.5"},
+      {"--skip-threshold", "-5"},
+      {"--stop-window", "-3"},
+      {"--algorithm", "foo"},
+      {"--budget", "abc"},
+      {"--fault-rate", "nan"},
+      {"--fault-rate", "1.5"},
+      {"--early-stop=1"},
+      {"--workload", ""},
+  };
+  for (const std::vector<std::string>& args : rejected) {
+    RunSpec spec;
+    EXPECT_FALSE(SpecFromFlags(args, &spec).ok())
+        << args[0] << " " << args.back();
+  }
 }
 
 }  // namespace

@@ -8,56 +8,34 @@
 // Prints the recommendation as CREATE INDEX statements plus the measured
 // improvement, what-if call usage, and (optionally) the layout trace.
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/file_util.h"
 #include "common/flags.h"
-#include "harness/experiment.h"
-#include "obs/metrics.h"
-#include "obs/tracer.h"
-#include "mcts/mcts_tuner.h"
+#include "common/json.h"
+#include "session/spec_json.h"
+#include "session/tuning_session.h"
 #include "tuner/time_budget.h"
-#include "whatif/cost_service.h"
 #include "whatif/trace_io.h"
 #include "workload/loader.h"
 
 namespace {
 
+/// The flags a spec line has no key for; every run flag becomes a spec
+/// field (see ParseArgs).
 struct Args {
-  std::string workload = "tpch";
   std::string schema_file;  // DDL; used with --sql-file instead of --workload
   std::string sql_file;
-  std::string algorithm = "mcts";
-  int64_t budget = 1000;
   double minutes = 0.0;  // when > 0, derives the budget from time
-  int64_t k = 10;
-  double storage_gb = 0.0;
-  uint64_t seed = 1;
   bool verbose = false;
   bool show_layout = false;
   std::string layout_csv;  // write the layout trace to this CSV file
   bool json = false;       // print a machine-readable result line
-  // Budget governor (src/budget/): off unless one of these is given.
-  bool early_stop = false;      // Esc-style early stopping
-  bool realloc_budget = false;  // Wii-style what-if skipping
-  double skip_threshold = -1.0;  // relative skip threshold (default 0.01)
-  double stop_threshold = -1.0;  // absolute stop threshold, pct pts (0.1)
-  int64_t stop_window = 0;       // trailing window in calls (0 = auto)
-  // Fault injection (src/faults/): off unless a rate is given.
-  double fault_rate = 0.0;      // transient error rate per attempt
-  double fault_sticky = 0.0;    // sticky per-cell failure rate
-  double fault_spike = 0.0;     // latency-spike rate per attempt
-  double fault_spike_factor = 20.0;
-  uint64_t fault_seed = 1;
-  int64_t retry_attempts = 4;
-  double retry_timeout = 8.0;   // simulated seconds; 0 disables
-  // Checkpoint/resume and the named crash points.
-  std::string checkpoint;       // write a checkpoint at each round boundary
-  std::string resume;           // resume from this checkpoint file
-  int64_t crash_at_round = 0;   // simulate a crash at BeginRound(N)
+  int64_t crash_at_round = 0;  // simulate a crash at BeginRound(N)
   // Observability (src/obs/): off unless one of these is given.
   bool metrics = false;         // collect and print engine metrics
   std::string metrics_file;     // --metrics=FILE: write the snapshot JSON
@@ -119,42 +97,25 @@ void Usage(const char* argv0) {
       argv0, bati::Tracer::kDefaultCapacity);
 }
 
-/// The strict flag table, shared verbatim with bati_export/bati_batch via
-/// common/flags.h: unknown or malformed flags make main() print usage and
-/// exit 2.
-bool ParseArgs(int argc, char** argv, Args* args) {
+/// The strict flag table of common/flags.h: unknown or malformed flags
+/// make main() print usage and exit 2. The run flags (--budget,
+/// --fault-rate, ...) are the spec-line keys of session/spec_json.h: they
+/// land in `fields` and RunSpecFromFields() gives them the spec line's
+/// bounds and wiring.
+bool ParseArgs(int argc, char** argv, Args* args,
+               std::vector<bati::JsonField>* fields) {
   bati::FlagParser parser;
-  parser.AddString("workload", &args->workload);
+  bati::AddRunSpecFlags(&parser, fields);
   parser.AddString("schema-file", &args->schema_file);
   parser.AddString("sql-file", &args->sql_file);
-  parser.AddString("algorithm", &args->algorithm);
   parser.AddString("layout-csv", &args->layout_csv);
-  parser.AddString("checkpoint", &args->checkpoint);
-  parser.AddString("resume", &args->resume);
-  parser.AddInt64("budget", &args->budget, /*min=*/0);
   parser.AddDouble("minutes", &args->minutes, /*min=*/0.0);
-  parser.AddInt64("k", &args->k, /*min=*/1);
-  parser.AddDouble("storage-gb", &args->storage_gb, /*min=*/0.0);
-  parser.AddUint64("seed", &args->seed);
-  parser.AddDouble("skip-threshold", &args->skip_threshold);
-  parser.AddDouble("stop-threshold", &args->stop_threshold);
-  parser.AddInt64("stop-window", &args->stop_window);
-  parser.AddRate("fault-rate", &args->fault_rate);
-  parser.AddRate("fault-sticky", &args->fault_sticky);
-  parser.AddRate("fault-spike", &args->fault_spike);
-  parser.AddDouble("fault-spike-factor", &args->fault_spike_factor,
-                   /*min=*/1.0);
-  parser.AddUint64("fault-seed", &args->fault_seed);
-  parser.AddInt64("retry-attempts", &args->retry_attempts, /*min=*/1);
-  parser.AddDouble("retry-timeout", &args->retry_timeout, /*min=*/0.0);
   parser.AddInt64("crash-at-round", &args->crash_at_round, /*min=*/0);
   parser.AddOptionalValue("metrics", &args->metrics, &args->metrics_file);
   parser.AddString("trace-out", &args->trace_out);
   parser.AddInt64("trace-buffer", &args->trace_buffer, /*min=*/1);
   parser.AddBool("layout", &args->show_layout);
   parser.AddBool("json", &args->json);
-  parser.AddBool("early-stop", &args->early_stop);
-  parser.AddBool("realloc-budget", &args->realloc_budget);
   parser.AddBool("verbose", &args->verbose);
   return parser.Parse(argc, argv);
 }
@@ -164,7 +125,22 @@ bool ParseArgs(int argc, char** argv, Args* args) {
 int main(int argc, char** argv) {
   using namespace bati;
   Args args;
-  if (!ParseArgs(argc, argv, &args)) {
+  // bati_tune's defaults that a spec line lacks: the workload.
+  std::vector<JsonField> fields(1);
+  fields[0].key = "workload";
+  fields[0].str = "tpch";
+  if (!ParseArgs(argc, argv, &args, &fields)) {
+    Usage(argv[0]);
+    return 2;
+  }
+  RunSpec spec;
+  if (const Status st = RunSpecFromFields(fields, &spec); !st.ok()) {
+    std::fprintf(stderr, "invalid run flag: %s\n", st.message().c_str());
+    Usage(argv[0]);
+    return 2;
+  }
+  if (args.crash_at_round > INT_MAX) {
+    std::fprintf(stderr, "--crash-at-round must be <= %d\n", INT_MAX);
     Usage(argv[0]);
     return 2;
   }
@@ -202,137 +178,83 @@ int main(int argc, char** argv) {
     file_bundle.optimizer =
         std::make_shared<WhatIfOptimizer>(file_bundle.workload.database);
     file_bundle.candidates = GenerateCandidates(file_bundle.workload);
-    args.workload = "user";
+    spec.workload = "user";
     bundle_ptr = &file_bundle;
   } else {
     // TryGet (not LoadBundle) so a misspelled name is a clean error, not a
     // CHECK failure.
-    bundle_ptr = BundleRegistry::Global().TryGet(args.workload);
+    bundle_ptr = BundleRegistry::Global().TryGet(spec.workload);
     if (bundle_ptr == nullptr) {
-      std::fprintf(stderr, "unknown workload: %s\n", args.workload.c_str());
+      std::fprintf(stderr, "unknown workload: %s\n", spec.workload.c_str());
       return 1;
     }
   }
   const WorkloadBundle& bundle = *bundle_ptr;
 
-  int64_t budget = args.budget;
   if (args.minutes > 0.0) {
-    budget = CallBudgetForTime(*bundle.optimizer, bundle.workload,
-                               args.minutes * 60.0);
+    spec.budget = CallBudgetForTime(*bundle.optimizer, bundle.workload,
+                                    args.minutes * 60.0);
     std::printf("time budget %.1f min -> %lld what-if calls\n", args.minutes,
-                static_cast<long long>(budget));
+                static_cast<long long>(spec.budget));
   }
-
-  TuningContext ctx;
-  ctx.workload = &bundle.workload;
-  ctx.candidates = &bundle.candidates;
-  ctx.constraints.max_indexes = static_cast<int>(args.k);
-  ctx.constraints.max_storage_bytes = args.storage_gb * 1e9;
-
-  BudgetGovernorOptions governor;
-  if (args.early_stop || args.realloc_budget) {
-    governor.enabled = true;
-    governor.early_stop = args.early_stop;
-    governor.skip_what_if = args.realloc_budget;
-    if (args.skip_threshold >= 0.0) {
-      governor.realloc.skip_rel_threshold = args.skip_threshold;
-    }
-    if (args.stop_threshold >= 0.0) {
-      governor.stop.abs_threshold_pct = args.stop_threshold;
-    }
-    if (args.stop_window > 0) governor.stop.window_calls = args.stop_window;
-  }
-
-  CostEngineOptions engine_options;
-  engine_options.governor = governor;
-  engine_options.faults.enabled = args.fault_rate > 0.0 ||
-                                  args.fault_sticky > 0.0 ||
-                                  args.fault_spike > 0.0;
-  engine_options.faults.seed = args.fault_seed;
-  engine_options.faults.transient_rate = args.fault_rate;
-  engine_options.faults.sticky_rate = args.fault_sticky;
-  engine_options.faults.spike_rate = args.fault_spike;
-  engine_options.faults.spike_factor = args.fault_spike_factor;
-  engine_options.faults.crash_at_round = static_cast<int>(args.crash_at_round);
-  engine_options.retry.max_attempts = static_cast<int>(args.retry_attempts);
-  engine_options.retry.call_timeout_seconds = args.retry_timeout;
-  engine_options.checkpoint_path = args.checkpoint;
-  if (args.crash_at_round > 0 && args.checkpoint.empty()) {
+  if (args.crash_at_round > 0 && spec.checkpoint_path.empty()) {
     std::fprintf(stderr, "--crash-at-round requires --checkpoint\n");
     return 2;
   }
-  {
-    // Identity must match the harness's so CLI runs and harness runs can
-    // share checkpoints; a resume with different flags is rejected.
-    RunSpec ident_spec;
-    ident_spec.workload = args.workload;
-    ident_spec.algorithm = args.algorithm;
-    ident_spec.budget = budget;
-    ident_spec.max_indexes = static_cast<int>(args.k);
-    ident_spec.max_storage_bytes = args.storage_gb * 1e9;
-    ident_spec.seed = args.seed;
-    ident_spec.governor = governor;
-    ident_spec.faults = engine_options.faults;
-    ident_spec.retry = engine_options.retry;
-    engine_options.run_identity = RunIdentity(ident_spec);
-  }
-
-  std::unique_ptr<MetricsRegistry> registry;
-  if (args.metrics) {
-    registry = std::make_unique<MetricsRegistry>();
-    engine_options.metrics = registry.get();
-  }
-  std::unique_ptr<Tracer> tracer;
+  spec.faults.crash_at_round = static_cast<int>(args.crash_at_round);
+  spec.collect_metrics = args.metrics;
+  // The tool writes the trace itself (a failed write exits 1), so the
+  // session only keeps the ring.
   if (!args.trace_out.empty() || args.trace_buffer > 0) {
-    tracer = std::make_unique<Tracer>(
-        args.trace_buffer > 0 ? static_cast<size_t>(args.trace_buffer)
-                              : Tracer::kDefaultCapacity);
-    engine_options.tracer = tracer.get();
+    spec.trace_buffer = args.trace_buffer > 0
+                            ? static_cast<size_t>(args.trace_buffer)
+                            : Tracer::kDefaultCapacity;
   }
 
-  CostService service(bundle.optimizer.get(), &bundle.workload,
-                      &bundle.candidates.indexes, budget, engine_options);
-  if (!args.resume.empty()) {
-    bati::Status st = service.ResumeFromFile(args.resume);
-    if (!st.ok()) {
-      std::fprintf(stderr, "resume failed: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::printf("resuming from %s\n", args.resume.c_str());
+  SessionOptions session_options;
+  session_options.capture_result_json = args.json;
+  TuningSession session(bundle, spec, session_options);
+  if (!session.resume_status().ok()) {
+    std::fprintf(stderr, "resume failed: %s\n",
+                 session.resume_status().ToString().c_str());
+    return 1;
   }
-  auto tuner = MakeTuner(args.algorithm, ctx, args.seed);
+  if (!spec.resume_path.empty()) {
+    std::printf("resuming from %s\n", spec.resume_path.c_str());
+  }
   std::printf("tuning %s (%d queries, %d candidates) with %s, budget=%lld, "
               "K=%d%s\n\n",
-              args.workload.c_str(), bundle.workload.num_queries(),
-              bundle.candidates.size(), tuner->name().c_str(),
-              static_cast<long long>(budget), static_cast<int>(args.k),
-              args.storage_gb > 0 ? " (+storage constraint)" : "");
-  TuningResult result = tuner->Tune(service);
-  service.FinishObservability();
+              spec.workload.c_str(), bundle.workload.num_queries(),
+              bundle.candidates.size(), session.tuner().name().c_str(),
+              static_cast<long long>(spec.budget), spec.max_indexes,
+              spec.max_storage_bytes > 0 ? " (+storage constraint)" : "");
+  const RunOutcome& outcome = session.Run();
+  const CostService& service = session.service();
+  const Config& best_config = session.result().best_config;
 
   const Database& db = *bundle.workload.database;
-  std::printf("recommendation (%zu indexes):\n", result.best_config.count());
+  std::printf("recommendation (%zu indexes):\n", best_config.count());
   double storage = 0.0;
-  for (const Index& ix : service.Materialize(result.best_config)) {
+  for (const Index& ix : service.Materialize(best_config)) {
     storage += ix.SizeBytes(db);
     std::printf("  CREATE INDEX %s;  -- %.1f MB\n", ix.Name(db).c_str(),
                 ix.SizeBytes(db) / 1e6);
   }
   std::printf("\nwhat-if calls used:        %lld / %lld (%lld cache hits)\n",
               static_cast<long long>(service.calls_made()),
-              static_cast<long long>(budget),
+              static_cast<long long>(spec.budget),
               static_cast<long long>(service.cache_hits()));
   std::printf("estimated improvement:     %.2f%% (derived)\n",
-              result.derived_improvement);
+              outcome.derived_improvement);
   std::printf("actual improvement:        %.2f%%\n",
-              service.TrueImprovement(result.best_config));
+              outcome.true_improvement);
   std::printf("total index storage:       %.2f GB\n", storage / 1e9);
   std::printf("simulated what-if time:    %.1f min\n",
-              service.SimulatedWhatIfSeconds() / 60.0);
+              outcome.whatif_seconds / 60.0);
   std::printf("cost engine:               %s\n",
-              service.EngineStats().ToString().c_str());
+              outcome.engine.ToString().c_str());
+  const CostEngineStats& es = outcome.engine;
   if (service.FaultsEnabled()) {
-    const CostEngineStats es = service.EngineStats();
     std::printf("fault tolerance:           degraded=%lld cells, "
                 "transient=%lld, sticky=%lld, timeout=%lld, retries=%lld\n",
                 static_cast<long long>(es.degraded_cells),
@@ -340,10 +262,6 @@ int main(int argc, char** argv) {
                 static_cast<long long>(es.fault_sticky_failures),
                 static_cast<long long>(es.fault_timeouts),
                 static_cast<long long>(es.retry_attempts));
-  }
-  if (!args.checkpoint.empty() && !service.checkpoint_status().ok()) {
-    std::fprintf(stderr, "warning: checkpoint writes failed: %s\n",
-                 service.checkpoint_status().ToString().c_str());
   }
   if (const BudgetGovernor* gov = service.governor()) {
     GovernorStats gs = gov->stats();
@@ -356,7 +274,7 @@ int main(int argc, char** argv) {
       std::printf("                           stopped early at round %d "
                   "(call %lld of %lld)\n",
                   gs.stop_round, static_cast<long long>(gs.stop_calls),
-                  static_cast<long long>(budget));
+                  static_cast<long long>(spec.budget));
     }
     if (gs.remaining_improvement_ub_pct >= 0.0) {
       std::printf("                           remaining improvement bound: "
@@ -367,7 +285,7 @@ int main(int argc, char** argv) {
 
   if (args.verbose) {
     std::printf("\nper-query improvement:\n");
-    std::vector<Index> chosen = service.Materialize(result.best_config);
+    std::vector<Index> chosen = service.Materialize(best_config);
     for (const Query& q : bundle.workload.queries) {
       double before = bundle.optimizer->Cost(q, {});
       double after = bundle.optimizer->Cost(q, chosen);
@@ -384,22 +302,20 @@ int main(int argc, char** argv) {
     }
     std::printf("layout trace written to %s\n", args.layout_csv.c_str());
   }
-  MetricsSnapshot snapshot;
-  if (registry != nullptr) {
-    snapshot = registry->Snapshot();
+  if (outcome.has_metrics) {
     if (!args.metrics_file.empty()) {
       bati::Status st = AtomicWriteFile(args.metrics_file,
-                                        snapshot.ToJson() + "\n");
+                                        outcome.metrics.ToJson() + "\n");
       if (!st.ok()) {
         std::fprintf(stderr, "%s\n", st.ToString().c_str());
         return 1;
       }
       std::printf("metrics written to %s\n", args.metrics_file.c_str());
     } else {
-      std::printf("\nmetrics:\n%s", snapshot.ToText().c_str());
+      std::printf("\nmetrics:\n%s", outcome.metrics.ToText().c_str());
     }
   }
-  if (tracer != nullptr) {
+  if (const Tracer* tracer = session.tracer()) {
     if (!args.trace_out.empty()) {
       bati::Status st = tracer->WriteChromeJson(args.trace_out);
       if (!st.ok()) {
@@ -407,22 +323,15 @@ int main(int argc, char** argv) {
         return 1;
       }
       std::printf("trace written to %s (%zu events, %llu dropped)\n",
-                  args.trace_out.c_str(), tracer->size(),
-                  static_cast<unsigned long long>(tracer->dropped()));
+                  args.trace_out.c_str(), outcome.trace_events,
+                  static_cast<unsigned long long>(outcome.trace_dropped));
       if (args.verbose) std::printf("%s", tracer->ToTextReport().c_str());
     } else {
       // --trace-buffer without --trace-out: report inline.
       std::printf("\n%s", tracer->ToTextReport().c_str());
     }
   }
-  if (args.json) {
-    std::printf("%s\n",
-                ResultToJson(service, bundle.workload, tuner->name(),
-                             result.best_config,
-                             service.TrueImprovement(result.best_config),
-                             registry != nullptr ? &snapshot : nullptr)
-                    .c_str());
-  }
+  if (args.json) std::printf("%s\n", session.result_json().c_str());
   if (args.show_layout) {
     std::printf("\nbudget allocation layout (%zu calls):\n",
                 service.layout().size());

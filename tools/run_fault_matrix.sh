@@ -88,10 +88,41 @@ expect_exit2 "--k 10x"             --workload toy --k 10x
 expect_exit2 "unknown flag"        --workload toy --no-such-flag
 expect_exit2 "missing value"       --workload toy --budget
 expect_exit2 "crash w/o checkpoint" --workload toy --crash-at-round 2
+# Spec-line bounds: each of these once tuned with a narrowed value, was
+# silently ignored, or aborted.
+expect_exit2 "--k 4294967296"      --workload toy --k 4294967296
+expect_exit2 "--k 4294967295"      --workload toy --k 4294967295
+expect_exit2 "--retry-attempts 2^32" --workload toy \
+  --retry-attempts 4294967296 --fault-rate 0.5
+expect_exit2 "--crash-at-round 2^32+2" --workload toy \
+  --checkpoint "${workdir}/never.ckpt" --crash-at-round 4294967298
+expect_exit2 "--skip-threshold -5" --workload toy --skip-threshold -5
+expect_exit2 "--stop-window -3"    --workload toy --stop-window -3
+expect_exit2 "--algorithm foo"     --workload toy --algorithm foo
+
+echo "==> a rejected checkpoint is fatal before any tuning"
+printf 'not a checkpoint\n' > "${workdir}/garbage.ckpt"
+set +e
+"${tune}" --workload toy --resume "${workdir}/garbage.ckpt" \
+  > "${workdir}/resume.out" 2>"${workdir}/err.txt"
+code=$?
+set -e
+if [[ "${code}" -ne 1 || -s "${workdir}/resume.out" ||
+      ! -s "${workdir}/err.txt" ]]; then
+  echo "FAIL rejected --resume: expected exit 1 with a message and no" \
+       "output, got ${code}" >&2
+  failures=$((failures + 1))
+else
+  printf '  ok  rejected --resume -> exit 1 (%s)\n' \
+    "$(head -n 1 "${workdir}/err.txt")"
+fi
 
 echo "==> kill-and-resume reproduces the uninterrupted run"
-normalize() {  # strip real wall-clock (the only legitimately varying field)
+# Strip real wall-clock (the only legitimately varying field) and the
+# resumed run's own note on the budget it recovered from the checkpoint.
+normalize() {
   sed -e 's/executor wall=[0-9.]*s/executor wall=Xs/' \
+      -e 's/, resumed: [0-9]* budget units recovered from checkpoint//' \
       -e 's/"executor_wall_seconds":[0-9.e+-]*/"executor_wall_seconds":0/' \
       -e 's#^layout trace written to .*#layout trace written to X#' \
       "$1"
