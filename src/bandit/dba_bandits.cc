@@ -27,7 +27,6 @@ TuningResult DbaBanditsTuner::Tune(CostService& service) {
   const int n = service.num_candidates();
   const int m = service.num_queries();
   const int k_max = ctx_.constraints.max_indexes;
-  const Database& db = *ctx_.workload->database;
 
   std::vector<std::vector<double>> features;
   features.reserve(static_cast<size_t>(n));
@@ -68,10 +67,12 @@ TuningResult DbaBanditsTuner::Tune(CostService& service) {
     std::sort(scored.begin(), scored.end(),
               [](const auto& l, const auto& r) { return l.first > r.first; });
     Config chosen = service.EmptyConfig();
+    double chosen_bytes = 0.0;
     for (const auto& [score, a] : scored) {
       if (static_cast<int>(chosen.count()) >= k_max) break;
-      if (!FitsStorage(ctx_, db, chosen, a)) continue;
+      if (!FitsStorage(ctx_, chosen_bytes, a)) continue;
       chosen.set(static_cast<size_t>(a));
+      chosen_bytes = StorageBytes(ctx_, chosen);
     }
     if (chosen.empty()) break;
 

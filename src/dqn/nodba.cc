@@ -27,7 +27,6 @@ TuningResult NoDbaTuner::Tune(CostService& service) {
   const int n = service.num_candidates();
   const int m = service.num_queries();
   const int k_max = ctx_.constraints.max_indexes;
-  const Database& db = *ctx_.workload->database;
 
   std::vector<size_t> layers;
   layers.push_back(static_cast<size_t>(n));
@@ -44,9 +43,10 @@ TuningResult NoDbaTuner::Tune(CostService& service) {
 
   auto feasible_actions = [&](const Config& config) {
     std::vector<int> out;
+    const double bytes = StorageBytes(ctx_, config);
     for (int a = 0; a < n; ++a) {
       if (config.test(static_cast<size_t>(a))) continue;
-      if (!FitsStorage(ctx_, db, config, a)) continue;
+      if (!FitsStorage(ctx_, bytes, a)) continue;
       out.push_back(a);
     }
     return out;

@@ -53,35 +53,61 @@ std::string MctsTuner::name() const {
   return n;
 }
 
-MctsTuner::Node* MctsTuner::GetOrCreateNode(const Config& config,
-                                            CostService& service) {
+MctsTuner::Node* MctsTuner::GetOrCreateNode(const Config& config) {
   auto it = nodes_.find(config);
   if (it != nodes_.end()) return it->second.get();
   auto node = std::make_unique<Node>();
   node->config = config;
-  const Database& db = *ctx_.workload->database;
-  const int n = service.num_candidates();
-  for (int pos = 0; pos < n; ++pos) {
-    if (config.test(static_cast<size_t>(pos))) continue;
-    if (!FitsStorage(ctx_, db, config, pos)) continue;
-    node->actions.push_back(pos);
-    node->action_visits.push_back(0);
-    // Q-hat is bootstrapped with the singleton prior for epsilon-greedy
-    // and Boltzmann; UCT starts at zero and relies on its exploration bonus.
-    double init =
-        options_.action_policy != MctsOptions::ActionPolicy::kUct &&
-                !priors_.empty()
-            ? priors_[static_cast<size_t>(pos)]
-            : 0.0;
-    node->action_value.push_back(init);
-    if (options_.use_rave) {
-      node->rave_visits.push_back(0);
-      node->rave_value.push_back(init);
-    }
-  }
+  node->bytes = StorageBytes(ctx_, config);
   Node* raw = node.get();
   nodes_.emplace(config, std::move(node));
   return raw;
+}
+
+MctsTuner::Edge MctsTuner::NewEdge(int pos) const {
+  const double init =
+      options_.action_policy != MctsOptions::ActionPolicy::kUct &&
+              !priors_.empty()
+          ? priors_[static_cast<size_t>(pos)]
+          : 0.0;
+  Edge edge;
+  edge.pos = pos;
+  edge.value = init;
+  edge.rave_value = init;
+  return edge;
+}
+
+MctsTuner::Edge& MctsTuner::EdgeFor(Node& node, int pos) const {
+  auto it = std::lower_bound(node.edges.begin(), node.edges.end(), pos,
+                             [](const Edge& e, int p) { return e.pos < p; });
+  if (it == node.edges.end() || it->pos != pos) {
+    it = node.edges.insert(it, NewEdge(pos));
+  }
+  return *it;
+}
+
+bool MctsTuner::Feasible(const Node& node, int pos) const {
+  return !node.config.test(static_cast<size_t>(pos)) &&
+         FitsStorage(ctx_, node.bytes, pos);
+}
+
+bool MctsTuner::HasAction(const Node& node) const {
+  const int n = ctx_.candidates->size();
+  if (ctx_.constraints.max_storage_bytes <= 0.0) {
+    return static_cast<int>(node.config.count()) < n;
+  }
+  for (int pos = 0; pos < n; ++pos) {
+    if (Feasible(node, pos)) return true;
+  }
+  return false;
+}
+
+void MctsTuner::EnumerateActions(const Node& node) {
+  actions_.clear();
+  const int n = ctx_.candidates->size();
+  for (int pos = 0; pos < n; ++pos) {
+    if (Feasible(node, pos)) actions_.push_back(pos);
+  }
 }
 
 void MctsTuner::ComputePriors(CostService& service) {
@@ -179,56 +205,65 @@ void MctsTuner::ComputePriors(CostService& service) {
   }
 }
 
-int MctsTuner::SelectAction(Node& node) {
-  BATI_CHECK(!node.actions.empty());
-  const size_t k = node.actions.size();
+int MctsTuner::SelectAction(const Node& node) {
+  // Every feasible action's statistics in ascending position order: the
+  // stored edge, or the initial statistics of an absent one.
+  EnumerateActions(node);
+  BATI_CHECK(!actions_.empty());
+  stats_.clear();
+  auto edge = node.edges.begin();
+  for (int pos : actions_) {
+    while (edge != node.edges.end() && edge->pos < pos) ++edge;
+    const bool stored = edge != node.edges.end() && edge->pos == pos;
+    stats_.push_back(stored ? *edge : NewEdge(pos));
+  }
+  const size_t k = stats_.size();
   if (options_.action_policy == MctsOptions::ActionPolicy::kUct) {
     // Unvisited actions have infinite UCB score; break ties randomly.
-    std::vector<size_t> unvisited;
+    unvisited_.clear();
     for (size_t i = 0; i < k; ++i) {
-      if (node.action_visits[i] == 0) unvisited.push_back(i);
+      if (stats_[i].visits == 0) unvisited_.push_back(i);
     }
-    if (!unvisited.empty()) {
-      return static_cast<int>(unvisited[static_cast<size_t>(rng_.UniformInt(
-          0, static_cast<int64_t>(unvisited.size()) - 1))]);
+    if (!unvisited_.empty()) {
+      return actions_[unvisited_[static_cast<size_t>(rng_.UniformInt(
+          0, static_cast<int64_t>(unvisited_.size()) - 1))]];
     }
     double log_n = std::log(std::max(1, node.visits));
-    int best = 0;
+    size_t best = 0;
     double best_score = -std::numeric_limits<double>::infinity();
     for (size_t i = 0; i < k; ++i) {
-      double score = node.action_value[i] +
-                     options_.uct_lambda *
-                         std::sqrt(log_n / node.action_visits[i]);
+      const Edge& e = stats_[i];
+      const double bonus = options_.uct_lambda * std::sqrt(log_n / e.visits);
+      double score = e.value + bonus;
       if (score > best_score) {
         best_score = score;
-        best = static_cast<int>(i);
+        best = i;
       }
     }
-    return best;
+    return actions_[best];
   }
   // Effective action values, optionally blended with RAVE estimates:
   // (1 - beta) * Q-hat + beta * Q-rave with beta = sqrt(k / (3n + k)).
-  std::vector<double> values = node.action_value;
+  values_.resize(k);
+  for (size_t i = 0; i < k; ++i) values_[i] = stats_[i].value;
   if (options_.use_rave) {
     for (size_t i = 0; i < k; ++i) {
-      double n = node.action_visits[i];
+      const Edge& e = stats_[i];
+      double n = e.visits;
       double beta = std::sqrt(options_.rave_k / (3.0 * n + options_.rave_k));
-      double rave = node.rave_visits[i] > 0 ? node.rave_value[i] : values[i];
-      values[i] = (1.0 - beta) * values[i] + beta * rave;
+      double rave = e.rave_visits > 0 ? e.rave_value : values_[i];
+      values_[i] = (1.0 - beta) * values_[i] + beta * rave;
     }
   }
   if (options_.action_policy == MctsOptions::ActionPolicy::kBoltzmann) {
     // Softmax with temperature tau; subtract the max for numerical safety.
-    double max_v = *std::max_element(values.begin(), values.end());
-    std::vector<double> probs(k);
+    double max_v = *std::max_element(values_.begin(), values_.end());
     double tau = std::max(1e-6, options_.boltzmann_temperature);
-    for (size_t i = 0; i < k; ++i) {
-      probs[i] = std::exp((values[i] - max_v) / tau);
-    }
-    return static_cast<int>(rng_.WeightedIndex(probs));
+    for (double& v : values_) v = std::exp((v - max_v) / tau);
   }
-  // Proportional epsilon-greedy (Equation 6): Pr(a) proportional to Q-hat.
-  return static_cast<int>(rng_.WeightedIndex(values));
+  // Proportional epsilon-greedy (Equation 6): Pr(a) proportional to Q-hat;
+  // Boltzmann: proportional to the softmax weights.
+  return actions_[rng_.WeightedIndex(values_)];
 }
 
 Config MctsTuner::Rollout(const Node& node) {
@@ -244,23 +279,25 @@ Config MctsTuner::Rollout(const Node& node) {
   Config result = node.config;
   if (steps == 0) return result;
 
-  const Database& db = *ctx_.workload->database;
-  std::vector<int> pool = node.actions;
-  std::vector<double> weights;
-  weights.reserve(pool.size());
+  // The pool is the node's feasible actions; each pick must still fit next
+  // to the indexes the rollout already added.
+  EnumerateActions(node);
+  values_.clear();
   bool weighted =
       options_.action_policy != MctsOptions::ActionPolicy::kUct &&
       !priors_.empty();
-  for (int pos : pool) {
-    weights.push_back(weighted ? priors_[static_cast<size_t>(pos)] : 1.0);
+  for (int pos : actions_) {
+    values_.push_back(weighted ? priors_[static_cast<size_t>(pos)] : 1.0);
   }
-  for (int s = 0; s < steps && !pool.empty(); ++s) {
-    size_t pick = rng_.WeightedIndex(weights);
-    int pos = pool[pick];
-    pool.erase(pool.begin() + static_cast<ptrdiff_t>(pick));
-    weights.erase(weights.begin() + static_cast<ptrdiff_t>(pick));
-    if (!FitsStorage(ctx_, db, result, pos)) continue;
+  double bytes = node.bytes;
+  for (int s = 0; s < steps && !actions_.empty(); ++s) {
+    size_t pick = rng_.WeightedIndex(values_);
+    int pos = actions_[pick];
+    actions_.erase(actions_.begin() + static_cast<ptrdiff_t>(pick));
+    values_.erase(values_.begin() + static_cast<ptrdiff_t>(pick));
+    if (!FitsStorage(ctx_, bytes, pos)) continue;
     result.set(static_cast<size_t>(pos));
+    bytes = StorageBytes(ctx_, result);
   }
   return result;
 }
@@ -269,16 +306,16 @@ bool MctsTuner::RunEpisode(CostService& service) {
   // ---- Selection / expansion / simulation (SampleConfiguration). ----
   struct PathStep {
     Node* node;
-    int action_index;  // -1 at the final node
+    int action;  // candidate position; -1 at the final node
   };
   std::vector<PathStep> path;
-  Node* node = GetOrCreateNode(service.EmptyConfig(), service);
+  Node* node = GetOrCreateNode(service.EmptyConfig());
   Config sampled(0);
   while (true) {
     bool terminal =
         static_cast<int>(node->config.count()) >=
             ctx_.constraints.max_indexes ||
-        node->actions.empty();
+        !HasAction(*node);
     if (terminal) {
       path.push_back(PathStep{node, -1});
       sampled = node->config;
@@ -292,9 +329,8 @@ bool MctsTuner::RunEpisode(CostService& service) {
     }
     int a = SelectAction(*node);
     path.push_back(PathStep{node, a});
-    Config next = node->config.With(
-        static_cast<size_t>(node->actions[static_cast<size_t>(a)]));
-    node = GetOrCreateNode(next, service);  // expansion on first touch
+    // Expansion on first touch.
+    node = GetOrCreateNode(node->config.With(static_cast<size_t>(a)));
   }
 
   // ---- EvaluateCostWithBudget: one what-if call on a query sampled with
@@ -302,16 +338,19 @@ bool MctsTuner::RunEpisode(CostService& service) {
   // this configuration is already cached carry weight zero — re-evaluating
   // them would spend the episode without learning anything new. ----
   const int m = service.num_queries();
-  // Batched Equation-1 lookups through the engine's derived-cost index: one
-  // episode evaluates all m queries, the hot path of the search phase.
-  std::vector<double> derived = service.DerivedCosts(sampled);
-  std::vector<double> weights(static_cast<size_t>(m), 0.0);
+  // All m Equation-1 lookups in one engine call, the hot path of the
+  // search phase: a walk over the sampled configuration's subsets in the
+  // derived-cost index's config table.
+  derived_.resize(static_cast<size_t>(m));
+  known_.resize(static_cast<size_t>(m));
+  service.DerivedCosts(sampled, derived_, known_);
+  weights_.assign(static_cast<size_t>(m), 0.0);
   double cost = 0.0;
   bool any_unknown = false;
-  for (int q = 0; q < m; ++q) {
-    cost += derived[static_cast<size_t>(q)];
-    if (!service.IsKnown(q, sampled)) {
-      weights[static_cast<size_t>(q)] = derived[static_cast<size_t>(q)];
+  for (size_t q = 0; q < static_cast<size_t>(m); ++q) {
+    cost += derived_[q];
+    if (known_[q] == 0) {
+      weights_[q] = derived_[q];
       any_unknown = true;
     }
   }
@@ -319,12 +358,12 @@ bool MctsTuner::RunEpisode(CostService& service) {
     int q_sel = -1;
     switch (options_.query_selection) {
       case MctsOptions::QuerySelection::kProportionalToDerivedCost:
-        q_sel = static_cast<int>(rng_.WeightedIndex(weights));
+        q_sel = static_cast<int>(rng_.WeightedIndex(weights_));
         break;
       case MctsOptions::QuerySelection::kUniform: {
-        std::vector<double> uniform(weights.size(), 0.0);
-        for (size_t q = 0; q < weights.size(); ++q) {
-          if (weights[q] > 0.0) uniform[q] = 1.0;
+        std::vector<double> uniform(weights_.size(), 0.0);
+        for (size_t q = 0; q < weights_.size(); ++q) {
+          if (weights_[q] > 0.0) uniform[q] = 1.0;
         }
         q_sel = static_cast<int>(rng_.WeightedIndex(uniform));
         break;
@@ -332,7 +371,7 @@ bool MctsTuner::RunEpisode(CostService& service) {
       case MctsOptions::QuerySelection::kRoundRobin: {
         for (int step = 0; step < m; ++step) {
           int q = (rr_query_cursor_ + step) % m;
-          if (weights[static_cast<size_t>(q)] > 0.0) {
+          if (weights_[static_cast<size_t>(q)] > 0.0) {
             q_sel = q;
             rr_query_cursor_ = (q + 1) % m;
             break;
@@ -344,18 +383,21 @@ bool MctsTuner::RunEpisode(CostService& service) {
     BATI_CHECK(q_sel >= 0);
     auto what_if = service.WhatIfCost(q_sel, sampled);
     if (!what_if.has_value()) return false;  // budget exhausted
-    cost += *what_if - derived[static_cast<size_t>(q_sel)];
+    cost += *what_if - derived_[static_cast<size_t>(q_sel)];
   }
   double base = service.BaseWorkloadCost();
   double reward = base > 0.0 ? std::max(0.0, 1.0 - cost / base) : 0.0;
 
   // ---- Update: back the reward up the path. ----
+  const std::vector<size_t> rave_members =
+      options_.use_rave ? sampled.ToIndices() : std::vector<size_t>();
   for (PathStep& step : path) {
-    step.node->visits += 1;
-    if (step.action_index >= 0) {
-      size_t a = static_cast<size_t>(step.action_index);
-      int n = ++step.node->action_visits[a];
-      double& q_hat = step.node->action_value[a];
+    Node& node_ref = *step.node;
+    node_ref.visits += 1;
+    if (step.action >= 0) {
+      Edge& edge = EdgeFor(node_ref, step.action);
+      int n = ++edge.visits;
+      double& q_hat = edge.value;
       if (n == 1 &&
           options_.action_policy != MctsOptions::ActionPolicy::kUct) {
         // First real observation replaces the prior.
@@ -364,16 +406,14 @@ bool MctsTuner::RunEpisode(CostService& service) {
         q_hat += (reward - q_hat) / n;
       }
     }
-    if (options_.use_rave) {
-      // All-moves-as-first: every action whose index ended up in the
-      // sampled configuration gets a RAVE update at every node on the path.
-      Node& node_ref = *step.node;
-      for (size_t i = 0; i < node_ref.actions.size(); ++i) {
-        size_t pos = static_cast<size_t>(node_ref.actions[i]);
-        if (!sampled.test(pos)) continue;
-        int rn = ++node_ref.rave_visits[i];
-        node_ref.rave_value[i] += (reward - node_ref.rave_value[i]) / rn;
-      }
+    // All-moves-as-first: every feasible action whose index ended up in
+    // the sampled configuration gets a RAVE update at every node on the
+    // path.
+    for (size_t pos : rave_members) {
+      if (!Feasible(node_ref, static_cast<int>(pos))) continue;
+      Edge& edge = EdgeFor(node_ref, static_cast<int>(pos));
+      int rn = ++edge.rave_visits;
+      edge.rave_value += (reward - edge.rave_value) / rn;
     }
   }
 
@@ -396,7 +436,7 @@ TuningResult MctsTuner::Tune(CostService& service) {
   if (options_.action_policy != MctsOptions::ActionPolicy::kUct) {
     ComputePriors(service);
   }
-  GetOrCreateNode(service.EmptyConfig(), service);
+  GetOrCreateNode(service.EmptyConfig());
   // Episodes that only touch cached cells spend no budget; in tiny search
   // spaces everything eventually is cached, so bound the free-episode streak
   // to guarantee termination.

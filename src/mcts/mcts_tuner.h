@@ -1,6 +1,7 @@
 #ifndef BATI_MCTS_MCTS_TUNER_H_
 #define BATI_MCTS_MCTS_TUNER_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -95,23 +96,44 @@ class MctsTuner : public Tuner {
   }
 
  private:
+  /// Statistics of one action (edge) of a node.
+  struct Edge {
+    int pos = 0;
+    int visits = 0;
+    double value = 0.0;  // Q-hat(s, a): mean reward in [0, 1]
+    /// All-moves-as-first statistics (updated only when use_rave is set).
+    int rave_visits = 0;
+    double rave_value = 0.0;
+  };
+
+  /// A search-tree node. Its feasible actions are the candidate positions
+  /// not in `config` that fit the storage constraint; only the edges that
+  /// gained statistics are stored. An absent edge is NewEdge(pos).
   struct Node {
     Config config;
     int visits = 0;
-    /// Feasible actions (candidate positions not in `config` and fitting the
-    /// storage constraint), with per-action statistics.
-    std::vector<int> actions;
-    std::vector<int> action_visits;
-    std::vector<double> action_value;  // Q-hat(s, a): mean reward in [0, 1]
-    /// All-moves-as-first statistics (populated only when use_rave is set).
-    std::vector<int> rave_visits;
-    std::vector<double> rave_value;
+    /// StorageBytes(config).
+    double bytes = 0.0;
+    /// Ascending position.
+    std::vector<Edge> edges;
   };
 
-  Node* GetOrCreateNode(const Config& config, CostService& service);
+  Node* GetOrCreateNode(const Config& config);
+  /// An edge before any observation: Q-hat (and the RAVE value) start at
+  /// the singleton prior for epsilon-greedy and Boltzmann, at zero under UCT
+  /// (which relies on its exploration bonus).
+  Edge NewEdge(int pos) const;
+  /// The stored edge of `pos`, inserted as NewEdge(pos) when absent.
+  Edge& EdgeFor(Node& node, int pos) const;
+  bool Feasible(const Node& node, int pos) const;
+  /// False when no action fits: the node is terminal.
+  bool HasAction(const Node& node) const;
+  /// Fills actions_ with the feasible actions of `node`, ascending.
+  void EnumerateActions(const Node& node);
   /// Algorithm 4: singleton priors eta(W, {a}) as fractions in [0, 1].
   void ComputePriors(CostService& service);
-  int SelectAction(Node& node);
+  /// The position of the action to descend along.
+  int SelectAction(const Node& node);
   Config Rollout(const Node& node);
   /// One episode: returns false when the budget ran out before evaluation.
   bool RunEpisode(CostService& service);
@@ -125,6 +147,17 @@ class MctsTuner : public Tuner {
   Config best_explored_;
   double best_explored_improvement_ = -1.0;
   std::vector<double> trace_;
+  /// Per-episode scratch, reused across episodes. Per feasible action:
+  /// the positions, their statistics, the unvisited ones (UCT), and the
+  /// selection values or rollout weights. Per query: the derived costs,
+  /// the known flags and the query-selection weights.
+  std::vector<int> actions_;
+  std::vector<Edge> stats_;
+  std::vector<size_t> unvisited_;
+  std::vector<double> values_;
+  std::vector<double> derived_;
+  std::vector<uint8_t> known_;
+  std::vector<double> weights_;
 };
 
 }  // namespace bati

@@ -517,6 +517,7 @@ std::string ServeDaemon::RegisterDriftBundle(Tenant* tenant) {
             query_id)]);
   }
   bundle->candidates.indexes = tenant->bundle->candidates.indexes;
+  bundle->candidates.size_bytes = tenant->bundle->candidates.size_bytes;
   bundle->optimizer = tenant->bundle->optimizer;
   BundleRegistry::Global().RegisterDynamic(name, std::move(bundle));
   return name;

@@ -203,6 +203,12 @@ CandidateSet GenerateCandidates(const Workload& workload,
       }
     }
   }
+  if (workload.database != nullptr) {
+    result.size_bytes.reserve(result.indexes.size());
+    for (const Index& ix : result.indexes) {
+      result.size_bytes.push_back(ix.SizeBytes(*workload.database));
+    }
+  }
   return result;
 }
 

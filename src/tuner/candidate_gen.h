@@ -40,6 +40,9 @@ struct CandidateSet {
   /// For each query, the candidate positions generated from it (the
   /// I_{q} sets used by two-phase search and by the prior computation).
   std::vector<std::vector<int>> per_query;
+  /// Index::SizeBytes() of each candidate, computed once at generation so
+  /// storage checks never re-derive it.
+  std::vector<double> size_bytes;
 
   int size() const { return static_cast<int>(indexes.size()); }
 };

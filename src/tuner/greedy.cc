@@ -21,15 +21,13 @@ WhatIfFilter DenyAllWhatIf() {
   return [](int, const Config&) { return false; };
 }
 
-bool FitsStorage(const TuningContext& ctx, const Database& db,
-                 const Config& config, int pos) {
-  if (ctx.constraints.max_storage_bytes <= 0.0) return true;
+double StorageBytes(const TuningContext& ctx, const Config& config) {
+  if (ctx.constraints.max_storage_bytes <= 0.0) return 0.0;
+  const std::vector<double>& sizes = ctx.candidates->size_bytes;
+  BATI_CHECK(sizes.size() == ctx.candidates->indexes.size());
   double total = 0.0;
-  for (size_t p : config.ToIndices()) {
-    total += ctx.candidates->indexes[p].SizeBytes(db);
-  }
-  total += ctx.candidates->indexes[static_cast<size_t>(pos)].SizeBytes(db);
-  return total <= ctx.constraints.max_storage_bytes;
+  for (size_t p : config.ToIndices()) total += sizes[p];
+  return total;
 }
 
 namespace {
@@ -58,7 +56,6 @@ Config GreedyEnumerate(const TuningContext& ctx, CostService& service,
                        const std::vector<int>& allowed, const Config& initial,
                        const WhatIfFilter& filter,
                        std::vector<double>* trace) {
-  const Database& db = *ctx.workload->database;
   Config best = initial;
   double best_cost = EvaluateCost(service, query_ids, best, filter);
 
@@ -73,11 +70,12 @@ Config GreedyEnumerate(const TuningContext& ctx, CostService& service,
     for (size_t i = 0; i < query_ids.size(); ++i) {
       base_derived[i] = service.DerivedCost(query_ids[i], best);
     }
+    const double best_bytes = StorageBytes(ctx, best);
     int chosen = -1;
     double chosen_cost = best_cost;
     for (int pos : remaining) {
       if (best.test(static_cast<size_t>(pos))) continue;
-      if (!FitsStorage(ctx, db, best, pos)) continue;
+      if (!FitsStorage(ctx, best_bytes, pos)) continue;
       Config candidate = best.With(static_cast<size_t>(pos));
       double cost = 0.0;
       for (size_t i = 0; i < query_ids.size(); ++i) {

@@ -13,23 +13,12 @@ namespace bati {
 
 namespace {
 
-double ConfigStorageBytes(const TuningContext& ctx, const Database& db,
-                          const Config& config) {
-  double total = 0.0;
-  for (size_t pos : config.ToIndices()) {
-    total += ctx.candidates->indexes[pos].SizeBytes(db);
-  }
-  return total;
-}
-
-bool Feasible(const TuningContext& ctx, const Database& db,
-              const Config& config) {
+bool Feasible(const TuningContext& ctx, const Config& config) {
   if (static_cast<int>(config.count()) > ctx.constraints.max_indexes) {
     return false;
   }
   if (ctx.constraints.max_storage_bytes > 0.0 &&
-      ConfigStorageBytes(ctx, db, config) >
-          ctx.constraints.max_storage_bytes) {
+      StorageBytes(ctx, config) > ctx.constraints.max_storage_bytes) {
     return false;
   }
   return true;
@@ -56,7 +45,6 @@ RelaxationTuner::RelaxationTuner(TuningContext ctx, RelaxationOptions options)
     : ctx_(std::move(ctx)), options_(options) {}
 
 TuningResult RelaxationTuner::Tune(CostService& service) {
-  const Database& db = *ctx_.workload->database;
   const int m = service.num_queries();
 
   // ---- Phase 1: seed with each query's best singleton. ----
@@ -112,7 +100,7 @@ TuningResult RelaxationTuner::Tune(CostService& service) {
   Config best = service.EmptyConfig();
   double best_derived = 0.0;
   auto consider = [&](const Config& config) {
-    if (!Feasible(ctx_, db, config)) return;
+    if (!Feasible(ctx_, config)) return;
     double derived = service.DerivedImprovement(config);
     if (derived > best_derived) {
       best_derived = derived;
@@ -126,7 +114,7 @@ TuningResult RelaxationTuner::Tune(CostService& service) {
   int relax_steps = 0;
   const int max_steps = static_cast<int>(current.count()) + 4;
   while (!current.empty() && relax_steps < max_steps &&
-         (!Feasible(ctx_, db, current) || relax_steps == 0)) {
+         (!Feasible(ctx_, current) || relax_steps == 0)) {
     service.BeginRound("relaxation.step");
     ++relax_steps;
     double best_penalty_cost = std::numeric_limits<double>::infinity();
@@ -175,7 +163,7 @@ TuningResult RelaxationTuner::Tune(CostService& service) {
   // Keep relaxing by removals while infeasible (no evaluation needed once
   // the budget is irrelevant: drop the index with the least derived
   // benefit).
-  while (!Feasible(ctx_, db, current) && !current.empty()) {
+  while (!Feasible(ctx_, current) && !current.empty()) {
     double best_cost = std::numeric_limits<double>::infinity();
     Config best_next = current;
     for (size_t pos : current.ToIndices()) {

@@ -57,10 +57,21 @@ class Tuner {
   }
 };
 
-/// True if adding candidate `pos` to `config` keeps total index storage
-/// within the constraint (always true when the constraint is disabled).
-bool FitsStorage(const TuningContext& ctx, const Database& db,
-                 const Config& config, int pos);
+/// Total index storage of `config` in bytes, summed over its members in
+/// ascending position order; 0 when the storage constraint is disabled
+/// (FitsStorage() then never reads it).
+double StorageBytes(const TuningContext& ctx, const Config& config);
+
+/// True if adding candidate `pos` to a configuration whose StorageBytes()
+/// is `config_bytes` keeps total index storage within the constraint
+/// (always true when the constraint is disabled).
+inline bool FitsStorage(const TuningContext& ctx, double config_bytes,
+                        int pos) {
+  const double max = ctx.constraints.max_storage_bytes;
+  if (max <= 0.0) return true;
+  const double size = ctx.candidates->size_bytes[static_cast<size_t>(pos)];
+  return config_bytes + size <= max;
+}
 
 }  // namespace bati
 

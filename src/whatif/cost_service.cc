@@ -482,11 +482,6 @@ void CostService::MaybeWriteCheckpoint() {
   }
 }
 
-bool CostService::IsKnown(int query_id, const Config& config) const {
-  if (config.empty()) return true;
-  return index_.Find(query_id, config).has_value();
-}
-
 std::optional<double> CostService::CachedCost(int query_id,
                                               const Config& config) const {
   if (config.empty()) return BaseCost(query_id);
@@ -497,12 +492,11 @@ double CostService::DerivedCost(int query_id, const Config& config) const {
   return index_.SubsetMin(query_id, config, BaseCost(query_id));
 }
 
-std::vector<double> CostService::DerivedCosts(const Config& config) const {
-  std::vector<double> out(static_cast<size_t>(num_queries()));
-  for (int q = 0; q < num_queries(); ++q) {
-    out[static_cast<size_t>(q)] = index_.SubsetMin(q, config, BaseCost(q));
-  }
-  return out;
+void CostService::DerivedCosts(const Config& config, std::span<double> derived,
+                               std::span<uint8_t> known) const {
+  index_.SubsetMinAll(config, base_costs_, derived, known);
+  // c(q, {}) is always known.
+  if (config.empty()) std::fill(known.begin(), known.end(), uint8_t{1});
 }
 
 double CostService::DerivedWorkloadCost(const Config& config) const {

@@ -194,9 +194,6 @@ class CostService {
   std::vector<std::optional<double>> WhatIfCostMany(
       const std::vector<int>& query_ids, const Config& config);
 
-  /// True if c(query_id, config) is cached (what-if cost "known").
-  bool IsKnown(int query_id, const Config& config) const;
-
   /// The cached what-if cost for a cell, if known; free introspection that
   /// never spends budget (tooling, trace export).
   std::optional<double> CachedCost(int query_id, const Config& config) const;
@@ -204,8 +201,13 @@ class CostService {
   /// Derived cost d(q, C) per Equation 1 (min over cached subsets).
   double DerivedCost(int query_id, const Config& config) const;
 
-  /// d(q, C) for every query of the workload at once.
-  std::vector<double> DerivedCosts(const Config& config) const;
+  /// d(q, C) for every query of the workload at once, into caller-owned
+  /// buffers of num_queries() slots: derived[q] = DerivedCost(q, C), and
+  /// known[q] = 1 iff CachedCost(q, C) has a value (every query when C is
+  /// empty). Answered from the config table by enumerating C's subsets
+  /// when 2^|C| − 1 <= num_queries() (DerivedCostIndex::SubsetMinAll()).
+  void DerivedCosts(const Config& config, std::span<double> derived,
+                    std::span<uint8_t> known) const;
 
   /// Derived workload cost d(W, C) = sum_q d(q, C).
   double DerivedWorkloadCost(const Config& config) const;

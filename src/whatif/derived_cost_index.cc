@@ -30,6 +30,7 @@ bool QueryBefore(const std::pair<int32_t, double>& cell, int query_id) {
 
 DerivedCostIndex::DerivedCostIndex(int num_queries, int num_candidates) {
   BATI_CHECK(num_queries >= 0 && num_candidates >= 0);
+  subset_ = Config(static_cast<size_t>(num_candidates));
   const size_t words =
       (static_cast<size_t>(num_candidates) + DynamicBitset::kBitsPerWord - 1) /
       DynamicBitset::kBitsPerWord;
@@ -192,6 +193,77 @@ double DerivedCostIndex::SubsetMin(int query_id, const Config& config,
   }
   if (timed) obs_lookup_wall_us_->Record((NowSeconds() - t0) * 1e6);
   return best;
+}
+
+void DerivedCostIndex::SubsetMinAll(const Config& config,
+                                    std::span<const double> base,
+                                    std::span<double> derived,
+                                    std::span<uint8_t> known) const {
+  const size_t m = queries_.size();
+  BATI_CHECK(base.size() == m && derived.size() == m && known.size() == m);
+  std::fill(known.begin(), known.end(), uint8_t{0});
+  const Cells* own = Resolve(config);
+  if (own != nullptr) {
+    for (const auto& [q, cost] : *own) known[static_cast<size_t>(q)] = 1;
+  }
+  const std::vector<size_t> members = config.ToIndices();
+  const size_t k = members.size();
+  // 2^k − 1 table probes against m per-query scans.
+  if (k >= 63 || (uint64_t{1} << k) - 1 > m) {
+    for (size_t q = 0; q < m; ++q) {
+      derived[q] = SubsetMin(static_cast<int>(q), config, base[q]);
+    }
+    return;
+  }
+  // The call stands for lookups [first, first + m); it is observed once for
+  // each of them SubsetMin()'s 1-in-64 sampling would pick, recording the
+  // per-query averages.
+  const int64_t first = derived_lookups_;
+  derived_lookups_ += static_cast<int64_t>(m);
+  const int64_t samples = (derived_lookups_ + 63) / 64 - (first + 63) / 64;
+  const bool timed = samples > 0 && obs_lookup_wall_us_ != nullptr;
+  const double t0 = timed ? NowSeconds() : 0.0;
+
+  std::copy(base.begin(), base.end(), derived.begin());
+  int64_t merged = 0;
+  auto merge = [&](const Cells& cells) {
+    for (const auto& [q, cost] : cells) {
+      double& best = derived[static_cast<size_t>(q)];
+      if (cost < best) best = cost;
+    }
+    merged += static_cast<int64_t>(cells.size());
+  };
+  // Gray code: step i toggles member ctz(i), visiting every non-empty
+  // subset once and ending at {members[k - 1]}.
+  const uint64_t full = (uint64_t{1} << k) - 1;
+  for (uint64_t i = 1; i <= full; ++i) {
+    const int bit = std::countr_zero(i);
+    const uint64_t gray = i ^ (i >> 1);
+    if (((gray >> bit) & 1) != 0) {
+      subset_.set(members[static_cast<size_t>(bit)]);
+    } else {
+      subset_.reset(members[static_cast<size_t>(bit)]);
+    }
+    if (gray == full) {
+      if (own != nullptr) merge(*own);  // C itself, already resolved
+      continue;
+    }
+    auto it = configs_.find(subset_);
+    if (it != configs_.end()) merge(it->second);
+  }
+  if (k > 0) subset_.reset(members[k - 1]);
+
+  scanned_entries_ += merged;
+  pruned_entries_ += entries_ - merged;
+  if (samples > 0) {
+    const double queries = static_cast<double>(m);
+    const double per_query = static_cast<double>(merged) / queries;
+    const double wall_us = timed ? (NowSeconds() - t0) * 1e6 / queries : 0.0;
+    for (int64_t s = 0; s < samples; ++s) {
+      if (obs_scan_depth_ != nullptr) obs_scan_depth_->Record(per_query);
+      if (timed) obs_lookup_wall_us_->Record(wall_us);
+    }
+  }
 }
 
 double DerivedCostIndex::SubsetMinWithAdd(int query_id, const Config& config,

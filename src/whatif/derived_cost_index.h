@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -65,6 +66,20 @@ class DerivedCostIndex {
 
   /// d(q, C) with `base` = c(q, {}) as the always-known fallback.
   double SubsetMin(int query_id, const Config& config, double base) const;
+
+  /// d(q, C) for every query at once: derived[q] = SubsetMin(q, C, base[q])
+  /// and known[q] = 1 iff (q, C) itself is a cell of the table (0
+  /// otherwise; always 0 for the empty configuration). All three spans hold
+  /// one slot per query. When 2^|C| − 1 <= the number of queries, the call
+  /// walks C's non-empty subsets in Gray-code order (one member toggled per
+  /// step), looks each up in the config table and takes min(base, cell
+  /// cost) over the cells it finds; otherwise it runs SubsetMin() per
+  /// query. The rule depends only on |C| and the query count. Values are
+  /// bit-identical either way, and derived_lookups advances by the number
+  /// of queries. Points the resolve memo at C.
+  void SubsetMinAll(const Config& config, std::span<const double> base,
+                    std::span<double> derived,
+                    std::span<uint8_t> known) const;
 
   /// d(q, C ∪ {pos}) given `current` = d(q, C): probes only the posting
   /// list of `pos`. Exact because every subset of C ∪ {pos} either omits
@@ -176,6 +191,9 @@ class DerivedCostIndex {
   /// which Add() keeps true by pointing it at the configuration it adds.
   mutable Config memo_config_;
   mutable const Cells* memo_cells_ = nullptr;
+  /// SubsetMinAll() scratch: the subset the Gray-code walk is at (empty
+  /// between calls).
+  mutable Config subset_;
   std::vector<QueryIndex> queries_;
   int64_t entries_ = 0;
   /// Observability counters; mutable so the read-only Equation-1/2 API

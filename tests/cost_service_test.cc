@@ -116,7 +116,7 @@ TEST(CostService, DerivedCostUpperBoundsAndMatchesKnown) {
           f.service.Materialize(c));
       EXPECT_GE(derived, truth - 1e-9);        // upper bound
       EXPECT_LE(derived, f.service.BaseCost(q) + 1e-9);
-      if (f.service.IsKnown(q, c)) {
+      if (f.service.CachedCost(q, c).has_value()) {
         EXPECT_DOUBLE_EQ(derived, truth);  // exact when known
       }
     }

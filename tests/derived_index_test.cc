@@ -84,6 +84,11 @@ Config PoolConfig(Rng& rng, size_t universe, const std::vector<size_t>& pool,
   return c;
 }
 
+/// A uniform index below `n`.
+size_t Pick(Rng& rng, size_t n) {
+  return static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+}
+
 /// Candidate positions the random caches draw from. A universe of up to 64
 /// uses every position. Wider universes use a few residues mod 64 repeated
 /// in words spread across the universe: positions 64 apart share a
@@ -194,6 +199,56 @@ void CheckAgainstBruteForce(size_t universe) {
       EXPECT_EQ(index.DeltaAdd(q, probe, pos, b),
                 expected_with - expected);
       EXPECT_LE(index.DeltaAdd(q, probe, pos, b), 0.0);
+    }
+
+    // The all-query call agrees with per-query brute force on both sides of
+    // its 2^|C| - 1 <= m rule (with m = 3, |C| <= 2 walks C's subsets in the
+    // config table and larger probes scan per query) and on the empty
+    // configuration; known[q] flags exactly the cached cells of C; every
+    // call advances derived_lookups by m.
+    std::vector<double> derived(kQueries);
+    std::vector<uint8_t> known(kQueries);
+    auto check_all = [&](const Config& probe) {
+      SCOPED_TRACE("probe " + probe.ToString());
+      CostEngineStats before;
+      index.AccumulateStats(&before);
+      index.SubsetMinAll(probe, base, derived, known);
+      CostEngineStats after;
+      index.AccumulateStats(&after);
+      EXPECT_EQ(after.derived_lookups - before.derived_lookups, kQueries);
+      for (size_t q = 0; q < kQueries; ++q) {
+        EXPECT_EQ(derived[q], BruteForceSubsetMin(brute[q], probe, base[q]));
+        EXPECT_EQ(known[q] != 0, BruteForceFind(brute[q], probe).has_value());
+      }
+    };
+    check_all(Config(universe));
+    for (int probe_i = 0; probe_i < 40; ++probe_i) {
+      // A cached configuration grown by 0-2 pool positions (so its subsets
+      // hit the table), or a fresh pool configuration.
+      const Cache& cache = brute[static_cast<size_t>(probe_i % kQueries)];
+      Config probe = PoolConfig(rng, universe, pool, 6);
+      if (probe_i % 2 == 0 && !cache.empty()) {
+        probe = cache[Pick(rng, cache.size())].first;
+        for (int extra = probe_i % 3; extra > 0; --extra) {
+          probe.set(pool[Pick(rng, pool.size())]);
+        }
+      }
+      check_all(probe);
+    }
+    // A resolve-memo miss on C, then Add() of a cell of C, then a hit: the
+    // new cell is known and is the minimum. Once on each side of the rule.
+    for (int members : {2, 3}) {
+      Config c(universe);
+      while (static_cast<int>(c.count()) < members) {
+        c.set(pool[Pick(rng, pool.size())]);
+      }
+      if (BruteForceFind(brute[0], c).has_value()) continue;
+      check_all(c);
+      index.Add(0, c, c.ToIndices(), 0.5);
+      brute[0].emplace_back(c, 0.5);
+      check_all(c);
+      EXPECT_EQ(known[0], 1);
+      EXPECT_EQ(derived[0], 0.5);
     }
   }
 }

@@ -1,4 +1,8 @@
+#include <algorithm>
+#include <cstdio>
 #include <functional>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -201,6 +205,164 @@ TEST(Mcts, StorageConstraintHonored) {
     used += f.bundle.candidates.indexes[pos].SizeBytes(db);
   }
   EXPECT_LE(used, cap + 1e-6);
+}
+
+/// A storage limit of roughly two median-sized candidate indexes.
+double TwoMedianIndexes(const WorkloadBundle& bundle) {
+  std::vector<double> sizes;
+  for (const Index& ix : bundle.candidates.indexes) {
+    sizes.push_back(ix.SizeBytes(*bundle.workload.database));
+  }
+  std::nth_element(sizes.begin(), sizes.begin() + sizes.size() / 2,
+                   sizes.end());
+  return 2.2 * sizes[sizes.size() / 2];
+}
+
+/// Splits `text` into its non-empty lines.
+std::vector<std::string> Lines(const std::string& text) {
+  std::vector<std::string> out;
+  size_t start = 0;
+  while (start < text.size()) {
+    size_t end = text.find('\n', start);
+    if (end == std::string::npos) end = text.size();
+    if (end > start) out.push_back(text.substr(start, end - start));
+    start = end + 1;
+  }
+  return out;
+}
+
+TEST(Mcts, PolicyVariantsMatchPinnedResults) {
+  // {toy, tpch} x {no limit, binding storage limit} x {uct, prior, boltz} x
+  // {fix0, fix1, rnd} x RAVE {off, on}, at seed 3 and K = 5. Each line pins
+  // the what-if calls spent, the recommended positions and the derived
+  // improvement (%.17g, so bit for bit). The values were captured from the
+  // dense search tree (every node holding per-action vectors over all
+  // candidates); the tree's representation must not move a single RNG
+  // draw, what-if call or recommended index.
+  const std::string pinned = R"(
+toy mcts-uct-fix0-bg 40 {0,3,6,7} 79.130835181127139
+toy mcts-uct-fix0-bg-rave 40 {0,3,6,7} 79.130835181127139
+toy mcts-uct-fix1-bg 40 {} 0
+toy mcts-uct-fix1-bg-rave 40 {} 0
+toy mcts-uct-rnd-bg 40 {0} 10.1001506954424
+toy mcts-uct-rnd-bg-rave 40 {0} 10.1001506954424
+toy mcts-prior-fix0-bg 21 {0,4,6,7} 80.14685083914766
+toy mcts-prior-fix0-bg-rave 40 {0,3,6,7} 80.14685083914766
+toy mcts-prior-fix1-bg 21 {0,6,7} 80.14685083914766
+toy mcts-prior-fix1-bg-rave 40 {0,6,7} 80.14685083914766
+toy mcts-prior-rnd-bg 21 {0,6,7} 80.14685083914766
+toy mcts-prior-rnd-bg-rave 40 {0,6,7} 80.14685083914766
+toy mcts-boltz-fix0-bg 18 {0,4,6,7} 80.14685083914766
+toy mcts-boltz-fix0-bg-rave 40 {0,6,7} 80.14685083914766
+toy mcts-boltz-fix1-bg 19 {0,1,6,7} 80.14685083914766
+toy mcts-boltz-fix1-bg-rave 40 {0,6,7} 80.14685083914766
+toy mcts-boltz-rnd-bg 19 {0,6,7} 80.14685083914766
+toy mcts-boltz-rnd-bg-rave 40 {0,6,7} 80.14685083914766
+toy limited mcts-uct-fix0-bg 40 {0,3,7} 52.762384011652472
+toy limited mcts-uct-fix0-bg-rave 40 {0,3,7} 52.762384011652472
+toy limited mcts-uct-fix1-bg 40 {} 0
+toy limited mcts-uct-fix1-bg-rave 40 {} 0
+toy limited mcts-uct-rnd-bg 40 {0,6} 79.130835181127139
+toy limited mcts-uct-rnd-bg-rave 40 {0,6} 79.130835181127139
+toy limited mcts-prior-fix0-bg 19 {0,6} 79.130835181127139
+toy limited mcts-prior-fix0-bg-rave 23 {0,6} 79.130835181127139
+toy limited mcts-prior-fix1-bg 18 {0,1,7} 52.762384011652472
+toy limited mcts-prior-fix1-bg-rave 20 {0,1,7} 52.762384011652472
+toy limited mcts-prior-rnd-bg 19 {0,7} 52.762384011652472
+toy limited mcts-prior-rnd-bg-rave 21 {0,7} 52.762384011652472
+toy limited mcts-boltz-fix0-bg 19 {0,6} 79.130835181127139
+toy limited mcts-boltz-fix0-bg-rave 21 {0,6} 79.130835181127139
+toy limited mcts-boltz-fix1-bg 20 {0,1,7} 52.762384011652472
+toy limited mcts-boltz-fix1-bg-rave 16 {0,7} 42.662233316210084
+toy limited mcts-boltz-rnd-bg 21 {0,6} 79.130835181127139
+toy limited mcts-boltz-rnd-bg-rave 18 {0,3,7} 52.762384011652472
+tpch mcts-uct-fix0-bg 150 {41,50,59,61,62} 8.703505628913998
+tpch mcts-uct-fix0-bg-rave 150 {41,50,59,61,62} 8.703505628913998
+tpch mcts-uct-fix1-bg 150 {} 0
+tpch mcts-uct-fix1-bg-rave 150 {} 0
+tpch mcts-uct-rnd-bg 150 {3,35,42,60,87} 2.1043139195051186
+tpch mcts-uct-rnd-bg-rave 150 {3,35,42,60,87} 2.1043139195051186
+tpch mcts-prior-fix0-bg 150 {2,59,60,80,113} 29.066620199805747
+tpch mcts-prior-fix0-bg-rave 150 {2,50,59,60,113} 27.779131349738741
+tpch mcts-prior-fix1-bg 150 {2,49,60,61,78} 28.480844550308216
+tpch mcts-prior-fix1-bg-rave 150 {2,60,61,71,113} 27.828528649776462
+tpch mcts-prior-rnd-bg 150 {2,50,60,61,113} 25.395016102939504
+tpch mcts-prior-rnd-bg-rave 150 {2,48,50,60,61} 29.0196668788846
+tpch mcts-boltz-fix0-bg 150 {2,50,60,61,113} 28.167566879118354
+tpch mcts-boltz-fix0-bg-rave 150 {2,49,60,61,113} 27.812435011834836
+tpch mcts-boltz-fix1-bg 150 {2,50,60,61,113} 25.395016102939504
+tpch mcts-boltz-fix1-bg-rave 150 {2,60,61,71,113} 27.828528649776462
+tpch mcts-boltz-rnd-bg 150 {2,49,60,61,113} 27.812435011834836
+tpch mcts-boltz-rnd-bg-rave 150 {2,32,60,61,113} 26.936991374164165
+tpch limited mcts-uct-fix0-bg 150 {15,18,62,68,82} 2.5309652436999119
+tpch limited mcts-uct-fix0-bg-rave 150 {15,18,62,68,82} 2.5309652436999119
+tpch limited mcts-uct-fix1-bg 150 {} 0
+tpch limited mcts-uct-fix1-bg-rave 150 {} 0
+tpch limited mcts-uct-rnd-bg 150 {69} 0.073060459642548814
+tpch limited mcts-uct-rnd-bg-rave 150 {69} 0.073060459642548814
+tpch limited mcts-prior-fix0-bg 150 {11,14,26,55,118} 3.4966100243047249
+tpch limited mcts-prior-fix0-bg-rave 150 {11,14,26,46,118} 3.5040172100904599
+tpch limited mcts-prior-fix1-bg 150 {11,14,15,26,118} 3.4966108360875992
+tpch limited mcts-prior-fix1-bg-rave 150 {11,14,26,118} 2.8271984335271561
+tpch limited mcts-prior-rnd-bg 150 {11,14,26,120} 3.3637692215469084
+tpch limited mcts-prior-rnd-bg-rave 150 {11,14,26,106,118} 2.7013929013107507
+tpch limited mcts-boltz-fix0-bg 150 {6,11,14,26,112} 2.8402118615957872
+tpch limited mcts-boltz-fix0-bg-rave 150 {6,11,14,26,38} 2.8286169658745419
+tpch limited mcts-boltz-fix1-bg 150 {11,14,26,112,118} 2.7054440148931325
+tpch limited mcts-boltz-fix1-bg-rave 150 {11,14,26,39} 2.709489704388901
+tpch limited mcts-boltz-rnd-bg 150 {11,14,26,111,118} 2.7030580969721218
+tpch limited mcts-boltz-rnd-bg-rave 150 {11,14,26,111,118} 2.7030580969721218
+)";
+  using Policy = MctsOptions::ActionPolicy;
+  using RolloutPolicy = MctsOptions::RolloutPolicy;
+  std::string got;
+  for (const char* workload : {"toy", "tpch"}) {
+    for (bool limited : {false, true}) {
+      for (Policy policy :
+           {Policy::kUct, Policy::kEpsGreedyPrior, Policy::kBoltzmann}) {
+        for (int rollout : {0, 1, -1}) {  // fix0, fix1, rnd
+          for (bool rave : {false, true}) {
+            McstFixture f(workload, 5);
+            if (limited) {
+              f.ctx.constraints.max_storage_bytes = TwoMedianIndexes(f.bundle);
+            }
+            CostService service =
+                f.Service(std::string(workload) == "toy" ? 40 : 150);
+            MctsOptions options;
+            options.seed = 3;
+            options.action_policy = policy;
+            if (rollout < 0) {
+              options.rollout_policy = RolloutPolicy::kRandomStep;
+            } else {
+              options.rollout_policy = RolloutPolicy::kFixedStep;
+              options.fixed_rollout_step = rollout;
+            }
+            options.use_rave = rave;
+            MctsTuner tuner(f.ctx, options);
+            TuningResult result = tuner.Tune(service);
+            std::string positions;
+            for (size_t pos : result.best_config.ToIndices()) {
+              if (!positions.empty()) positions += ",";
+              positions += std::to_string(pos);
+            }
+            char line[256];
+            std::snprintf(line, sizeof(line), "%s%s %s %lld {%s} %.17g\n",
+                          workload, limited ? " limited" : "",
+                          tuner.name().c_str(),
+                          static_cast<long long>(result.what_if_calls),
+                          positions.c_str(), result.derived_improvement);
+            got += line;
+          }
+        }
+      }
+    }
+  }
+  const std::vector<std::string> want_lines = Lines(pinned);
+  const std::vector<std::string> got_lines = Lines(got);
+  ASSERT_EQ(got_lines.size(), want_lines.size()) << got;
+  for (size_t i = 0; i < got_lines.size(); ++i) {
+    EXPECT_EQ(got_lines[i], want_lines[i]);
+  }
 }
 
 TEST(Mcts, NameEncodesPolicyChoices) {
