@@ -36,7 +36,9 @@ TuningResult DtaTuner::Tune(CostService& service) {
         1, static_cast<int64_t>(
                static_cast<double>(service.remaining_budget()) *
                options_.slice_budget_fraction));
-    int64_t slice_start_calls = service.calls_made();
+    // Per-query greedy tuning with FCFS inside the slice budget.
+    const int64_t slice_end = service.calls_made() + slice_budget;
+    const WhatIfFilter slice_filter{.call_limit = slice_end};
     for (int b = 0; b < options_.queries_per_slice && cursor < queue.size();
          ++b, ++cursor) {
       int q = queue[cursor];
@@ -44,15 +46,10 @@ TuningResult DtaTuner::Tune(CostService& service) {
       const std::vector<int>& mine =
           ctx_.candidates->per_query[static_cast<size_t>(q)];
       if (mine.empty()) continue;
-      // Per-query greedy tuning with FCFS inside the slice budget.
-      WhatIfFilter slice_filter = [&service, slice_start_calls,
-                                   slice_budget](int, const Config&) {
-        return service.calls_made() - slice_start_calls < slice_budget;
-      };
       Config winner = GreedyEnumerate(ctx_, service, {q}, mine,
                                       service.EmptyConfig(), slice_filter);
       pool = pool | winner;
-      if (service.calls_made() - slice_start_calls >= slice_budget) break;
+      if (service.calls_made() >= slice_end) break;
     }
 
     // ---- Index merging: combine winners that share a table into merged

@@ -7,20 +7,6 @@
 
 namespace bati {
 
-WhatIfFilter AllowAllWhatIf() {
-  return [](int, const Config&) { return true; };
-}
-
-WhatIfFilter AtomicOnlyWhatIf(int atomic_size) {
-  return [atomic_size](int, const Config& config) {
-    return static_cast<int>(config.count()) <= atomic_size;
-  };
-}
-
-WhatIfFilter DenyAllWhatIf() {
-  return [](int, const Config&) { return false; };
-}
-
 double StorageBytes(const TuningContext& ctx, const Config& config) {
   if (ctx.constraints.max_storage_bytes <= 0.0) return 0.0;
   const std::vector<double>& sizes = ctx.candidates->size_bytes;
@@ -36,9 +22,10 @@ namespace {
 /// allowed and affordable, derived otherwise.
 double EvaluateCost(CostService& service, const std::vector<int>& query_ids,
                     const Config& config, const WhatIfFilter& filter) {
+  const size_t size = config.count();
   double total = 0.0;
   for (int q : query_ids) {
-    if (filter(q, config)) {
+    if (filter.Allows(size, service.calls_made())) {
       if (auto c = service.WhatIfCost(q, config); c.has_value()) {
         total += *c;
         continue;
@@ -60,36 +47,54 @@ Config GreedyEnumerate(const TuningContext& ctx, CostService& service,
   double best_cost = EvaluateCost(service, query_ids, best, filter);
 
   std::vector<int> remaining = allowed;
+  std::vector<double> base_derived(query_ids.size());
   while (!remaining.empty() &&
          static_cast<int>(best.count()) < ctx.constraints.max_indexes) {
     service.BeginRound("greedy.argmax_sweep");
     // Per-round derived baseline d(q, best) for the incremental argmax:
     // cells cached during the round are supersets of `best` (they are the
-    // candidate extensions themselves), so the baseline stays exact.
-    std::vector<double> base_derived(query_ids.size());
+    // candidate extensions themselves), so the baseline stays exact. Its
+    // sum, taken in query order, is the cost of every extension that no
+    // cached cell contains.
+    double base_sum = 0.0;
     for (size_t i = 0; i < query_ids.size(); ++i) {
       base_derived[i] = service.DerivedCost(query_ids[i], best);
+      base_sum += base_derived[i];
     }
     const double best_bytes = StorageBytes(ctx, best);
+    const size_t candidate_size = best.count() + 1;
     int chosen = -1;
     double chosen_cost = best_cost;
     for (int pos : remaining) {
-      if (best.test(static_cast<size_t>(pos))) continue;
+      const size_t p = static_cast<size_t>(pos);
+      if (best.test(p)) continue;
       if (!FitsStorage(ctx, best_bytes, pos)) continue;
-      Config candidate = best.With(static_cast<size_t>(pos));
       double cost = 0.0;
-      for (size_t i = 0; i < query_ids.size(); ++i) {
-        const int q = query_ids[i];
-        if (filter(q, candidate)) {
-          if (auto c = service.WhatIfCost(q, candidate); c.has_value()) {
-            cost += *c;
-            continue;
+      if (!service.AnyCachedCellContains(p) &&
+          (!filter.Allows(candidate_size, service.calls_made()) ||
+           service.UncachedCellIsFree())) {
+        // No cached cell contains pos, so best ∪ {pos} has no cached cell
+        // and no cached subset beyond best's, and no call can be spent on
+        // it: every query would fall back to d(q, best). The same doubles
+        // summed in the same order, without the m probes.
+        service.CountPostingFreeDeltaLookups(
+            static_cast<int64_t>(query_ids.size()));
+        cost = base_sum;
+      } else {
+        const Config candidate = best.With(p);
+        for (size_t i = 0; i < query_ids.size(); ++i) {
+          const int q = query_ids[i];
+          // Checked per query: a call limit can be reached mid-candidate.
+          if (filter.Allows(candidate_size, service.calls_made())) {
+            if (auto c = service.WhatIfCost(q, candidate); c.has_value()) {
+              cost += *c;
+              continue;
+            }
           }
+          // Incremental Equation 1: only cached entries containing `pos`
+          // can tighten d(q, best) — probed via the posting-list index.
+          cost += service.DerivedCostWithAdd(q, best, p, base_derived[i]);
         }
-        // Incremental Equation 1: only cached entries containing `pos` can
-        // tighten d(q, best) — probed via the posting-list index.
-        cost += service.DerivedCostWithAdd(q, best, static_cast<size_t>(pos),
-                                           base_derived[i]);
       }
       if (cost < chosen_cost) {
         chosen = pos;

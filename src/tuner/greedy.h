@@ -1,7 +1,8 @@
 #ifndef BATI_TUNER_GREEDY_H_
 #define BATI_TUNER_GREEDY_H_
 
-#include <functional>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "tuner/tuner.h"
@@ -9,22 +10,39 @@
 namespace bati {
 
 /// Decides whether the greedy core may spend a what-if call on a
-/// (query, configuration) cell; when it returns false (or budget is gone)
-/// the derived cost is used instead. This is how the FCFS and
+/// (query, configuration) cell; when it does not (or budget is gone) the
+/// derived cost is used instead. This is how the FCFS and
 /// atomic-configuration budget-allocation strategies of Section 4.2 are
-/// expressed as layouts over the budget allocation matrix.
-using WhatIfFilter = std::function<bool(int query_id, const Config& config)>;
+/// expressed as layouts over the budget allocation matrix. A plain value:
+/// a call is allowed iff the configuration has at most `max_size` members
+/// and fewer than `call_limit` calls have been made so far.
+struct WhatIfFilter {
+  int64_t max_size = std::numeric_limits<int64_t>::max();
+  int64_t call_limit = std::numeric_limits<int64_t>::max();
+
+  bool Allows(size_t config_size, int64_t calls_made) const {
+    return static_cast<int64_t>(config_size) <= max_size &&
+           calls_made < call_limit;
+  }
+};
 
 /// Always allow (plain FCFS: spend budget until it runs out).
-WhatIfFilter AllowAllWhatIf();
+constexpr WhatIfFilter AllowAllWhatIf() {
+  return {};
+}
 
 /// Allow only atomic configurations of size <= `atomic_size` (AutoAdmin's
 /// special-configuration strategy; Figure 5(d) uses size 1).
-WhatIfFilter AtomicOnlyWhatIf(int atomic_size);
+constexpr WhatIfFilter AtomicOnlyWhatIf(int atomic_size) {
+  return {.max_size = atomic_size};
+}
 
-/// Never allow (pure cost-derivation search; used by MCTS's Best-Greedy
-/// extraction, which must not spend budget).
-WhatIfFilter DenyAllWhatIf();
+/// Never allow, not even on the empty configuration (pure cost-derivation
+/// search; used by MCTS's Best-Greedy extraction, which must not spend
+/// budget).
+constexpr WhatIfFilter DenyAllWhatIf() {
+  return {.call_limit = std::numeric_limits<int64_t>::min()};
+}
 
 /// The greedy configuration-enumeration core (paper Algorithm 1) restricted
 /// to the queries in `query_ids` and the candidate positions in `allowed`,
@@ -32,7 +50,9 @@ WhatIfFilter DenyAllWhatIf();
 /// under `filter`; when a what-if call is disallowed or the budget is
 /// exhausted, the derived cost is used — incrementally, via the engine's
 /// posting-list index (DerivedCostWithAdd), so the inner argmax does not
-/// rescan the cache per candidate. Respects the cardinality and storage
+/// rescan the cache per candidate. An extension that no cached cell
+/// contains and that cannot spend a call is priced d(W', best) in one
+/// step, with no per-query work. Respects the cardinality and storage
 /// constraints in `ctx`. When `trace` is non-null, the derived improvement
 /// after each accepted extension is appended to it. Returns the best
 /// configuration found.

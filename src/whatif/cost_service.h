@@ -218,6 +218,35 @@ class CostService {
   double DerivedCostWithAdd(int query_id, const Config& config, size_t pos,
                             double current_derived) const;
 
+  /// True iff some cached cell, of any query, contains candidate `pos`.
+  /// When false, DerivedCostWithAdd(q, C, pos, d) returns d for every
+  /// query, and no cell of a configuration containing pos is cached.
+  bool AnyCachedCellContains(size_t pos) const {
+    return index_.AnyEntryContains(pos);
+  }
+
+  /// Counts `n` DerivedCostWithAdd() calls for a candidate no cached cell
+  /// contains, without making them: the engine counters and the sampled
+  /// index.delta_scan_depth histogram end up exactly as those calls would
+  /// leave them.
+  void CountPostingFreeDeltaLookups(int64_t n) const {
+    index_.CountPostingFreeDeltaLookups(n);
+  }
+
+  /// True when WhatIfCost() on an uncached cell returns nullopt and moves
+  /// nothing: no charge, no governor decision, no counter. That holds once
+  /// the governor has stopped the run, or once the budget is exhausted and
+  /// either there is no governor or it never skips: a governor without
+  /// skipping is handed a quote that reads no index, and its OnCell()
+  /// always answers "charge". A live skipping governor is still consulted
+  /// after the budget runs out (it may skip, bank and count), so such a
+  /// run is never free before it stops.
+  bool UncachedCellIsFree() const {
+    if (governor_ != nullptr && governor_->ShouldStop()) return true;
+    return !meter_.HasBudget() &&
+           (governor_ == nullptr || !governor_->WantsCostBounds());
+  }
+
   /// The derived-cost change d(q, C ∪ {pos}) − d(q, C), a value <= 0.
   double DerivedCostDeltaAdd(int query_id, const Config& config,
                              size_t pos) const;

@@ -31,6 +31,7 @@ bool QueryBefore(const std::pair<int32_t, double>& cell, int query_id) {
 DerivedCostIndex::DerivedCostIndex(int num_queries, int num_candidates) {
   BATI_CHECK(num_queries >= 0 && num_candidates >= 0);
   subset_ = Config(static_cast<size_t>(num_candidates));
+  contained_ = Config(static_cast<size_t>(num_candidates));
   const size_t words =
       (static_cast<size_t>(num_candidates) + DynamicBitset::kBitsPerWord - 1) /
       DynamicBitset::kBitsPerWord;
@@ -122,6 +123,7 @@ void DerivedCostIndex::Add(int query_id, const Config& config,
   for (size_t pos : positions) {
     entry.signature |= SignatureBit(pos);
     qi.members.push_back(static_cast<uint32_t>(pos));
+    contained_.set(pos);
   }
   qi.entries.push_back(entry);
   ++entries_;
@@ -296,6 +298,17 @@ double DerivedCostIndex::SubsetMinWithAdd(int query_id, const Config& config,
     obs_delta_scan_depth_->Record(static_cast<double>(scanned));
   }
   return best;
+}
+
+void DerivedCostIndex::CountPostingFreeDeltaLookups(int64_t n) const {
+  BATI_CHECK(n >= 0);
+  // The probes would be lookups [first, first + n); the sampled ones are
+  // those numbered 0 mod 64, and each would have scanned nothing.
+  const int64_t first = delta_lookups_;
+  delta_lookups_ += n;
+  if (obs_delta_scan_depth_ == nullptr) return;
+  const int64_t samples = (delta_lookups_ + 63) / 64 - (first + 63) / 64;
+  for (int64_t s = 0; s < samples; ++s) obs_delta_scan_depth_->Record(0.0);
 }
 
 double DerivedCostIndex::DeltaAdd(int query_id, const Config& config,

@@ -46,7 +46,8 @@ namespace bati {
 ///    contain the added candidate: an entry is newly eligible for C ∪ {z}
 ///    iff it contains z and its remaining members are inside C. A list
 ///    exists only for candidates some entry contains; a presence bitmask
-///    answers the empty case without touching a list;
+///    answers the empty case without touching a list, and one more bitmap
+///    over all queries tells whether any list for a candidate exists;
 ///  * known singleton costs (Equation 2), stored with the posting lists.
 ///
 /// Single-threaded: each CostService owns one index and builds, queries
@@ -87,6 +88,17 @@ class DerivedCostIndex {
   /// posting list).
   double SubsetMinWithAdd(int query_id, const Config& config, size_t pos,
                           double current) const;
+
+  /// True iff some cached cell, of any query, has `pos` among its members.
+  /// When false, SubsetMinWithAdd(q, C, pos, current) is `current` for
+  /// every query: no subset of C ∪ {pos} containing pos is cached.
+  bool AnyEntryContains(size_t pos) const { return contained_.test(pos); }
+
+  /// Advances the counters exactly as `n` SubsetMinWithAdd() probes of a
+  /// candidate no entry contains would: delta_lookups grows by n, no entry
+  /// is scanned or pruned, and index.delta_scan_depth records a 0 for each
+  /// of those probes its 1-in-64 sampling picks.
+  void CountPostingFreeDeltaLookups(int64_t n) const;
 
   /// The derived-cost change d(q, C ∪ {pos}) − d(q, C), a value <= 0.
   /// `base` = c(q, {}).
@@ -195,6 +207,8 @@ class DerivedCostIndex {
   /// between calls).
   mutable Config subset_;
   std::vector<QueryIndex> queries_;
+  /// Bit pos is set iff some query's entries contain candidate pos.
+  Config contained_;
   int64_t entries_ = 0;
   /// Observability counters; mutable so the read-only Equation-1/2 API
   /// stays const.

@@ -66,6 +66,97 @@ TEST(CostService, BudgetExhaustionReturnsNullopt) {
   EXPECT_TRUE(f.service.WhatIfCost(0, a).has_value());
 }
 
+TEST(CostService, UncachedCellIsFreeExactlyWhenNothingCanHappen) {
+  const WorkloadBundle& bundle = LoadBundle("toy");
+  auto make = [&](int64_t budget, const BudgetGovernorOptions& governor) {
+    CostEngineOptions options;
+    options.governor = governor;
+    return std::make_unique<CostService>(bundle.optimizer.get(),
+                                         &bundle.workload,
+                                         &bundle.candidates.indexes, budget,
+                                         options);
+  };
+  auto single = [&](const CostService& service, size_t pos) {
+    Config c = service.EmptyConfig();
+    c.set(pos);
+    return c;
+  };
+  // An uncached cell when the predicate holds: nullopt, nothing moves.
+  auto expect_inert = [&](CostService& service, size_t pos) {
+    const CostEngineStats before = service.EngineStats();
+    EXPECT_FALSE(service.WhatIfCost(0, single(service, pos)).has_value());
+    const CostEngineStats after = service.EngineStats();
+    EXPECT_EQ(after.what_if_calls, before.what_if_calls);
+    EXPECT_EQ(after.cache_hits, before.cache_hits);
+    EXPECT_EQ(after.derived_lookups, before.derived_lookups);
+    EXPECT_EQ(after.lower_bound_lookups, before.lower_bound_lookups);
+    EXPECT_EQ(after.governor_skipped_calls, before.governor_skipped_calls);
+  };
+
+  // Ungoverned: free once the meter is exhausted, not before.
+  {
+    auto service = make(2, BudgetGovernorOptions{});
+    EXPECT_FALSE(service->UncachedCellIsFree());
+    ASSERT_TRUE(service->WhatIfCost(0, single(*service, 0)).has_value());
+    EXPECT_FALSE(service->UncachedCellIsFree());
+    ASSERT_TRUE(service->WhatIfCost(0, single(*service, 1)).has_value());
+    EXPECT_TRUE(service->UncachedCellIsFree());
+    expect_inert(*service, 2);
+  }
+  // A live reallocating governor is quoted even after exhaustion: never
+  // free, and an uncached cell does move its bound counters.
+  {
+    BudgetGovernorOptions realloc;
+    realloc.enabled = true;
+    realloc.early_stop = false;
+    realloc.skip_what_if = true;
+    auto service = make(2, realloc);
+    EXPECT_FALSE(service->UncachedCellIsFree());
+    service->WhatIfCost(0, single(*service, 0));
+    service->WhatIfCost(0, single(*service, 1));
+    ASSERT_FALSE(service->meter().HasBudget());
+    EXPECT_FALSE(service->UncachedCellIsFree());
+    const int64_t bounds = service->EngineStats().lower_bound_lookups;
+    service->WhatIfCost(0, single(*service, 2));
+    EXPECT_GT(service->EngineStats().lower_bound_lookups, bounds);
+    EXPECT_FALSE(service->UncachedCellIsFree());
+  }
+  // An early-stop-only governor never skips: after exhaustion its quote
+  // reads no index and OnCell() charges, so the cell is inert.
+  {
+    BudgetGovernorOptions stop_only;
+    stop_only.enabled = true;
+    stop_only.early_stop = true;
+    stop_only.skip_what_if = false;
+    auto service = make(1, stop_only);
+    EXPECT_FALSE(service->UncachedCellIsFree());
+    ASSERT_TRUE(service->WhatIfCost(0, single(*service, 0)).has_value());
+    ASSERT_FALSE(service->GovernorStopped());
+    EXPECT_TRUE(service->UncachedCellIsFree());
+    expect_inert(*service, 1);
+  }
+  // Early stop: free once the governor has stopped, with budget left.
+  {
+    BudgetGovernorOptions stop;
+    stop.enabled = true;
+    stop.early_stop = true;
+    stop.skip_what_if = false;
+    stop.stop.min_budget_fraction = 0.0;
+    stop.stop.window_calls = 1;
+    stop.stop.abs_threshold_pct = 1e9;  // any projection is below it
+    auto service = make(10, stop);
+    service->BeginRound();
+    EXPECT_FALSE(service->UncachedCellIsFree());
+    ASSERT_TRUE(service->WhatIfCost(0, single(*service, 0)).has_value());
+    EXPECT_FALSE(service->UncachedCellIsFree());
+    service->BeginRound();
+    ASSERT_TRUE(service->GovernorStopped());
+    EXPECT_TRUE(service->meter().HasBudget());
+    EXPECT_TRUE(service->UncachedCellIsFree());
+    expect_inert(*service, 1);
+  }
+}
+
 TEST(CostService, EmptyConfigIsAlwaysFree) {
   Fixture f(0);
   auto cost = f.service.WhatIfCost(0, f.service.EmptyConfig());

@@ -278,6 +278,114 @@ TEST(DerivedCostIndex, SingletonMinUsesOnlySingletons) {
   EXPECT_EQ(index.SingletonMin(0, s2, 100.0), 100.0);
 }
 
+TEST(DerivedCostIndex, AnyEntryContainsTracksAdd) {
+  constexpr int kQueries = 3;
+  for (size_t universe : {24, 130, 5142}) {
+    SCOPED_TRACE("universe " + std::to_string(universe));
+    const std::vector<size_t> pool = PositionPool(universe);
+    Rng rng(11 + universe);
+    for (int trial = 0; trial < 5; ++trial) {
+      DerivedCostIndex index(kQueries, static_cast<int>(universe));
+      std::vector<Cache> brute(kQueries);
+      // A position is contained iff some cell of some query has it.
+      auto contained = [&](size_t pos) {
+        for (const Cache& cache : brute) {
+          for (const auto& [config, cost] : cache) {
+            if (config.test(pos)) return true;
+          }
+        }
+        return false;
+      };
+      auto check = [&] {
+        for (size_t pos : pool) {
+          ASSERT_EQ(index.AnyEntryContains(pos), contained(pos)) << pos;
+          if (index.AnyEntryContains(pos)) continue;
+          // Posting-free: the incremental probe returns `current` as is.
+          const Config probe = PoolConfig(rng, universe, pool, 3);
+          for (int q = 0; q < kQueries; ++q) {
+            EXPECT_EQ(index.SubsetMinWithAdd(q, probe, pos, 77.0), 77.0);
+          }
+        }
+      };
+      check();
+      for (int cell = 0; cell < 12; ++cell) {
+        const int q = static_cast<int>(Pick(rng, kQueries));
+        const Config c = PoolConfig(rng, universe, pool, 3);
+        if (BruteForceFind(brute[static_cast<size_t>(q)], c).has_value()) {
+          continue;
+        }
+        const double cost = rng.Uniform(1.0, 100.0);
+        index.Add(q, c, c.ToIndices(), cost);
+        brute[static_cast<size_t>(q)].emplace_back(c, cost);
+        check();
+      }
+    }
+  }
+}
+
+TEST(DerivedCostIndex, PostingFreeCountMatchesRealProbes) {
+  // Index `real` makes `start` and then `n` posting-free probes; index
+  // `bulk` makes the same `start` probes and counts the other n in one
+  // step. Counters and the sampled depth histogram must agree, whatever
+  // the start offset's residue mod 64.
+  constexpr size_t kUniverse = 130;
+  Config cell(kUniverse);
+  cell.set(3);
+  cell.set(70);
+  Config best(kUniverse);
+  best.set(3);
+  const size_t free_pos = 5;  // no cell contains it
+  for (int64_t start : {0, 1, 63, 64, 65, 130}) {
+    for (int64_t n : {0, 1, 2, 63, 64, 65, 129, 300}) {
+      SCOPED_TRACE("start " + std::to_string(start) + " n " +
+                   std::to_string(n));
+      MetricsRegistry real_metrics, bulk_metrics;
+      DerivedCostIndex real(2, kUniverse), bulk(2, kUniverse);
+      real.SetObservability(&real_metrics);
+      bulk.SetObservability(&bulk_metrics);
+      for (DerivedCostIndex* index : {&real, &bulk}) {
+        index->Add(0, cell, cell.ToIndices(), 10.0);
+        index->Add(1, best, best.ToIndices(), 20.0);
+        ASSERT_FALSE(index->AnyEntryContains(free_pos));
+        // A probe with a posting list, then `start` without one.
+        index->SubsetMinWithAdd(0, best, 70, 50.0);
+        for (int64_t i = 0; i < start; ++i) {
+          index->SubsetMinWithAdd(static_cast<int>(i % 2), best, free_pos,
+                                  50.0);
+        }
+      }
+      for (int64_t i = 0; i < n; ++i) {
+        real.SubsetMinWithAdd(static_cast<int>(i % 2), best, free_pos, 50.0);
+      }
+      bulk.CountPostingFreeDeltaLookups(n);
+
+      CostEngineStats want, got;
+      real.AccumulateStats(&want);
+      bulk.AccumulateStats(&got);
+      EXPECT_EQ(got.delta_lookups, want.delta_lookups);
+      EXPECT_EQ(got.delta_lookups, start + n + 1);
+      EXPECT_EQ(got.derived_lookups, want.derived_lookups);
+      EXPECT_EQ(got.index_entries, want.index_entries);
+      EXPECT_EQ(got.index_scanned_entries, want.index_scanned_entries);
+      EXPECT_EQ(got.index_pruned_entries, want.index_pruned_entries);
+      EXPECT_EQ(got.lower_bound_lookups, want.lower_bound_lookups);
+
+      const MetricsSnapshot real_snap = real_metrics.Snapshot();
+      const MetricsSnapshot bulk_snap = bulk_metrics.Snapshot();
+      const auto* w = real_snap.FindHistogram("index.delta_scan_depth");
+      const auto* g = bulk_snap.FindHistogram("index.delta_scan_depth");
+      ASSERT_NE(w, nullptr);
+      ASSERT_NE(g, nullptr);
+      EXPECT_EQ(g->stats.count, w->stats.count);
+      EXPECT_EQ(g->stats.count, (start + n + 1 + 63) / 64);
+      EXPECT_EQ(g->stats.sum, w->stats.sum);
+      EXPECT_EQ(g->stats.min, w->stats.min);
+      EXPECT_EQ(g->stats.max, w->stats.max);
+      EXPECT_EQ(g->stats.p50, w->stats.p50);
+    }
+  }
+}
+
 struct ServicePair {
   const WorkloadBundle& bundle;
   CostService sequential;

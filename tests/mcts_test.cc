@@ -8,6 +8,7 @@
 
 #include "harness/experiment.h"
 #include "mcts/mcts_tuner.h"
+#include "pinned_results.h"
 
 namespace bati {
 namespace {
@@ -207,30 +208,6 @@ TEST(Mcts, StorageConstraintHonored) {
   EXPECT_LE(used, cap + 1e-6);
 }
 
-/// A storage limit of roughly two median-sized candidate indexes.
-double TwoMedianIndexes(const WorkloadBundle& bundle) {
-  std::vector<double> sizes;
-  for (const Index& ix : bundle.candidates.indexes) {
-    sizes.push_back(ix.SizeBytes(*bundle.workload.database));
-  }
-  std::nth_element(sizes.begin(), sizes.begin() + sizes.size() / 2,
-                   sizes.end());
-  return 2.2 * sizes[sizes.size() / 2];
-}
-
-/// Splits `text` into its non-empty lines.
-std::vector<std::string> Lines(const std::string& text) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start < text.size()) {
-    size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    if (end > start) out.push_back(text.substr(start, end - start));
-    start = end + 1;
-  }
-  return out;
-}
-
 TEST(Mcts, PolicyVariantsMatchPinnedResults) {
   // {toy, tpch} x {no limit, binding storage limit} x {uct, prior, boltz} x
   // {fix0, fix1, rnd} x RAVE {off, on}, at seed 3 and K = 5. Each line pins
@@ -357,12 +334,7 @@ tpch limited mcts-boltz-rnd-bg-rave 150 {11,14,26,111,118} 2.7030580969721218
       }
     }
   }
-  const std::vector<std::string> want_lines = Lines(pinned);
-  const std::vector<std::string> got_lines = Lines(got);
-  ASSERT_EQ(got_lines.size(), want_lines.size()) << got;
-  for (size_t i = 0; i < got_lines.size(); ++i) {
-    EXPECT_EQ(got_lines[i], want_lines[i]);
-  }
+  ExpectPinnedLines(got, pinned);
 }
 
 TEST(Mcts, NameEncodesPolicyChoices) {
