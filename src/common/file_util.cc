@@ -1,8 +1,12 @@
 #include "common/file_util.h"
 
+#include <atomic>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <system_error>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -35,7 +39,17 @@ bool SyncParentDir(const std::string& path) {
 }  // namespace
 
 Status AtomicWriteFile(const std::string& path, const std::string& contents) {
-  const std::string tmp = path + ".tmp";
+  // Each write gets its own temporary name, so concurrent writers of one
+  // path (two processes, or two threads) never rename each other's
+  // half-written bytes: the last rename wins with a complete file.
+  static std::atomic<uint64_t> next_write{0};
+#ifdef BATI_HAVE_FSYNC
+  const long pid = static_cast<long>(getpid());
+#else
+  const long pid = 0;
+#endif
+  const std::string tmp = path + ".tmp." + std::to_string(pid) + "." +
+                          std::to_string(next_write.fetch_add(1));
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
     return Status::NotFound("cannot open file for write: " + tmp + " (" +
@@ -67,6 +81,21 @@ Status AtomicWriteFile(const std::string& path, const std::string& contents) {
   }
 #endif
   return Status::Ok();
+}
+
+void RemoveAtomicWriteTemps(const std::string& path) {
+  const std::filesystem::path target(path);
+  const std::string prefix = target.filename().string() + ".tmp.";
+  std::error_code ec;
+  const std::filesystem::path dir =
+      target.has_parent_path() ? target.parent_path()
+                               : std::filesystem::path(".");
+  for (std::filesystem::directory_iterator it(dir, ec), end;
+       !ec && it != end; it.increment(ec)) {
+    if (it->path().filename().string().rfind(prefix, 0) == 0) {
+      std::filesystem::remove(it->path(), ec);
+    }
+  }
 }
 
 StatusOr<std::string> ReadFileToString(const std::string& path) {

@@ -210,7 +210,25 @@ ExecCounters ExecCounters::Resolve(MetricsRegistry* registry) {
   c.result_rows = registry->GetCounter("exec.result.rows");
   c.trees_built = registry->GetCounter("exec.trees.built");
   c.tree_cache_hits = registry->GetCounter("exec.trees.cache_hits");
+  c.plan_memo_hits = registry->GetCounter("exec.plan_memo.hits");
+  c.plan_memo_misses = registry->GetCounter("exec.plan_memo.misses");
   return c;
+}
+
+void ExecCounters::Add(const OpCounts& work) const {
+  Bump(seq_scans, work.seq_scans);
+  Bump(seq_rows, work.seq_rows);
+  Bump(index_seeks, work.index_seeks);
+  Bump(index_entries, work.index_entries);
+  Bump(index_full_scans, work.index_full_scans);
+  Bump(heap_lookups, work.heap_lookups);
+  Bump(hash_builds, work.hash_builds);
+  Bump(hash_build_rows, work.hash_build_rows);
+  Bump(hash_probe_rows, work.hash_probe_rows);
+  Bump(merge_rows, work.merge_rows);
+  Bump(sort_rows, work.sort_rows);
+  Bump(agg_groups, work.agg_groups);
+  Bump(result_rows, work.result_rows);
 }
 
 std::unique_ptr<BTree> MaterializeIndex(const ColumnStore& store,
@@ -332,7 +350,8 @@ ExecutionEngine::RunResult ExecutionEngine::ExecuteWorkload(
       ExecResult res = ExecuteQuery(
           workload_.queries[static_cast<size_t>(qi)],
           preds_[static_cast<size_t>(qi)], config,
-          plans[static_cast<size_t>(qi)], /*force_reference=*/false);
+          plans[static_cast<size_t>(qi)], /*force_reference=*/false,
+          /*work=*/nullptr);
       best = std::min(best, NowSeconds() - t0);
       if (rep == 0) {
         result.per_query[static_cast<size_t>(qi)] = res;
@@ -360,9 +379,39 @@ ExecutionEngine::QueryTiming ExecutionEngine::ExecuteOne(
   const double t0 = NowSeconds();
   timing.result =
       ExecuteQuery(q, preds_[static_cast<size_t>(query_index)], config, plan,
-                   /*force_reference=*/false);
+                   /*force_reference=*/false, /*work=*/nullptr);
   timing.seconds = NowSeconds() - t0;
   return timing;
+}
+
+const OpCounts& ExecutionEngine::Work(int query_index,
+                                      const std::vector<Index>& config) {
+  const Query& q = workload_.queries[static_cast<size_t>(query_index)];
+  const PlanExplanation plan = optimizer_.Explain(q, config);
+  // ExecuteQuery reads the configuration only through config[index_pos]
+  // of each step, so this key fixes every operator count exactly.
+  std::vector<int> key;
+  key.reserve(1 + 4 * plan.steps.size());
+  key.push_back(query_index);
+  for (const PlanStep& step : plan.steps) {
+    int index_id = -1;
+    if (step.index_pos >= 0) {
+      const Index& ix = config[static_cast<size_t>(step.index_pos)];
+      const int next_id = static_cast<int>(index_ids_.size());
+      index_id = index_ids_.try_emplace(ix, next_id).first->second;
+    }
+    key.insert(key.end(), {step.scan_id, static_cast<int>(step.access),
+                           static_cast<int>(step.join), index_id});
+  }
+  const auto [it, inserted] = plan_memo_.try_emplace(std::move(key));
+  if (!inserted) {
+    Bump(counters_.plan_memo_hits);
+    return it->second;
+  }
+  Bump(counters_.plan_memo_misses);
+  ExecuteQuery(q, preds_[static_cast<size_t>(query_index)], config, plan,
+               /*force_reference=*/false, &it->second);
+  return it->second;
 }
 
 ExecResult ExecutionEngine::ExecuteReference(int query_index) {
@@ -370,16 +419,17 @@ ExecResult ExecutionEngine::ExecuteReference(int query_index) {
   static const std::vector<Index> kNoIndexes;
   const PlanExplanation plan = optimizer_.Explain(q, kNoIndexes);
   return ExecuteQuery(q, preds_[static_cast<size_t>(query_index)],
-                      kNoIndexes, plan, /*force_reference=*/true);
+                      kNoIndexes, plan, /*force_reference=*/true,
+                      /*work=*/nullptr);
 }
 
 ExecResult ExecutionEngine::ExecuteQuery(
     const Query& query,
     const std::vector<std::vector<ExecPredicate>>& preds_by_scan,
     const std::vector<Index>& config, const PlanExplanation& plan,
-    bool force_reference) {
+    bool force_reference, OpCounts* work) {
   const ColumnStore& store = *store_;
-  const ExecCounters& c = counters_;
+  OpCounts ops;
 
   // ---- Access-path row collection for one scan. ----
   auto collect_rows = [&](int s, AccessPathKind access,
@@ -396,8 +446,8 @@ ExecResult ExecutionEngine::ExecuteQuery(
                                t;
     if (!use_index) {
       const int64_t rows = store.rows(t);
-      Bump(c.seq_scans);
-      Bump(c.seq_rows, rows);
+      ++ops.seq_scans;
+      ops.seq_rows += rows;
       for (int64_t r = 0; r < rows; ++r) {
         bool ok = true;
         for (const ExecPredicate& p : ps) {
@@ -460,7 +510,7 @@ ExecResult ExecutionEngine::ExecuteQuery(
     };
 
     if (full_scan) {
-      Bump(c.index_full_scans);
+      ++ops.index_full_scans;
       tree->Scan(visit);
     } else {
       const int n_eq = static_cast<int>(spec.eq.size());
@@ -488,9 +538,9 @@ ExecResult ExecutionEngine::ExecuteQuery(
         }
       }
     }
-    Bump(c.index_seeks, seeks);
-    Bump(c.index_entries, entries);
-    Bump(c.heap_lookups, lookups);
+    ops.index_seeks += seeks;
+    ops.index_entries += entries;
+    ops.heap_lookups += lookups;
     return out;
   };
 
@@ -665,9 +715,9 @@ ExecResult ExecutionEngine::ExecuteQuery(
             }
           }
         }
-        Bump(c.index_seeks, seeks);
-        Bump(c.index_entries, entries);
-        Bump(c.heap_lookups, lookups);
+        ops.index_seeks += seeks;
+        ops.index_entries += entries;
+        ops.heap_lookups += lookups;
       }
     }
 
@@ -689,10 +739,8 @@ ExecResult ExecutionEngine::ExecuteQuery(
       }
       std::sort(right.begin(), right.end());
       std::sort(left.begin(), left.end());
-      Bump(c.sort_rows,
-           static_cast<int64_t>(left.size() + right.size()));
-      Bump(c.merge_rows,
-           static_cast<int64_t>(left.size() + right.size()));
+      ops.sort_rows += static_cast<int64_t>(left.size() + right.size());
+      ops.merge_rows += static_cast<int64_t>(left.size() + right.size());
 
       size_t i = 0;
       size_t j = 0;
@@ -741,9 +789,9 @@ ExecResult ExecutionEngine::ExecuteQuery(
         }
         JoinHashTable table;
         table.Build(hashes, rows);
-        Bump(c.hash_builds);
-        Bump(c.hash_build_rows, static_cast<int64_t>(rows.size()));
-        Bump(c.hash_probe_rows, tuples.count());
+        ++ops.hash_builds;
+        ops.hash_build_rows += static_cast<int64_t>(rows.size());
+        ops.hash_probe_rows += tuples.count();
         for (int64_t ti = 0; ti < tuples.count(); ++ti) {
           const uint32_t* tuple = tuples.tuple(ti);
           uint64_t h = 0;
@@ -765,7 +813,7 @@ ExecResult ExecutionEngine::ExecuteQuery(
   // ---- Post-processing: checksum, aggregation, ordering. ----
   ExecResult result;
   result.joined_rows = tuples.count();
-  Bump(c.result_rows, result.joined_rows);
+  ops.result_rows += result.joined_rows;
 
   std::vector<BoundColumnUse> proj;
   if (query.select_star) {
@@ -812,7 +860,7 @@ ExecResult ExecutionEngine::ExecuteQuery(
     result.output_rows = query.group_by.empty()
                              ? 1
                              : static_cast<int64_t>(groups.size());
-    Bump(c.agg_groups, result.output_rows);
+    ops.agg_groups += result.output_rows;
   } else {
     result.output_rows = result.joined_rows;
   }
@@ -855,9 +903,11 @@ ExecResult ExecutionEngine::ExecuteQuery(
         }
         return a < b;
       });
-      Bump(c.sort_rows, tuples.count());
+      ops.sort_rows += tuples.count();
     }
   }
+  counters_.Add(ops);
+  if (work != nullptr) *work = ops;
   return result;
 }
 

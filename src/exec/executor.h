@@ -2,7 +2,9 @@
 #define BATI_EXEC_EXECUTOR_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "exec/btree.h"
@@ -34,8 +36,29 @@ struct ExecResult {
   }
 };
 
-/// Per-operator observability counters, resolved once against a
-/// MetricsRegistry (or left null for zero-overhead detached runs).
+/// Operator work of one query execution, counted exactly. A pure function
+/// of (store, query, predicate seed, resolved plan): the deterministic
+/// deployment signal weighs it, and ExecutionEngine::Work memoizes it.
+struct OpCounts {
+  int64_t seq_scans = 0;
+  int64_t seq_rows = 0;
+  int64_t index_seeks = 0;
+  int64_t index_entries = 0;
+  int64_t index_full_scans = 0;
+  int64_t heap_lookups = 0;
+  int64_t hash_builds = 0;
+  int64_t hash_build_rows = 0;
+  int64_t hash_probe_rows = 0;
+  int64_t merge_rows = 0;
+  int64_t sort_rows = 0;
+  int64_t agg_groups = 0;
+  int64_t result_rows = 0;
+
+  bool operator==(const OpCounts&) const = default;
+};
+
+/// The "exec.*" counter family, resolved once against a MetricsRegistry
+/// (or left null for zero-overhead detached runs).
 struct ExecCounters {
   Counter* seq_scans = nullptr;
   Counter* seq_rows = nullptr;
@@ -52,9 +75,14 @@ struct ExecCounters {
   Counter* result_rows = nullptr;
   Counter* trees_built = nullptr;
   Counter* tree_cache_hits = nullptr;
+  Counter* plan_memo_hits = nullptr;
+  Counter* plan_memo_misses = nullptr;
 
   /// Resolves the "exec.*" counter family; `registry` may be null.
   static ExecCounters Resolve(MetricsRegistry* registry);
+
+  /// Bumps the operator counters by one execution's work.
+  void Add(const OpCounts& work) const;
 };
 
 /// The execution engine: a materialized store plus a what-if optimizer over
@@ -106,6 +134,17 @@ class ExecutionEngine {
   };
   QueryTiming ExecuteOne(int query_index, const std::vector<Index>& config);
 
+  /// The operator work of one query under `config`, memoized by resolved
+  /// plan: each distinct (query, plan) executes at most once per engine
+  /// and every later request is a lookup (exec.plan_memo.hits/misses).
+  /// The resolved plan is each step's scan, access path, join method and
+  /// the content of the index it reads, so a reordered configuration with
+  /// the same plan hits. Only a miss executes and bumps the operator
+  /// counters. The reference stays valid for the engine's lifetime.
+  /// Single-threaded: the serve event loop is the only caller (see
+  /// SignalEngineCache). The timed paths above never consult the memo.
+  const OpCounts& Work(int query_index, const std::vector<Index>& config);
+
   /// The materialized covering B+-tree for `ix` (built and cached on first
   /// use; canonical `ix` expected).
   const BTree* GetOrBuildTree(const Index& ix);
@@ -115,7 +154,7 @@ class ExecutionEngine {
       const Query& query,
       const std::vector<std::vector<ExecPredicate>>& preds_by_scan,
       const std::vector<Index>& config, const PlanExplanation& plan,
-      bool force_reference);
+      bool force_reference, OpCounts* work);
 
   const Workload& workload_;
   WhatIfOptimizer optimizer_;
@@ -130,6 +169,11 @@ class ExecutionEngine {
   /// Content-keyed tree cache: hash -> (index, tree) pairs (linear probe
   /// within a bucket; candidate universes are tens of indexes).
   std::vector<std::pair<Index, std::unique_ptr<BTree>>> trees_;
+  /// Work's memo. An index's id is its position in first-seen order, so
+  /// equal ids mean equal index content. A key is the query index, then
+  /// (scan, access, join, index id or -1) per plan step.
+  std::unordered_map<Index, int, IndexHash> index_ids_;
+  std::map<std::vector<int>, OpCounts> plan_memo_;
 };
 
 /// Materializes a covering B+-tree for `ix` over the store (sorted bulk

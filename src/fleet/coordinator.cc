@@ -370,7 +370,9 @@ class Coordinator {
       const std::string ckpt =
           TaskCheckpointPath(options_.state_dir, frame.task_id);
       unlink(ckpt.c_str());
-      unlink((ckpt + ".tmp").c_str());
+      // A killed attempt (the losing twin above, or a crashed worker) may
+      // have died mid-write.
+      RemoveAtomicWriteTemps(ckpt);
     }
     SaveState();
   }

@@ -87,8 +87,6 @@ Status GuardStoreSize(const WorkloadBundle& bundle, int64_t max_rows) {
   return Status::Ok();
 }
 
-int64_t CounterValue(Counter* c) { return c == nullptr ? 0 : c->value(); }
-
 }  // namespace
 
 Status SignalEngineCache::Ready(const WorkloadBundle& bundle) const {
@@ -108,10 +106,6 @@ exec::ExecutionEngine* SignalEngineCache::Get(const WorkloadBundle& bundle) {
   return slot.get();
 }
 
-DeterministicExecSignal::DeterministicExecSignal(SignalEngineCache* engines)
-    : engines_(engines),
-      counters_(exec::ExecCounters::Resolve(engines->options().metrics)) {}
-
 Status DeterministicExecSignal::Ready(const WorkloadBundle& bundle) const {
   return engines_->Ready(bundle);
 }
@@ -119,53 +113,22 @@ Status DeterministicExecSignal::Ready(const WorkloadBundle& bundle) const {
 double DeterministicExecSignal::QueryCostUnits(
     exec::ExecutionEngine* engine, int query_id,
     const std::vector<Index>& config) {
-  // Counter deltas around one synchronous execution on the event loop:
-  // these engines resolve their counters against the same registry, and
-  // nothing else bumps the exec.* family, so the delta is exactly this
-  // query's operator work. Tree builds are excluded — materialization is
-  // one-time and cached, not per-evaluation cost.
-  struct Snapshot {
-    int64_t seq_scans, seq_rows, index_seeks, index_entries,
-        index_full_scans, heap_lookups, hash_build_rows, hash_probe_rows,
-        merge_rows, sort_rows, agg_groups, result_rows;
-  };
-  auto snap = [&]() -> Snapshot {
-    return {CounterValue(counters_.seq_scans),
-            CounterValue(counters_.seq_rows),
-            CounterValue(counters_.index_seeks),
-            CounterValue(counters_.index_entries),
-            CounterValue(counters_.index_full_scans),
-            CounterValue(counters_.heap_lookups),
-            CounterValue(counters_.hash_build_rows),
-            CounterValue(counters_.hash_probe_rows),
-            CounterValue(counters_.merge_rows),
-            CounterValue(counters_.sort_rows),
-            CounterValue(counters_.agg_groups),
-            CounterValue(counters_.result_rows)};
-  };
-  const Snapshot before = snap();
-  engine->ExecuteOne(query_id, config);
-  const Snapshot after = snap();
-  const auto delta = [](int64_t b, int64_t a) {
-    return static_cast<double>(a - b);
-  };
-  return kWeightSeqScan * delta(before.seq_scans, after.seq_scans) +
-         kWeightSeqRow * delta(before.seq_rows, after.seq_rows) +
-         kWeightIndexSeek * delta(before.index_seeks, after.index_seeks) +
-         kWeightIndexEntry *
-             delta(before.index_entries, after.index_entries) +
-         kWeightIndexFullScan *
-             delta(before.index_full_scans, after.index_full_scans) +
-         kWeightHeapLookup *
-             delta(before.heap_lookups, after.heap_lookups) +
-         kWeightHashBuildRow *
-             delta(before.hash_build_rows, after.hash_build_rows) +
-         kWeightHashProbeRow *
-             delta(before.hash_probe_rows, after.hash_probe_rows) +
-         kWeightMergeRow * delta(before.merge_rows, after.merge_rows) +
-         kWeightSortRow * delta(before.sort_rows, after.sort_rows) +
-         kWeightAggGroup * delta(before.agg_groups, after.agg_groups) +
-         kWeightResultRow * delta(before.result_rows, after.result_rows);
+  // Tree builds are excluded: materialization is one-time and cached, not
+  // per-evaluation cost.
+  const exec::OpCounts& w = engine->Work(query_id, config);
+  const auto units = [](int64_t n) { return static_cast<double>(n); };
+  return kWeightSeqScan * units(w.seq_scans) +
+         kWeightSeqRow * units(w.seq_rows) +
+         kWeightIndexSeek * units(w.index_seeks) +
+         kWeightIndexEntry * units(w.index_entries) +
+         kWeightIndexFullScan * units(w.index_full_scans) +
+         kWeightHeapLookup * units(w.heap_lookups) +
+         kWeightHashBuildRow * units(w.hash_build_rows) +
+         kWeightHashProbeRow * units(w.hash_probe_rows) +
+         kWeightMergeRow * units(w.merge_rows) +
+         kWeightSortRow * units(w.sort_rows) +
+         kWeightAggGroup * units(w.agg_groups) +
+         kWeightResultRow * units(w.result_rows);
 }
 
 SignalCosts DeterministicExecSignal::Evaluate(

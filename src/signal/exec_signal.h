@@ -61,16 +61,17 @@ class SignalEngineCache {
       engines_;
 };
 
-/// Deterministic execution-backed signal: runs every window query through
-/// the plan-driven executor and prices it as a fixed weighted sum of the
-/// per-operator work counters the run bumped (rows scanned, entries
-/// touched, seeks, probes, ...). Uses real execution — the plan the
-/// what-if cost claims to price actually runs against the materialized
-/// store — but never a clock, so equal inputs produce equal bytes and the
-/// serve daemon's reproducibility guarantee survives.
+/// Deterministic execution-backed signal: prices every window query as a
+/// fixed weighted sum of the per-operator work its plan does on the
+/// plan-driven executor (rows scanned, entries touched, seeks, probes,
+/// ...). Uses real execution — the plan the what-if cost claims to price
+/// actually runs against the materialized store, once per distinct
+/// (query, plan) per engine — but never a clock, so equal inputs produce
+/// equal bytes and the serve daemon's reproducibility guarantee survives.
 class DeterministicExecSignal : public DeploymentSignal {
  public:
-  explicit DeterministicExecSignal(SignalEngineCache* engines);
+  explicit DeterministicExecSignal(SignalEngineCache* engines)
+      : engines_(engines) {}
 
   SignalKind kind() const override { return SignalKind::kDeterministicExec; }
   Status Ready(const WorkloadBundle& bundle) const override;
@@ -79,14 +80,14 @@ class DeterministicExecSignal : public DeploymentSignal {
                        const std::vector<size_t>& deployed,
                        const std::vector<size_t>& candidate) override;
 
-  /// Cost units of one query under one configuration: executes it and
-  /// weighs the operator-counter deltas. Exposed for tests.
+  /// Cost units of one query under one configuration: the weighted
+  /// operator work of its resolved plan (ExecutionEngine::Work, which
+  /// executes each distinct plan once per engine). Exposed for tests.
   double QueryCostUnits(exec::ExecutionEngine* engine, int query_id,
                         const std::vector<Index>& config);
 
  private:
   SignalEngineCache* engines_;
-  exec::ExecCounters counters_;
 };
 
 /// Measured execution-backed signal: wall-clock seconds per query, pooled

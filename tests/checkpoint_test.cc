@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/durable.h"
 #include "common/file_util.h"
 #include "fleet/wire.h"
 #include "harness/experiment.h"
@@ -20,6 +24,18 @@ const char* kAllAlgorithms[] = {
     "vanilla-greedy", "two-phase-greedy", "autoadmin-greedy", "dba-bandits",
     "no-dba",         "dta",              "relaxation",       "mcts",
 };
+
+/// Number of AtomicWriteFile temporaries beside `path`.
+int TempSiblings(const std::string& path) {
+  const std::filesystem::path target(path);
+  const std::string prefix = target.filename().string() + ".tmp";
+  int count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) ++count;
+  }
+  return count;
+}
 
 // ---- Serialization round-trips bit-exactly. ----------------------------
 
@@ -238,13 +254,69 @@ TEST(CheckpointFormat, AtomicWriteLeavesNoTemporary) {
   second.round = 9;
   second.events.back().round = 8;
   ASSERT_TRUE(SaveCheckpoint(second, path).ok());
-  std::FILE* tmp = std::fopen((path + ".tmp").c_str(), "rb");
-  EXPECT_EQ(tmp, nullptr) << "temporary file left behind";
-  if (tmp != nullptr) std::fclose(tmp);
+  EXPECT_EQ(TempSiblings(path), 0) << "temporary file left behind";
   StatusOr<EngineCheckpoint> loaded = LoadCheckpoint(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->round, 9);
   std::remove(path.c_str());
+}
+
+TEST(CheckpointFormat, ConcurrentAtomicWritersNeverTearAFile) {
+  // Two processes write the same path over and over, as the twin attempts
+  // of a speculatively re-dispatched fleet task do. Every write succeeds,
+  // and every file either writer reads back is a whole, sealed one.
+  const std::string path =
+      testing::TempDir() + "/bati_atomic_concurrent_test.ckpt";
+  std::remove(path.c_str());
+  constexpr int kWrites = 60;
+  std::vector<pid_t> writers;
+  for (int id = 0; id < 2; ++id) {
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      for (int i = 0; i < kWrites; ++i) {
+        // Bodies of different lengths, large enough to take several
+        // write calls, so a torn file fails the length check.
+        const std::string body(
+            static_cast<size_t>(65536 + 4096 * ((i + id) % 7)),
+            static_cast<char>('a' + id));
+        if (!AtomicWriteFile(path, SealDurable("bati-race v1", body)).ok()) {
+          _exit(1);
+        }
+        const StatusOr<std::string> text = ReadFileToString(path);
+        if (!text.ok() || !OpenDurable(*text, "bati-race v1").ok()) _exit(2);
+      }
+      _exit(0);
+    }
+    writers.push_back(pid);
+  }
+  for (const pid_t pid : writers) {
+    int wstatus = 0;
+    ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
+    ASSERT_TRUE(WIFEXITED(wstatus));
+    EXPECT_EQ(WEXITSTATUS(wstatus), 0)
+        << "1: a write failed; 2: a torn or unsealed file was read";
+  }
+  const StatusOr<std::string> final_text = ReadFileToString(path);
+  ASSERT_TRUE(final_text.ok());
+  EXPECT_TRUE(OpenDurable(*final_text, "bati-race v1").ok());
+  EXPECT_EQ(TempSiblings(path), 0);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointFormat, RemoveAtomicWriteTempsSparesOtherFiles) {
+  const std::string path = testing::TempDir() + "/bati_atomic_cleanup.ckpt";
+  ASSERT_TRUE(AtomicWriteFile(path, "kept").ok());
+  // What a writer killed between create and rename leaves behind.
+  ASSERT_TRUE(AtomicWriteFile(path + ".tmp.999.0", "orphan").ok());
+  ASSERT_TRUE(AtomicWriteFile(path + ".other", "kept").ok());
+  EXPECT_EQ(TempSiblings(path), 1);
+  RemoveAtomicWriteTemps(path);
+  EXPECT_EQ(TempSiblings(path), 0);
+  EXPECT_TRUE(ReadFileToString(path).ok());
+  EXPECT_TRUE(ReadFileToString(path + ".other").ok());
+  std::remove(path.c_str());
+  std::remove((path + ".other").c_str());
 }
 
 // ---- Resume preconditions. ---------------------------------------------

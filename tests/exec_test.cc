@@ -467,6 +467,149 @@ TEST(Executor, CountersTrackOperators) {
   EXPECT_NE(json.find("exec.trees.built"), std::string::npos);
 }
 
+/// The registry's operator counters as one OpCounts (trees excluded).
+OpCounts ReadOpCounts(const ExecCounters& c) {
+  return {c.seq_scans->value(),       c.seq_rows->value(),
+          c.index_seeks->value(),     c.index_entries->value(),
+          c.index_full_scans->value(), c.heap_lookups->value(),
+          c.hash_builds->value(),     c.hash_build_rows->value(),
+          c.hash_probe_rows->value(), c.merge_rows->value(),
+          c.sort_rows->value(),       c.agg_groups->value(),
+          c.result_rows->value()};
+}
+
+OpCounts Minus(const OpCounts& a, const OpCounts& b) {
+  return {a.seq_scans - b.seq_scans,
+          a.seq_rows - b.seq_rows,
+          a.index_seeks - b.index_seeks,
+          a.index_entries - b.index_entries,
+          a.index_full_scans - b.index_full_scans,
+          a.heap_lookups - b.heap_lookups,
+          a.hash_builds - b.hash_builds,
+          a.hash_build_rows - b.hash_build_rows,
+          a.hash_probe_rows - b.hash_probe_rows,
+          a.merge_rows - b.merge_rows,
+          a.sort_rows - b.sort_rows,
+          a.agg_groups - b.agg_groups,
+          a.result_rows - b.result_rows};
+}
+
+/// A plan step with its index named by content instead of position.
+struct ResolvedStep {
+  int scan_id;
+  AccessPathKind access;
+  JoinMethod join;
+  std::vector<Index> index;  // empty for the heap
+
+  bool operator==(const ResolvedStep&) const = default;
+};
+
+std::vector<ResolvedStep> Resolve(const PlanExplanation& plan,
+                                  const std::vector<Index>& config) {
+  std::vector<ResolvedStep> out;
+  for (const PlanStep& step : plan.steps) {
+    ResolvedStep r{step.scan_id, step.access, step.join, {}};
+    if (step.index_pos >= 0) {
+      r.index.push_back(config[static_cast<size_t>(step.index_pos)]);
+    }
+    out.push_back(r);
+  }
+  return out;
+}
+
+bool SameShape(const std::vector<ResolvedStep>& a,
+               const std::vector<ResolvedStep>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].scan_id != b[i].scan_id || a[i].access != b[i].access ||
+        a[i].join != b[i].join || a[i].index.size() != b[i].index.size()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(Executor, WorkMemoizesOperatorCountsByResolvedPlan) {
+  const Workload w = MakeWorkloadByName("toy");
+  const CandidateSet candidates = GenerateCandidates(w);
+  ASSERT_EQ(candidates.size(), 8);
+  MetricsRegistry memo_metrics;
+  MetricsRegistry ref_metrics;
+  ExecutionEngine memo(w, StoreOptions{}, &memo_metrics);
+  // A second engine that never runs Work: its registry deltas around
+  // ExecuteOne are the operator work of a real execution.
+  ExecutionEngine ref(w, StoreOptions{}, &ref_metrics);
+  const ExecCounters memo_c = ExecCounters::Resolve(&memo_metrics);
+  const ExecCounters ref_c = ExecCounters::Resolve(&ref_metrics);
+
+  // 16 seeded subsets of the 8 candidates, each in two position orders.
+  std::mt19937_64 rng(0x19);
+  std::vector<std::vector<Index>> configs;
+  for (int i = 0; i < 16; ++i) {
+    const uint64_t mask = rng() & 0xFF;
+    std::vector<Index> subset;
+    for (int b = 0; b < 8; ++b) {
+      if ((mask >> b) & 1) subset.push_back(candidates.indexes[b]);
+    }
+    configs.push_back(subset);
+    std::shuffle(subset.begin(), subset.end(), rng);
+    configs.push_back(subset);
+  }
+
+  // Expected hits come from an independent model of the resolved plan.
+  std::vector<std::pair<int, std::vector<ResolvedStep>>> seen;
+  int lookups = 0;
+  int reorder_hits = 0;
+  int index_only_misses = 0;
+  for (size_t ci = 0; ci < configs.size(); ++ci) {
+    const std::vector<Index>& config = configs[ci];
+    for (int qi = 0; qi < w.num_queries(); ++qi) {
+      const std::vector<ResolvedStep> resolved = Resolve(
+          memo.optimizer().Explain(w.queries[static_cast<size_t>(qi)],
+                                   config),
+          config);
+      bool expect_hit = false;
+      bool same_shape_other_index = false;
+      for (const auto& [q, r] : seen) {
+        if (q != qi) continue;
+        expect_hit = expect_hit || r == resolved;
+        same_shape_other_index = same_shape_other_index ||
+                                 (r != resolved && SameShape(r, resolved));
+      }
+      const int64_t hits_before = memo_c.plan_memo_hits->value();
+      const OpCounts work = memo.Work(qi, config);
+      ++lookups;
+      const OpCounts ref_before = ReadOpCounts(ref_c);
+      ref.ExecuteOne(qi, config);
+      EXPECT_EQ(work, Minus(ReadOpCounts(ref_c), ref_before))
+          << "config " << ci << " query " << qi;
+      const bool hit = memo_c.plan_memo_hits->value() > hits_before;
+      EXPECT_EQ(hit, expect_hit) << "config " << ci << " query " << qi;
+      if (hit && ci % 2 == 1) ++reorder_hits;
+      if (!hit && same_shape_other_index) ++index_only_misses;
+      if (!expect_hit) seen.emplace_back(qi, resolved);
+    }
+  }
+  EXPECT_EQ(memo_c.plan_memo_hits->value() + memo_c.plan_memo_misses->value(),
+            lookups);
+  EXPECT_EQ(memo_c.plan_memo_misses->value(),
+            static_cast<int64_t>(seen.size()));
+  // Neither property may pass vacuously.
+  EXPECT_GT(reorder_hits, 0);
+  EXPECT_GT(index_only_misses, 0);
+
+  // A second sweep executes nothing: every lookup is a hit.
+  const int64_t rows_before = memo_c.seq_rows->value();
+  const int64_t entries_before = memo_c.index_entries->value();
+  const int64_t hits_before = memo_c.plan_memo_hits->value();
+  for (const std::vector<Index>& config : configs) {
+    for (int qi = 0; qi < w.num_queries(); ++qi) memo.Work(qi, config);
+  }
+  EXPECT_EQ(memo_c.seq_rows->value(), rows_before);
+  EXPECT_EQ(memo_c.index_entries->value(), entries_before);
+  EXPECT_EQ(memo_c.plan_memo_hits->value() - hits_before, lookups);
+}
+
 TEST(StoreCache, EnginesShareOneMaterializedStore) {
   // Two engines over the same database and store options share one
   // materialized ColumnStore — re-materialization per engine was the cost

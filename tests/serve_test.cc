@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "pinned_results.h"
 #include "serve/admission.h"
 #include "serve/daemon.h"
 #include "serve/event_json.h"
@@ -939,6 +940,114 @@ TEST(ServeDaemonTest, ExecDeterministicOutputIsByteReproducible) {
       first.metrics().GetCounter("exec.seqscan.rows")->value() +
           first.metrics().GetCounter("exec.index.entries")->value(),
       0);
+}
+
+/// A pinned exec-deterministic replay: a toy tenant the exec signal
+/// prices, a tpch tenant beyond its store cap (every verdict falls back to
+/// the calibrated what-if estimate), four explicit toy tune + deploy pairs
+/// over repeated candidates, and a mix shift that fires drift re-tunes.
+std::vector<std::string> PinnedExecScript() {
+  std::vector<std::string> lines = {
+      R"({"type":"register","tenant":"toy","workload":"toy",)"
+      R"("algorithm":"vanilla-greedy","budget":40,"queue_quota":16,)"
+      R"("tune":true})",
+      R"({"type":"register","tenant":"big","workload":"tpch",)"
+      R"("algorithm":"vanilla-greedy","budget":60,"queue_quota":16,)"
+      R"("tune":true})",
+      R"({"type":"drain"})",
+  };
+  const auto query = [&](const std::string& tenant, int q) {
+    lines.push_back(R"({"type":"query","tenant":")" + tenant +
+                    R"(","query":)" + std::to_string(q) + "}");
+  };
+  const char* const configs[] = {"0 3", "1", "0 6", "0 3"};
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 12; ++i) {
+      query("toy", i % 2);
+      query("big", (i + 5 * round) % 22);
+    }
+    lines.push_back(R"({"type":"tune","tenant":"toy","seed":)" +
+                    std::to_string(round + 1) + "}");
+    lines.push_back(R"({"type":"deploy","tenant":"toy","config":")" +
+                    std::string(configs[round]) + R"("})");
+  }
+  // The mix collapses: toy onto query 1, tpch onto queries 3 and 5.
+  for (int i = 0; i < 48; ++i) {
+    query("toy", 1);
+    query("big", i % 2 == 0 ? 3 : 5);
+  }
+  lines.push_back(R"({"type":"drain"})");
+  lines.push_back(R"({"type":"deploy","tenant":"toy","config":""})");
+  lines.push_back(R"({"type":"deploy","tenant":"big","config":""})");
+  return lines;
+}
+
+/// The replay's output, captured before the exec signal memoized operator
+/// work by resolved plan. Plain query acknowledgements (no drift check)
+/// are left out; kPinnedExecReplayLines counts every line.
+constexpr int kPinnedExecReplayLines = 215;
+constexpr char kPinnedExecReplay[] = R"pinned(
+{"type":"register","tenant":"toy","workload":"toy","queries":2,"candidates":8,"tune":1,"status":"ok"}
+{"type":"register","tenant":"big","workload":"tpch","queries":22,"candidates":121,"tune":2,"status":"ok"}
+{"type":"tune-result","id":1,"tenant":"toy","origin":"register","clock":0,"improvement":79.13083518,"calls":40,"config":"0 6","action":"shipped","regression":-0.9517215169,"signal":"exec-deterministic","estimated":false,"deployed_cost":13293909.8,"candidate_cost":641809.8,"create":"0 6","drop":""}
+{"type":"tune-result","id":2,"tenant":"big","origin":"register","clock":0,"improvement":7.42443655,"calls":60,"config":"0 2","action":"shipped","regression":-0.0742443655,"signal":"exec-deterministic","estimated":true,"calibration":1,"create":"0 2","drop":""}
+{"type":"drain","applied":2,"clock":0}
+{"type":"tune","tenant":"toy","id":3,"status":"ok"}
+{"type":"deploy","tenant":"toy","action":"safety-rollback","regression":16.61254627,"signal":"exec-deterministic","estimated":false,"deployed_cost":3850858.8,"candidate_cost":67823428.8,"create":"","drop":""}
+{"type":"query","tenant":"big","query":8,"clock":32,"drift":0.4545454545,"retune":4}
+{"type":"query","tenant":"toy","query":1,"clock":39,"drift":0}
+{"type":"query","tenant":"big","query":16,"clock":48,"drift":0.2708333333}
+{"type":"tune","tenant":"toy","id":5,"status":"ok"}
+{"type":"deploy","tenant":"toy","action":"safety-rollback","regression":19.71316113,"signal":"exec-deterministic","estimated":false,"deployed_cost":7701717.6,"candidate_cost":159526917.6,"create":"","drop":""}
+{"type":"query","tenant":"toy","query":1,"clock":63,"drift":0}
+{"type":"query","tenant":"big","query":17,"clock":64,"drift":0.40625,"retune":6}
+{"type":"tune-result","id":3,"tenant":"toy","origin":"tune","clock":72,"improvement":79.13083518,"calls":40,"config":"0 6","action":"no-change","regression":0,"signal":"exec-deterministic","estimated":false,"deployed_cost":11552576.4,"candidate_cost":11552576.4,"create":"","drop":""}
+{"type":"tune","tenant":"toy","id":7,"status":"ok"}
+{"type":"deploy","tenant":"toy","action":"no-change","regression":0,"signal":"exec-deterministic","estimated":false,"deployed_cost":11552576.4,"candidate_cost":11552576.4,"create":"","drop":""}
+{"type":"query","tenant":"big","query":18,"clock":80,"drift":0.16875}
+{"type":"query","tenant":"toy","query":1,"clock":87,"drift":0}
+{"type":"query","tenant":"big","query":4,"clock":96,"drift":0.2291666667}
+{"type":"tune","tenant":"toy","id":8,"status":"ok"}
+{"type":"deploy","tenant":"toy","action":"safety-rollback","regression":16.61254627,"signal":"exec-deterministic","estimated":false,"deployed_cost":15403435.2,"candidate_cost":271293715.2,"create":"","drop":""}
+{"type":"tune-result","id":4,"tenant":"big","origin":"drift","clock":101,"improvement":10.92538793,"calls":60,"config":"0 2 3","action":"shipped","regression":-0.002997455799,"signal":"exec-deterministic","estimated":true,"calibration":1,"create":"3","drop":""}
+{"type":"tune-result","id":5,"tenant":"toy","origin":"tune","clock":101,"improvement":79.13083518,"calls":40,"config":"0 6","action":"no-change","regression":0,"signal":"exec-deterministic","estimated":false,"deployed_cost":16382689.8,"candidate_cost":16382689.8,"create":"","drop":""}
+{"type":"query","tenant":"toy","query":1,"clock":111,"drift":0.07142857143}
+{"type":"query","tenant":"big","query":5,"clock":112,"drift":0.2857142857}
+{"type":"query","tenant":"toy","query":1,"clock":127,"drift":0.125}
+{"type":"query","tenant":"big","query":5,"clock":128,"drift":0.34375}
+{"type":"tune-result","id":6,"tenant":"big","origin":"drift","clock":129,"improvement":8.562275456,"calls":60,"config":"0 2 3","action":"no-change","regression":0,"signal":"exec-deterministic","estimated":true,"calibration":1,"create":"","drop":""}
+{"type":"tune-result","id":7,"tenant":"toy","origin":"tune","clock":129,"improvement":79.13083518,"calls":40,"config":"0 6","action":"no-change","regression":0,"signal":"exec-deterministic","estimated":false,"deployed_cost":20637153,"candidate_cost":20637153,"create":"","drop":""}
+{"type":"query","tenant":"toy","query":1,"clock":143,"drift":0.1875}
+{"type":"query","tenant":"big","query":5,"clock":144,"drift":0.4375,"retune":9}
+{"type":"tune-result","id":8,"tenant":"toy","origin":"tune","clock":144,"improvement":79.13083518,"calls":40,"config":"0 6","action":"no-change","regression":0,"signal":"exec-deterministic","estimated":false,"deployed_cost":20670232.8,"candidate_cost":20670232.8,"create":"","drop":""}
+{"type":"query","tenant":"toy","query":1,"clock":159,"drift":0.25}
+{"type":"query","tenant":"big","query":5,"clock":160,"drift":0.109375}
+{"type":"query","tenant":"toy","query":1,"clock":175,"drift":0.3125}
+{"type":"query","tenant":"big","query":5,"clock":176,"drift":0.234375}
+{"type":"query","tenant":"toy","query":1,"clock":191,"drift":0.375}
+{"type":"query","tenant":"big","query":5,"clock":192,"drift":0.359375}
+{"type":"tune-result","id":9,"tenant":"big","origin":"drift","clock":192,"improvement":7.42443655,"calls":60,"config":"0 2","action":"shipped","regression":0.0006965362608,"signal":"exec-deterministic","estimated":true,"calibration":1,"create":"","drop":"3"}
+{"type":"drain","applied":1,"clock":192}
+{"type":"deploy","tenant":"toy","action":"safety-rollback","regression":20.38019028,"signal":"exec-deterministic","estimated":false,"deployed_cost":20802552,"candidate_cost":444762520,"create":"","drop":""}
+{"type":"deploy","tenant":"big","action":"safety-rollback","regression":0.3598235728,"signal":"exec-deterministic","estimated":true,"calibration":1,"create":"","drop":""}
+)pinned";
+
+TEST(ServeDaemonTest, ExecDeterministicReplayMatchesPinnedOutput) {
+  for (const int parallelism : {1, 4}) {
+    ServeOptions options = DriftOptions(parallelism);
+    options.signal = SignalKind::kDeterministicExec;
+    ServeDaemon daemon(options);
+    const std::string out = RunScript(&daemon, PinnedExecScript());
+    EXPECT_EQ(CountLines(out), kPinnedExecReplayLines);
+    std::string decisions;
+    for (const std::string& line : SplitLines(out)) {
+      const bool plain_query =
+          line.rfind(R"({"type":"query",)", 0) == 0 &&
+          line.find("\"drift\"") == std::string::npos;
+      if (!plain_query) decisions += line + "\n";
+    }
+    ExpectPinnedLines(decisions, kPinnedExecReplay);
+  }
 }
 
 TEST(ServeDaemonTest, SignalAndCalibrationSurviveCheckpointResume) {

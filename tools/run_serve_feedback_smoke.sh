@@ -11,6 +11,8 @@
 #   * a third replay at a different --parallelism matches too,
 #   * signal verdicts actually ran against the engine (estimated:false
 #     appears; exec.* operator counters are non-zero in --metrics),
+#   * a repeated deploy re-prices plans already executed by lookup
+#     (exec.plan_memo.hits > 0 in --metrics),
 #   * a drop-every-index deploy is rolled back on measured cost units.
 #
 # "measured" mode — the nightly leg:
@@ -37,8 +39,9 @@ fi
 workdir="$(mktemp -d)"
 trap 'rm -rf "${workdir}"' EXIT
 
-# One register-tune, a handful of queries, then the rollback drill: the
-# drop-every-index deploy must regress on any execution-backed signal.
+# One register-tune, a handful of queries, the same operator deploy
+# twice, then the rollback drill: the drop-every-index deploy must regress
+# on any execution-backed signal.
 {
   printf '%s\n' \
     '{"type":"register","tenant":"toy0","workload":"toy","algorithm":"vanilla-greedy","budget":40,"tune":true}'
@@ -47,6 +50,8 @@ trap 'rm -rf "${workdir}"' EXIT
   done
   printf '%s\n' \
     '{"type":"drain"}' \
+    '{"type":"deploy","tenant":"toy0","config":"1"}' \
+    '{"type":"deploy","tenant":"toy0","config":"1"}' \
     '{"type":"deploy","tenant":"toy0","config":""}'
 } > "${workdir}/events.jsonl"
 
@@ -94,8 +99,11 @@ import json, sys
 snap = json.load(open(sys.argv[1]))
 counters = snap.get("counters", {})
 executed = sum(v for k, v in counters.items()
-               if k.startswith("exec.") and not k.startswith("exec.trees"))
+               if k.startswith("exec.")
+               and not k.startswith(("exec.trees", "exec.plan_memo")))
 assert executed > 0, "exec.* operator counters all zero - engine never ran"
+hits = counters.get("exec.plan_memo.hits", 0)
+assert hits > 0, "repeated deploy re-executed every plan (no memo hits)"
 EOF
     echo "serve feedback (deterministic): OK"
     ;;
