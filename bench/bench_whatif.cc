@@ -29,6 +29,7 @@
 
 #include "common/file_util.h"
 #include "optimizer/what_if.h"
+#include "optimizer/what_if_reference.h"
 #include "tuner/candidate_gen.h"
 #include "workload/generators.h"
 
@@ -120,8 +121,6 @@ SingleThreadResult BenchSingleThread(const Workload& w,
                                      bool quick) {
   SingleThreadResult r;
   WhatIfOptimizer fast(w.database);
-  WhatIfOptimizer reference(w.database, CostModelParams{},
-                            WhatIfOptimizerOptions{/*use_fast_path=*/false});
   const auto position_sets =
       SamplePositionSets(candidates.size(), quick ? 8 : 24, 6, 0xBE7C);
   std::vector<std::vector<Index>> configs;
@@ -182,8 +181,11 @@ SingleThreadResult BenchSingleThread(const Workload& w,
     int64_t rep_calls = 0;
     const double rate = MeasureCalls(
         sweep, min_s,
-        [&](int i) { reference.Cost(*calls[static_cast<size_t>(i)].query,
-                                    *calls[static_cast<size_t>(i)].config); },
+        [&](int i) {
+          ExplainReference(fast.database(), fast.params(),
+                           *calls[static_cast<size_t>(i)].query,
+                           *calls[static_cast<size_t>(i)].config);
+        },
         nullptr, &rep_calls);
     r.ref_calls_per_sec = std::max(r.ref_calls_per_sec, rate);
     r.ref_calls += rep_calls;

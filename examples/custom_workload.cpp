@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "mcts/mcts_tuner.h"
-#include "optimizer/explain_format.h"
 #include "tuner/candidate_gen.h"
 #include "whatif/cost_service.h"
 #include "workload/binder.h"

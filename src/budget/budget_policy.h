@@ -40,7 +40,8 @@ enum class CellDecision {
 ///
 ///  * OnCell()    — before charging an uncached what-if cell;
 ///  * OnCharged() — after a charged cell has been evaluated and cached;
-///  * OnRound()   — at tuner-declared round boundaries (BeginRound()).
+///  * OnRound()   — at tuner-declared round boundaries
+///    (CostService::BeginRound()).
 ///
 /// ShouldStop() is sticky: once it returns true the engine treats the
 /// budget as exhausted (WhatIfCost() returns nullopt, HasBudget() is

@@ -55,18 +55,6 @@ int Database::FindTable(const std::string& name) const {
   return -1;
 }
 
-StatusOr<ColumnRef> Database::ResolveColumn(
-    const std::string& table_name, const std::string& column_name) const {
-  int tid = FindTable(table_name);
-  if (tid < 0) return Status::NotFound("table not found: " + table_name);
-  int cid = table(tid).FindColumn(column_name);
-  if (cid < 0) {
-    return Status::NotFound("column not found: " + table_name + "." +
-                            column_name);
-  }
-  return ColumnRef{tid, cid};
-}
-
 double Database::TotalSizeBytes() const {
   double total = 0.0;
   for (const Table& t : tables_) total += t.SizeBytes();

@@ -117,10 +117,6 @@ class Database {
   /// Table id by name, or -1.
   int FindTable(const std::string& name) const;
 
-  /// Column lookup across the database; NotFound if either name is absent.
-  StatusOr<ColumnRef> ResolveColumn(const std::string& table_name,
-                                    const std::string& column_name) const;
-
   const Column& column(const ColumnRef& ref) const {
     return table(ref.table_id).column(ref.column_id);
   }

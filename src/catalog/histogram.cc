@@ -36,21 +36,6 @@ StatusOr<Histogram> Histogram::Make(std::vector<double> bounds,
   return h;
 }
 
-Histogram Histogram::Uniform(double min_value, double max_value,
-                             int buckets) {
-  BATI_CHECK(buckets >= 1 && max_value > min_value);
-  std::vector<double> bounds(static_cast<size_t>(buckets) + 1);
-  for (int i = 0; i <= buckets; ++i) {
-    bounds[static_cast<size_t>(i)] =
-        min_value + (max_value - min_value) * i / buckets;
-  }
-  std::vector<double> fractions(static_cast<size_t>(buckets),
-                                1.0 / buckets);
-  auto h = Make(std::move(bounds), std::move(fractions));
-  BATI_CHECK(h.ok());
-  return std::move(h.value());
-}
-
 Histogram Histogram::Zipf(double min_value, double max_value, int buckets,
                           double exponent) {
   BATI_CHECK(buckets >= 1 && max_value > min_value);

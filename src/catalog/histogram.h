@@ -24,9 +24,6 @@ class Histogram {
   static StatusOr<Histogram> Make(std::vector<double> bounds,
                                   std::vector<double> fractions);
 
-  /// Uniform histogram over [min, max] with `buckets` buckets.
-  static Histogram Uniform(double min_value, double max_value, int buckets);
-
   /// Zipf-skewed histogram over [min, max]: earlier buckets hold a
   /// 1/rank^exponent share of the rows (heavier head for larger exponents).
   static Histogram Zipf(double min_value, double max_value, int buckets,

@@ -64,37 +64,11 @@ uint64_t DynamicBitset::Fold() const {
   return folded;
 }
 
-bool DynamicBitset::Intersects(const DynamicBitset& other) const {
-  CheckCompatible(other);
-  for (size_t i = 0; i < words_.size(); ++i) {
-    if ((words_[i] & other.words_[i]) != 0) return true;
-  }
-  return false;
-}
-
 DynamicBitset DynamicBitset::operator|(const DynamicBitset& other) const {
   CheckCompatible(other);
   DynamicBitset out(universe_size_);
   for (size_t i = 0; i < words_.size(); ++i) {
     out.words_[i] = words_[i] | other.words_[i];
-  }
-  return out;
-}
-
-DynamicBitset DynamicBitset::operator&(const DynamicBitset& other) const {
-  CheckCompatible(other);
-  DynamicBitset out(universe_size_);
-  for (size_t i = 0; i < words_.size(); ++i) {
-    out.words_[i] = words_[i] & other.words_[i];
-  }
-  return out;
-}
-
-DynamicBitset DynamicBitset::operator-(const DynamicBitset& other) const {
-  CheckCompatible(other);
-  DynamicBitset out(universe_size_);
-  for (size_t i = 0; i < words_.size(); ++i) {
-    out.words_[i] = words_[i] & ~other.words_[i];
   }
   return out;
 }

@@ -59,12 +59,7 @@ class DynamicBitset {
   /// (S.Fold() & ~T.Fold()) == 0, a one-word pre-test for IsSubsetOf.
   uint64_t Fold() const;
 
-  /// True iff the two sets share at least one element.
-  bool Intersects(const DynamicBitset& other) const;
-
   DynamicBitset operator|(const DynamicBitset& other) const;
-  DynamicBitset operator&(const DynamicBitset& other) const;
-  DynamicBitset operator-(const DynamicBitset& other) const;
 
   bool operator==(const DynamicBitset& other) const;
   bool operator!=(const DynamicBitset& other) const {

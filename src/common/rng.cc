@@ -1,7 +1,6 @@
 #include "common/rng.h"
 
 #include <cmath>
-#include <numeric>
 
 namespace bati {
 
@@ -104,20 +103,6 @@ size_t Rng::WeightedIndex(const std::vector<double>& weights) {
     if (target < acc) return i;
   }
   return weights.size() - 1;  // Floating-point edge.
-}
-
-std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
-  BATI_CHECK(k <= n);
-  std::vector<size_t> idx(n);
-  std::iota(idx.begin(), idx.end(), size_t{0});
-  // Partial Fisher-Yates: first k positions become the sample.
-  for (size_t i = 0; i < k; ++i) {
-    size_t j = static_cast<size_t>(
-        UniformInt(static_cast<int64_t>(i), static_cast<int64_t>(n) - 1));
-    std::swap(idx[i], idx[j]);
-  }
-  idx.resize(k);
-  return idx;
 }
 
 }  // namespace bati

@@ -54,9 +54,6 @@ class Rng {
     }
   }
 
-  /// Draws k distinct indices from [0, n) uniformly (k <= n).
-  std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
-
  private:
   uint64_t s_[4];
   bool has_cached_normal_ = false;

@@ -4,24 +4,6 @@
 
 namespace bati {
 
-std::string Join(const std::vector<std::string>& parts,
-                 std::string_view separator) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += separator;
-    out += parts[i];
-  }
-  return out;
-}
-
-std::string ToLower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return out;
-}
-
 std::string ToUpper(std::string_view s) {
   std::string out(s);
   for (char& c : out) {
@@ -39,15 +21,6 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
     }
   }
   return true;
-}
-
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
 }
 
 std::vector<std::string> Split(std::string_view s, char delimiter) {

@@ -7,24 +7,11 @@
 
 namespace bati {
 
-/// Joins elements with a separator, e.g. Join({"a","b"}, ", ") == "a, b".
-std::string Join(const std::vector<std::string>& parts,
-                 std::string_view separator);
-
-/// ASCII lowercase copy.
-std::string ToLower(std::string_view s);
-
 /// ASCII uppercase copy.
 std::string ToUpper(std::string_view s);
 
 /// Case-insensitive ASCII equality.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
-
-/// True if `s` starts with `prefix`.
-bool StartsWith(std::string_view s, std::string_view prefix);
-
-/// True if `s` ends with `suffix`.
-bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// Splits on a single-character delimiter; keeps empty fields.
 std::vector<std::string> Split(std::string_view s, char delimiter);

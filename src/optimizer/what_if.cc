@@ -61,12 +61,17 @@ bool ProvidesOrder(const Index& ix, const SkeletonScan& scan,
   return oi == n_order;
 }
 
+/// Source of WhatIfOptimizer::id_; 0 is never handed out, so an empty L1
+/// slot matches no optimizer.
+std::atomic<uint64_t> next_optimizer_id{1};
+
 }  // namespace
 
 WhatIfOptimizer::WhatIfOptimizer(std::shared_ptr<const Database> db,
-                                 CostModelParams params,
-                                 WhatIfOptimizerOptions options)
-    : db_(std::move(db)), params_(params), options_(options) {
+                                 CostModelParams params)
+    : db_(std::move(db)),
+      params_(params),
+      id_(next_optimizer_id.fetch_add(1, std::memory_order_relaxed)) {
   BATI_CHECK(db_ != nullptr);
   // At least one join method that works without any index must remain
   // available, or join queries would have no plan.
@@ -77,13 +82,13 @@ WhatIfOptimizer::WhatIfOptimizer(std::shared_ptr<const Database> db,
 namespace {
 
 /// One slot of the per-thread skeleton L1: a hit requires the same owning
-/// optimizer, the same query address, the same content signature, and the
-/// same memo epoch (ClearPlanMemo() bumps the epoch to drop stale slots).
+/// optimizer (by id, not address: an optimizer built where a destroyed one
+/// lived has other statistics or parameters), the same query address and
+/// the same content signature.
 struct LocalSkeletonSlot {
-  const void* owner = nullptr;
+  uint64_t owner = 0;
   const Query* query = nullptr;
   uint64_t signature = 0;
-  uint64_t epoch = 0;
   std::shared_ptr<const QuerySkeleton> skeleton;
 };
 
@@ -111,10 +116,8 @@ size_t HitStripeFor() {
 std::shared_ptr<const QuerySkeleton> WhatIfOptimizer::GetSkeleton(
     const Query& query) const {
   const uint64_t sig = QuerySignature(query);
-  const uint64_t epoch = memo_epoch_.load(std::memory_order_acquire);
   LocalSkeletonSlot& slot = LocalSlotFor(&query);
-  if (slot.owner == this && slot.query == &query && slot.signature == sig &&
-      slot.epoch == epoch) {
+  if (slot.owner == id_ && slot.query == &query && slot.signature == sig) {
     memo_hits_[HitStripeFor() % kMemoHitStripes].count.fetch_add(
         1, std::memory_order_relaxed);
     return slot.skeleton;
@@ -139,10 +142,9 @@ std::shared_ptr<const QuerySkeleton> WhatIfOptimizer::GetSkeleton(
     // identical (the build is pure), so last-write-wins is fine.
     sk = it->second;
   }
-  slot.owner = this;
+  slot.owner = id_;
   slot.query = &query;
   slot.signature = sig;
-  slot.epoch = epoch;
   slot.skeleton = sk;
   return sk;
 }
@@ -158,16 +160,8 @@ PlanMemoStats WhatIfOptimizer::memo_stats() const {
   return stats;
 }
 
-void WhatIfOptimizer::ClearPlanMemo() const {
-  std::unique_lock<std::shared_mutex> lock(memo_mu_);
-  memo_.clear();
-  // Release: a thread observing the new epoch must also observe the clear.
-  memo_epoch_.fetch_add(1, std::memory_order_release);
-}
-
 PlanExplanation WhatIfOptimizer::Explain(
     const Query& query, const std::vector<Index>& config) const {
-  if (!options_.use_fast_path) return ExplainReference(query, config);
   std::shared_ptr<const QuerySkeleton> sk = GetSkeleton(query);
   return ExplainFast(*sk, query, config);
 }

@@ -43,19 +43,6 @@ struct PlanExplanation {
   double total_cost = 0.0;
 };
 
-/// Tunables of the optimizer's execution strategy (never of its results:
-/// every setting is bit-identical to every other).
-struct WhatIfOptimizerOptions {
-  /// When true (the default), Cost()/Explain() run the hot-path
-  /// implementation: catalog reads through the structure-of-arrays
-  /// StatsView, configuration-independent plan structure served from the
-  /// per-query skeleton memo, per-call scratch in a thread-local bump
-  /// arena. When false, every call recomputes through the original
-  /// object-graph implementation (ExplainReference) — the bit-identity
-  /// oracle the tests compare against.
-  bool use_fast_path = true;
-};
-
 /// Plan-memo observability counters (see WhatIfOptimizer::memo_stats()).
 /// Deliberately kept out of CostEngineStats: concurrent sessions sharing an
 /// optimizer may race to build the same skeleton, making hit/miss counts
@@ -85,12 +72,10 @@ struct PlanMemoStats {
 class WhatIfOptimizer {
  public:
   WhatIfOptimizer(std::shared_ptr<const Database> db,
-                  CostModelParams params = CostModelParams(),
-                  WhatIfOptimizerOptions options = WhatIfOptimizerOptions());
+                  CostModelParams params = CostModelParams());
 
   const Database& database() const { return *db_; }
   const CostModelParams& params() const { return params_; }
-  const WhatIfOptimizerOptions& options() const { return options_; }
 
   /// The structure-of-arrays catalog snapshot the fast path reads through
   /// (built once at construction).
@@ -101,15 +86,13 @@ class WhatIfOptimizer {
   /// query over heap scans only.
   double Cost(const Query& query, const std::vector<Index>& config) const;
 
-  /// Like Cost but also returns the chosen plan.
+  /// Like Cost but also returns the chosen plan. Catalog reads go through
+  /// the StatsView, configuration-independent plan structure comes from the
+  /// per-query skeleton memo, and per-call scratch from a thread-local
+  /// arena. The plan equals ExplainReference() (optimizer/
+  /// what_if_reference.h, outside this library) byte for byte.
   PlanExplanation Explain(const Query& query,
                           const std::vector<Index>& config) const;
-
-  /// The pre-refactor object-graph implementation, preserved verbatim as
-  /// the bit-identity oracle: for every (query, config),
-  /// Explain() == ExplainReference() byte for byte.
-  PlanExplanation ExplainReference(const Query& query,
-                                   const std::vector<Index>& config) const;
 
   /// Simulated wall-clock seconds one what-if call for `query` would take on
   /// a real server (a full optimization cycle: parse, bind, plan search).
@@ -121,10 +104,6 @@ class WhatIfOptimizer {
   /// Snapshot of the plan-memo counters (benchmarking/diagnostics only;
   /// see PlanMemoStats on why these stay out of the engine stats).
   PlanMemoStats memo_stats() const;
-
-  /// Drops every memoized skeleton (counters are kept). Skeletons rebuild
-  /// on demand; results are unaffected.
-  void ClearPlanMemo() const;
 
  private:
   /// The memoized skeleton for `query`: served from the memo when the
@@ -138,21 +117,21 @@ class WhatIfOptimizer {
 
   std::shared_ptr<const Database> db_;
   CostModelParams params_;
-  WhatIfOptimizerOptions options_;
+  /// Process-unique identity of this optimizer; keys its slots in the
+  /// per-thread skeleton L1.
+  const uint64_t id_;
   StatsView stats_view_;
 
   /// Plan memo: Query address -> skeleton, validated by content signature
   /// on every hit (an address can be reused by a different query; a stale
   /// skeleton must never be served). Reader-writer locked: hits take the
   /// shared lock only. In front of it sits a per-thread direct-mapped L1
-  /// (see GetSkeleton) so the executor's worker threads stop touching this
-  /// lock at all once warm; `memo_epoch_` invalidates every L1 when
-  /// ClearPlanMemo() drops the shared memo.
+  /// (see GetSkeleton) so concurrent sessions sharing this optimizer stop
+  /// touching this lock at all once warm.
   mutable std::shared_mutex memo_mu_;
   mutable std::unordered_map<const Query*,
                              std::shared_ptr<const QuerySkeleton>>
       memo_;
-  mutable std::atomic<uint64_t> memo_epoch_{0};
   /// Hit counting is striped across cache lines (threads pick a stripe by
   /// thread id) so the hot path never bounces one shared counter; misses
   /// are rare and keep a single counter. memo_stats() sums the stripes.

@@ -1,9 +1,12 @@
 // The pre-refactor what-if implementation, preserved verbatim as the
 // bit-identity oracle for the fast path in what_if.cc: for every
-// (query, configuration), Explain() must equal ExplainReference() byte for
-// byte (tests/whatif_fastpath_test.cc holds the two to that). Nothing here
-// is reachable from the hot path unless WhatIfOptimizerOptions
-// {.use_fast_path = false} selects it.
+// (query, configuration), WhatIfOptimizer::Explain() must equal the free
+// function ExplainReference() byte for byte (tests/whatif_fastpath_test.cc
+// holds the two to that). It is built into the bati_optimizer_oracle
+// library, which only tests and bench_whatif link, so no production binary
+// carries it.
+
+#include "optimizer/what_if_reference.h"
 
 #include <algorithm>
 #include <cmath>
@@ -11,7 +14,6 @@
 #include <set>
 
 #include "common/macros.h"
-#include "optimizer/what_if.h"
 #include "optimizer/what_if_internal.h"
 
 namespace bati {
@@ -69,10 +71,10 @@ bool ProvidesOrder(const Index& ix, const ScanInfo& scan,
 
 }  // namespace
 
-PlanExplanation WhatIfOptimizer::ExplainReference(
-    const Query& query, const std::vector<Index>& config) const {
-  const CostModelParams& p = params_;
-  const Database& db = *db_;
+PlanExplanation ExplainReference(const Database& db,
+                                 const CostModelParams& p,
+                                 const Query& query,
+                                 const std::vector<Index>& config) {
   const int n_scans = query.num_scans();
   BATI_CHECK(n_scans > 0);
 

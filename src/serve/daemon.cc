@@ -756,10 +756,6 @@ Status ServeDaemon::Shutdown() {
   return SaveServeCheckpoint(BuildCheckpoint(), options_.state_path);
 }
 
-std::string ServeDaemon::DumpState() {
-  return SerializeServeCheckpoint(BuildCheckpoint());
-}
-
 std::string ServeDaemon::SummaryLine() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),

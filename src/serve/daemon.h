@@ -65,10 +65,10 @@ struct ServeOptions {
 /// are byte-reproducible, and a SIGTERM-interrupted run resumed from its
 /// checkpoint converges to the exact state of an uninterrupted one.
 ///
-/// Threading: ProcessLine/Finish/Shutdown/DumpState run on one caller
-/// thread (the event loop). Tuning runs execute on the SessionManager's
-/// worker pool; their results cross back through a mutex-guarded table the
-/// event loop blocks on at deterministic points.
+/// Threading: ProcessLine/Finish/Shutdown run on one caller thread (the
+/// event loop). Tuning runs execute on the SessionManager's worker pool;
+/// their results cross back through a mutex-guarded table the event loop
+/// blocks on at deterministic points.
 class ServeDaemon {
  public:
   explicit ServeDaemon(const ServeOptions& options);
@@ -99,10 +99,6 @@ class ServeDaemon {
   /// leaves application points to the resumed run. Ok when no state path
   /// is configured.
   Status Shutdown();
-
-  /// The serialized current state (waits for in-flight runs first) —
-  /// what Shutdown() would write. Tests compare these across runs.
-  std::string DumpState();
 
   /// One-line human summary (tenants, queries, tunes, lifecycle counts).
   std::string SummaryLine() const;

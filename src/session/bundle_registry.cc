@@ -51,11 +51,6 @@ const WorkloadBundle* BundleRegistry::RegisterDynamic(
   return generations.back().get();
 }
 
-size_t BundleRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
 const WorkloadBundle& LoadBundle(const std::string& name) {
   return BundleRegistry::Global().Get(name);
 }

@@ -61,9 +61,6 @@ class BundleRegistry {
   const WorkloadBundle* RegisterDynamic(
       const std::string& name, std::unique_ptr<WorkloadBundle> bundle);
 
-  /// Number of names probed so far (built or found unknown).
-  size_t size() const;
-
  private:
   /// One named slot. The once_flag serializes construction per name;
   /// `bundle` stays null for unknown names.

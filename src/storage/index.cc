@@ -95,10 +95,4 @@ bool Index::Covers(const std::vector<int>& required) const {
   return true;
 }
 
-double TotalIndexSizeBytes(const Database& db, const std::vector<Index>& ixs) {
-  double total = 0.0;
-  for (const Index& ix : ixs) total += ix.SizeBytes(db);
-  return total;
-}
-
 }  // namespace bati

@@ -60,9 +60,6 @@ struct IndexHash {
   }
 };
 
-/// Total estimated size of a set of indexes.
-double TotalIndexSizeBytes(const Database& db, const std::vector<Index>& ixs);
-
 }  // namespace bati
 
 #endif  // BATI_STORAGE_INDEX_H_

@@ -35,13 +35,4 @@ int64_t CallBudgetForTime(const WhatIfOptimizer& optimizer,
   return static_cast<int64_t>(calls);
 }
 
-double ExpectedSecondsForCalls(const WhatIfOptimizer& optimizer,
-                               const Workload& workload, int64_t calls,
-                               double overhead_fraction) {
-  BATI_CHECK(overhead_fraction >= 0.0 && overhead_fraction < 1.0);
-  double per_call = AverageCallSeconds(optimizer, workload);
-  double whatif_seconds = per_call * static_cast<double>(calls);
-  return whatif_seconds / (1.0 - overhead_fraction);
-}
-
 }  // namespace bati

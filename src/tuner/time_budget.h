@@ -20,13 +20,6 @@ int64_t CallBudgetForTime(const WhatIfOptimizer& optimizer,
                           const Workload& workload, double budget_seconds,
                           double overhead_fraction = 0.15);
 
-/// Inverse mapping: the expected tuning seconds for a call budget (used to
-/// label the x-axes of the figures with "(and tuning time in minutes)" the
-/// way the paper does).
-double ExpectedSecondsForCalls(const WhatIfOptimizer& optimizer,
-                               const Workload& workload, int64_t calls,
-                               double overhead_fraction = 0.15);
-
 }  // namespace bati
 
 #endif  // BATI_TUNER_TIME_BUDGET_H_

@@ -75,8 +75,6 @@ CostService::CostService(const WhatIfOptimizer* optimizer,
   }
 }
 
-int CostService::BeginRound() { return BeginRound(nullptr); }
-
 int CostService::BeginRound(const char* phase) {
   const int round = meter_.BeginRound();
   if (metrics_ != nullptr || tracer_ != nullptr) {
@@ -514,11 +512,6 @@ double CostService::DerivedCostWithAdd(int query_id, const Config& config,
 double CostService::DerivedCostDeltaAdd(int query_id, const Config& config,
                                         size_t pos) const {
   return index_.DeltaAdd(query_id, config, pos, BaseCost(query_id));
-}
-
-double CostService::SingletonDerivedCost(int query_id,
-                                         const Config& config) const {
-  return index_.SingletonMin(query_id, config, BaseCost(query_id));
 }
 
 double CostService::DerivedImprovement(const Config& config) const {

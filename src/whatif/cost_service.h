@@ -91,8 +91,6 @@ struct CostEngineOptions {
 ///    is exhausted.
 ///  * DerivedCost() — d(q, C) = min over cached subsets S of C of c(q, S)
 ///    (Equation 1); always available because c(q, {}) is known.
-///  * SingletonDerivedCost() — the Equation-2 restriction to singleton
-///    subsets, used by the theory (Theorems 1-2) and by priors.
 ///
 /// Batched and incremental entry points for hot paths:
 ///
@@ -134,14 +132,13 @@ class CostService {
   /// governor — when present — updates its improvement curve and evaluates
   /// early stopping at exactly these boundaries. Returns the 1-based round
   /// number. Behaviour-neutral for ungoverned runs.
-  int BeginRound();
-
-  /// As BeginRound(), additionally labelling the round for observability:
-  /// when a tracer is wired, the span covering this round (closed at the
-  /// next boundary or at FinishObservability()) carries `phase` as its name
-  /// — e.g. "greedy.argmax_sweep", "mcts.episode". `phase` must be a string
-  /// literal. Identical to BeginRound() when nothing is wired.
-  int BeginRound(const char* phase);
+  ///
+  /// `phase` labels the round for observability: when a tracer is wired,
+  /// the span covering this round (closed at the next boundary or at
+  /// FinishObservability()) carries it as its name — e.g.
+  /// "greedy.argmax_sweep", "mcts.episode"; "round" when null. It must be a
+  /// string literal. Without sinks wired the label changes nothing.
+  int BeginRound(const char* phase = nullptr);
 
   /// Closes the open round span and synchronizes the engine's cross-layer
   /// counters (EngineStats()) into the metrics registry. Idempotent; no-op
@@ -184,8 +181,9 @@ class CostService {
   /// Counted what-if calls for one configuration across many queries — the
   /// batched equivalent of calling WhatIfCost(query_ids[i], config) in
   /// order. Budget is charged sequentially in input order (a hard cap, same
-  /// cells succeed/fail as the loop); uncached cells are evaluated
-  /// concurrently by the executor. Results are identical to the loop, with
+  /// cells succeed/fail as the loop); the configuration is materialized
+  /// once and the uncached cells are evaluated as one executor batch on
+  /// the calling thread. Results are identical to the loop, with
   /// one governed-run caveat: skip decisions quote the cache as of batch
   /// entry (a sequential loop would see cells cached earlier in the same
   /// batch), while the quote's budget state is advanced by the cells ahead
@@ -250,10 +248,6 @@ class CostService {
   /// The derived-cost change d(q, C ∪ {pos}) − d(q, C), a value <= 0.
   double DerivedCostDeltaAdd(int query_id, const Config& config,
                              size_t pos) const;
-
-  /// Equation-2 derived cost: min over singletons {z} subset of C with known
-  /// singleton what-if costs (and the base cost).
-  double SingletonDerivedCost(int query_id, const Config& config) const;
 
   /// Percentage improvement eta(W, C) in [0, 100] computed with derived
   /// costs (Equation 4 with d() in place of cost()).

@@ -317,19 +317,6 @@ double DerivedCostIndex::DeltaAdd(int query_id, const Config& config,
   return SubsetMinWithAdd(query_id, config, pos, current) - current;
 }
 
-double DerivedCostIndex::SingletonMin(int query_id, const Config& config,
-                                      double base) const {
-  const QueryIndex& qi = at(query_id);
-  double best = base;
-  for (size_t pos : config.ToIndices()) {
-    const Posting* posting = FindPosting(qi, pos);
-    if (posting != nullptr && posting->singleton < best) {
-      best = posting->singleton;  // NaN compares false: unknown is skipped
-    }
-  }
-  return best;
-}
-
 double DerivedCostIndex::SupersetMaxLowerBound(int query_id,
                                                const Config& config,
                                                double floor) const {

@@ -48,7 +48,8 @@ namespace bati {
 ///    exists only for candidates some entry contains; a presence bitmask
 ///    answers the empty case without touching a list, and one more bitmap
 ///    over all queries tells whether any list for a candidate exists;
-///  * known singleton costs (Equation 2), stored with the posting lists.
+///  * known singleton costs, stored with the posting lists for
+///    AdditiveLowerBound().
 ///
 /// Single-threaded: each CostService owns one index and builds, queries
 /// and destroys it on the thread that runs the tuner, so nothing here is
@@ -104,10 +105,6 @@ class DerivedCostIndex {
   /// `base` = c(q, {}).
   double DeltaAdd(int query_id, const Config& config, size_t pos,
                   double base) const;
-
-  /// Equation-2 singleton minimum over candidates in `config` with known
-  /// singleton costs; `base` = c(q, {}).
-  double SingletonMin(int query_id, const Config& config, double base) const;
 
   /// Lower bound on c(q, C) from cached *supersets*: by cost monotonicity
   /// (adding indexes never raises a query's cost) every cached S ⊇ C has

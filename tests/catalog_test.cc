@@ -47,16 +47,10 @@ TEST(Database, AddAndResolve) {
   EXPECT_EQ(db.FindTable("orders"), 0);
   EXPECT_EQ(db.FindTable("missing"), -1);
 
-  auto ref = db.ResolveColumn("orders", "status");
-  ASSERT_TRUE(ref.ok());
-  EXPECT_EQ(ref->table_id, 0);
-  EXPECT_EQ(ref->column_id, 1);
-  EXPECT_EQ(db.column(*ref).name, "status");
-
-  EXPECT_EQ(db.ResolveColumn("missing", "x").status().code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(db.ResolveColumn("orders", "x").status().code(),
-            StatusCode::kNotFound);
+  const ColumnRef ref{0, db.table(0).FindColumn("status")};
+  EXPECT_EQ(ref.column_id, 1);
+  EXPECT_EQ(db.column(ref).name, "status");
+  EXPECT_EQ(db.table(0).FindColumn("x"), -1);
 }
 
 TEST(Database, RejectsDuplicateTableNames) {

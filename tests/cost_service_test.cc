@@ -228,7 +228,7 @@ TEST(CostService, DerivedCostUsesBestCachedSubset) {
   EXPECT_DOUBLE_EQ(f.service.DerivedCost(0, b), f.service.BaseCost(0));
 }
 
-TEST(CostService, SingletonDerivationMatchesEquationTwo) {
+TEST(CostService, PairDerivationUsesExactPairCell) {
   Fixture f(50, "tpch");
   // Evaluate singletons {0}, {1} for query 0 and the pair {0,1}.
   Config s0 = f.service.EmptyConfig();
@@ -239,10 +239,7 @@ TEST(CostService, SingletonDerivationMatchesEquationTwo) {
   double c1 = *f.service.WhatIfCost(0, s1);
   Config pair = s0.With(1);
   double pair_cost = *f.service.WhatIfCost(0, pair);
-  // Eq. 2 uses only singletons even when the exact pair cost is cached.
-  EXPECT_DOUBLE_EQ(f.service.SingletonDerivedCost(0, pair),
-                   std::min({f.service.BaseCost(0), c0, c1}));
-  // Full derivation (Eq. 1) may use the exact pair cell.
+  // Derivation (Eq. 1) may use the exact pair cell.
   EXPECT_DOUBLE_EQ(f.service.DerivedCost(0, pair),
                    std::min({f.service.BaseCost(0), c0, c1, pair_cost}));
 }

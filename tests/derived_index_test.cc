@@ -182,14 +182,6 @@ void CheckAgainstBruteForce(size_t universe) {
       EXPECT_EQ(index.AdditiveLowerBound(q, small, b, floor),
                 BruteForceAdditive(cache, small, b, floor));
 
-      double singleton = b;
-      for (size_t pos : probe.ToIndices()) {
-        const std::optional<double> c =
-            BruteForceFind(cache, Config::FromIndices(universe, {pos}));
-        if (c.has_value()) singleton = std::min(singleton, *c);
-      }
-      EXPECT_EQ(index.SingletonMin(q, probe, b), singleton);
-
       size_t pos = pool[static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1))];
       if (probe.test(pos)) continue;
@@ -260,22 +252,6 @@ TEST(DerivedCostIndex, MatchesBruteForceOnRandomCaches) {
     SCOPED_TRACE("universe " + std::to_string(universe));
     CheckAgainstBruteForce(universe);
   }
-}
-
-TEST(DerivedCostIndex, SingletonMinUsesOnlySingletons) {
-  DerivedCostIndex index(1, 8);
-  Config s0(8);
-  s0.set(0);
-  Config pair = s0.With(1);
-  index.Add(0, pair, pair.ToIndices(), 10.0);  // cheap pair, not a singleton
-  index.Add(0, s0, s0.ToIndices(), 40.0);
-  // Equation 2 ignores the cheap pair cell; Equation 1 uses it.
-  EXPECT_EQ(index.SingletonMin(0, pair, 100.0), 40.0);
-  EXPECT_EQ(index.SubsetMin(0, pair, 100.0), 10.0);
-  // Singleton lookup for a config without cached singletons falls to base.
-  Config s2(8);
-  s2.set(2);
-  EXPECT_EQ(index.SingletonMin(0, s2, 100.0), 100.0);
 }
 
 TEST(DerivedCostIndex, AnyEntryContainsTracksAdd) {

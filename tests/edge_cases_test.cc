@@ -154,7 +154,7 @@ TEST(EdgeCases, HugeUniverseBitsetOps) {
   DynamicBitset u = a | b;
   EXPECT_GE(u.count(), a.count());
   EXPECT_TRUE(a.IsSubsetOf(u));
-  EXPECT_TRUE((a & b).IsSubsetOf(a));
+  EXPECT_TRUE(b.IsSubsetOf(u));
 }
 
 }  // namespace

@@ -26,7 +26,10 @@ TEST(Histogram, FractionsAreNormalized) {
 }
 
 TEST(Histogram, CumulativeBelowInterpolates) {
-  Histogram h = Histogram::Uniform(0.0, 100.0, 10);
+  // Ten equal buckets over [0, 100].
+  const Histogram h =
+      *Histogram::Make({0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100},
+                       std::vector<double>(10, 1.0));
   EXPECT_DOUBLE_EQ(h.CumulativeBelow(-5.0), 0.0);
   EXPECT_DOUBLE_EQ(h.CumulativeBelow(0.0), 0.0);
   EXPECT_NEAR(h.CumulativeBelow(25.0), 0.25, 1e-12);
@@ -36,7 +39,7 @@ TEST(Histogram, CumulativeBelowInterpolates) {
 }
 
 TEST(Histogram, RangeFraction) {
-  Histogram h = Histogram::Uniform(0.0, 100.0, 4);
+  const Histogram h = *Histogram::Make({0, 25, 50, 75, 100}, {1, 1, 1, 1});
   EXPECT_NEAR(h.RangeFraction(25.0, 75.0), 0.5, 1e-12);
   EXPECT_DOUBLE_EQ(h.RangeFraction(80.0, 10.0), 0.0);  // inverted
   EXPECT_NEAR(h.RangeFraction(-100.0, 200.0), 1.0, 1e-12);

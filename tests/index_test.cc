@@ -126,18 +126,5 @@ TEST(Index, NameIsHumanReadable) {
   EXPECT_NE(name.find("inc1"), std::string::npos);
 }
 
-TEST(Index, TotalSizeSumsAll) {
-  auto db = Db();
-  Index a;
-  a.table_id = 0;
-  a.key_columns = {0};
-  Index b;
-  b.table_id = 0;
-  b.key_columns = {1};
-  double total = TotalIndexSizeBytes(*db, {a, b});
-  EXPECT_DOUBLE_EQ(total, a.SizeBytes(*db) + b.SizeBytes(*db));
-  EXPECT_DOUBLE_EQ(TotalIndexSizeBytes(*db, {}), 0.0);
-}
-
 }  // namespace
 }  // namespace bati

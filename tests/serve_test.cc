@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/file_util.h"
 #include "pinned_results.h"
 #include "serve/admission.h"
 #include "serve/daemon.h"
@@ -561,6 +562,21 @@ ServeOptions ToyOptions(int parallelism = 2) {
   return options;
 }
 
+/// `options` with a checkpoint file of its own under the test temp dir.
+ServeOptions WithStateFile(ServeOptions options, const std::string& name) {
+  options.state_path = testing::TempDir() + "/bati_serve_" + name + ".ckpt";
+  return options;
+}
+
+/// Shuts `daemon` down and returns the checkpoint it wrote to `state_path`:
+/// its serialized end state, byte for byte.
+std::string ShutdownState(ServeDaemon* daemon, const std::string& state_path) {
+  EXPECT_TRUE(daemon->Shutdown().ok());
+  StatusOr<std::string> bytes = ReadFileToString(state_path);
+  EXPECT_TRUE(bytes.ok()) << state_path;
+  return bytes.ok() ? *bytes : std::string();
+}
+
 TEST(ServeDaemonTest, AnswersEveryEventWithOneLine) {
   ServeDaemon daemon(ToyOptions());
   const std::vector<std::string> script = {
@@ -742,13 +758,15 @@ TEST(ServeDaemonTest, OutputAndStateAreByteReproducible) {
   // Two fresh daemons over the same stream: identical output bytes and
   // identical serialized end state, despite two worker threads racing on
   // the tuning runs — application points depend only on the event stream.
-  ServeDaemon first(DriftOptions());
+  const ServeOptions options_a = WithStateFile(DriftOptions(), "repro_a");
+  ServeDaemon first(options_a);
   const std::string out_first = RunScript(&first, DriftScript());
-  const std::string state_first = first.DumpState();
-  ServeDaemon second(DriftOptions());
+  const std::string state_first = ShutdownState(&first, options_a.state_path);
+  const ServeOptions options_b = WithStateFile(DriftOptions(), "repro_b");
+  ServeDaemon second(options_b);
   const std::string out_second = RunScript(&second, DriftScript());
   EXPECT_EQ(out_first, out_second);
-  EXPECT_EQ(state_first, second.DumpState());
+  EXPECT_EQ(state_first, ShutdownState(&second, options_b.state_path));
 }
 
 std::vector<std::string> MultiTenantScript() {
@@ -777,13 +795,18 @@ TEST(ServeDaemonTest, OutputIsIndependentOfParallelism) {
   // The same multi-tenant stream at parallelism 1 and 4: worker
   // scheduling must never leak into the output or the end state. (Under
   // TSan this also hammers the worker/event-loop result handoff.)
-  ServeDaemon serial(ToyOptions(/*parallelism=*/1));
+  const ServeOptions serial_options =
+      WithStateFile(ToyOptions(/*parallelism=*/1), "parallelism_1");
+  ServeDaemon serial(serial_options);
   const std::string out_serial = RunScript(&serial, MultiTenantScript());
-  const std::string state_serial = serial.DumpState();
-  ServeDaemon wide(ToyOptions(/*parallelism=*/4));
+  const std::string state_serial =
+      ShutdownState(&serial, serial_options.state_path);
+  const ServeOptions wide_options =
+      WithStateFile(ToyOptions(/*parallelism=*/4), "parallelism_4");
+  ServeDaemon wide(wide_options);
   const std::string out_wide = RunScript(&wide, MultiTenantScript());
   EXPECT_EQ(out_serial, out_wide);
-  EXPECT_EQ(state_serial, wide.DumpState());
+  EXPECT_EQ(state_serial, ShutdownState(&wide, wide_options.state_path));
   EXPECT_GE(CountOccurrences(out_wide, "\"type\":\"tune-result\""), 7);
 }
 
@@ -805,7 +828,8 @@ TEST(ServeDaemonTest, CheckpointResumeConvergesToUninterruptedState) {
   options_a.state_path = testing::TempDir() + "/bati_serve_resume_a.ckpt";
   ServeDaemon uninterrupted(options_a);
   const std::string out_full = RunScript(&uninterrupted, script);
-  const std::string state_full = uninterrupted.DumpState();
+  const std::string state_full =
+      ShutdownState(&uninterrupted, options_a.state_path);
 
   // Interrupted run: SIGTERM after the explicit tune request, while that
   // run is still pending application — its result must ride along in the
@@ -833,7 +857,7 @@ TEST(ServeDaemonTest, CheckpointResumeConvergesToUninterruptedState) {
   ASSERT_TRUE(resumed.Resume().ok());
   const std::string out_suffix = RunScript(&resumed, script);
   EXPECT_EQ(out_prefix + out_suffix, out_full);
-  EXPECT_EQ(resumed.DumpState(), state_full);
+  EXPECT_EQ(ShutdownState(&resumed, options_b.state_path), state_full);
 }
 
 TEST(ServeDaemonTest, ResumeRequiresAStateFile) {
@@ -918,19 +942,24 @@ TEST(ServeDaemonTest, ExecDeterministicOutputIsByteReproducible) {
     o.signal = SignalKind::kDeterministicExec;
     return o;
   };
-  ServeDaemon first(options(/*parallelism=*/1));
+  const ServeOptions first_options =
+      WithStateFile(options(/*parallelism=*/1), "exec_parallelism_1");
+  ServeDaemon first(first_options);
   const std::string out_first = RunScript(&first, SignalScript());
-  const std::string state_first = first.DumpState();
+  const std::string state_first =
+      ShutdownState(&first, first_options.state_path);
   // A second replay, and one at a different parallelism: cost units come
   // from operator counters on deterministic plans over a seeded store, so
   // neither scheduling nor wall-clock can leak into the output.
   ServeDaemon second(options(/*parallelism=*/1));
   const std::string out_second = RunScript(&second, SignalScript());
-  ServeDaemon wide(options(/*parallelism=*/4));
+  const ServeOptions wide_options =
+      WithStateFile(options(/*parallelism=*/4), "exec_parallelism_4");
+  ServeDaemon wide(wide_options);
   const std::string out_wide = RunScript(&wide, SignalScript());
   EXPECT_EQ(out_first, out_second);
   EXPECT_EQ(out_first, out_wide);
-  EXPECT_EQ(state_first, wide.DumpState());
+  EXPECT_EQ(state_first, ShutdownState(&wide, wide_options.state_path));
   EXPECT_GE(CountOccurrences(out_first, "\"signal\":\"exec-deterministic\""),
             2);
   EXPECT_GE(CountOccurrences(out_first, "\"estimated\":false"), 1);
@@ -1062,7 +1091,7 @@ TEST(ServeDaemonTest, SignalAndCalibrationSurviveCheckpointResume) {
   options_a.state_path = testing::TempDir() + "/bati_serve_signal_a.ckpt";
   ServeDaemon full(options_a);
   const std::string out_full = RunScript(&full, script);
-  const std::string state_full = full.DumpState();
+  const std::string state_full = ShutdownState(&full, options_a.state_path);
 
   // SIGTERM after the first deploy: two calibration samples are in.
   ServeOptions options_b = MeasuredDrillOptions();
@@ -1092,7 +1121,7 @@ TEST(ServeDaemonTest, SignalAndCalibrationSurviveCheckpointResume) {
   ASSERT_TRUE(resumed.Resume().ok());
   const std::string out_suffix = RunScript(&resumed, script);
   EXPECT_EQ(out_prefix + out_suffix, out_full);
-  EXPECT_EQ(resumed.DumpState(), state_full);
+  EXPECT_EQ(ShutdownState(&resumed, options_c.state_path), state_full);
   EXPECT_EQ(resumed.metrics()
                 .GetGauge("serve.tenant.t.calibration_samples")
                 ->value(),

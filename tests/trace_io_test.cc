@@ -6,7 +6,6 @@
 
 #include "common/strings.h"
 #include "harness/experiment.h"
-#include "optimizer/explain_format.h"
 #include "whatif/trace_io.h"
 
 namespace bati {
@@ -28,11 +27,11 @@ TEST(TraceIo, CsvHasHeaderAndOneRowPerCall) {
   ASSERT_EQ(lines.size(), 4u);
   EXPECT_EQ(lines[0],
             "call,query_id,query_name,config_size,config,what_if_cost,round");
-  EXPECT_TRUE(StartsWith(lines[1], "1,0,Q1,1,0,"));
-  EXPECT_TRUE(StartsWith(lines[2], "2,1,Q2,2,0;1,"));
+  EXPECT_TRUE(lines[1].starts_with("1,0,Q1,1,0,"));
+  EXPECT_TRUE(lines[2].starts_with("2,1,Q2,2,0;1,"));
   // The first call pre-dates any round; the second carries round 1.
-  EXPECT_TRUE(EndsWith(lines[1], ",0"));
-  EXPECT_TRUE(EndsWith(lines[2], ",1"));
+  EXPECT_TRUE(lines[1].ends_with(",0"));
+  EXPECT_TRUE(lines[2].ends_with(",1"));
 }
 
 TEST(TraceIo, CsvCostsMatchCache) {
@@ -83,30 +82,6 @@ TEST(TraceIo, ResultJsonShape) {
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
   EXPECT_EQ(std::count(json.begin(), json.end(), '\n'), 0);
-}
-
-TEST(ExplainFormat, RendersAllPlanElements) {
-  const WorkloadBundle& bundle = LoadBundle("toy");
-  const Query& q = bundle.workload.queries[0];
-  PlanExplanation plan =
-      bundle.optimizer->Explain(q, bundle.candidates.indexes);
-  std::string text =
-      FormatPlan(*bundle.workload.database, q, bundle.candidates.indexes,
-                 plan);
-  EXPECT_NE(text.find("Q1"), std::string::npos);
-  EXPECT_NE(text.find("cost="), std::string::npos);
-  EXPECT_NE(text.find("post-processing"), std::string::npos);
-  // Two scans => two plan lines.
-  EXPECT_EQ(static_cast<int>(std::count(text.begin(), text.end(), '\n')),
-            2 + static_cast<int>(plan.steps.size()));
-}
-
-TEST(ExplainFormat, EnumNamesAreStable) {
-  EXPECT_EQ(AccessPathName(AccessPathKind::kHeapScan), "heap scan");
-  EXPECT_EQ(AccessPathName(AccessPathKind::kIndexOnlyScan),
-            "index-only scan");
-  EXPECT_EQ(JoinMethodName(JoinMethod::kMergeJoin), "merge join");
-  EXPECT_EQ(JoinMethodName(JoinMethod::kNone), "");
 }
 
 }  // namespace

@@ -4,8 +4,7 @@
 // same costs, byte for byte — for every query, configuration, cost-model
 // variant, and across all eight tuning algorithms end to end.
 
-#include <cstring>
-#include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -14,6 +13,7 @@
 
 #include "harness/experiment.h"
 #include "optimizer/what_if.h"
+#include "optimizer/what_if_reference.h"
 #include "tuner/candidate_gen.h"
 #include "whatif/cost_service.h"
 #include "workload/generators.h"
@@ -67,27 +67,27 @@ std::vector<std::vector<Index>> SampleConfigs(const CandidateSet& candidates,
   return configs;
 }
 
+/// The reference implementation's cost for (`query`, `config`) under the
+/// catalog and cost-model parameters `optimizer` was built with.
+double ReferenceCost(const WhatIfOptimizer& optimizer, const Query& query,
+                     const std::vector<Index>& config) {
+  return ExplainReference(optimizer.database(), optimizer.params(), query,
+                          config)
+      .total_cost;
+}
+
 void CheckWorkloadIdentity(const std::string& name,
                            CostModelParams params) {
   const Workload w = MakeWorkloadByName(name);
   ASSERT_NE(w.database, nullptr) << name;
   const CandidateSet candidates = GenerateCandidates(w);
-  WhatIfOptimizer fast(w.database, params,
-                       WhatIfOptimizerOptions{/*use_fast_path=*/true});
-  WhatIfOptimizer reference(w.database, params,
-                            WhatIfOptimizerOptions{/*use_fast_path=*/false});
+  WhatIfOptimizer fast(w.database, params);
   const auto configs = SampleConfigs(candidates, 40, 6, 0xFA57 + w.queries.size());
   for (const Query& q : w.queries) {
     for (size_t ci = 0; ci < configs.size(); ++ci) {
-      const std::string label =
-          name + "/" + q.name + "/config" + std::to_string(ci);
-      PlanExplanation a = fast.Explain(q, configs[ci]);
-      PlanExplanation b = reference.Explain(q, configs[ci]);
-      ExpectPlanIdentical(a, b, label);
-      // The dedicated oracle entry point on the fast optimizer agrees too.
-      EXPECT_EQ(fast.ExplainReference(q, configs[ci]).total_cost,
-                a.total_cost)
-          << label;
+      ExpectPlanIdentical(fast.Explain(q, configs[ci]),
+                          ExplainReference(*w.database, params, q, configs[ci]),
+                          name + "/" + q.name + "/config" + std::to_string(ci));
     }
   }
 }
@@ -116,15 +116,14 @@ TEST(WhatIfFastPathTest, BitIdenticalOnRealDScale) {
   ASSERT_NE(w.database, nullptr);
   const CandidateSet candidates = GenerateCandidates(w);
   WhatIfOptimizer fast(w.database);
-  WhatIfOptimizer reference(w.database, CostModelParams{},
-                            WhatIfOptimizerOptions{/*use_fast_path=*/false});
   const auto configs = SampleConfigs(candidates, 10, 8, 0xD001);
   for (int qi = 0; qi < std::min(8, w.num_queries()); ++qi) {
     const Query& q = w.queries[static_cast<size_t>(qi)];
     for (size_t ci = 0; ci < configs.size(); ++ci) {
-      ExpectPlanIdentical(fast.Explain(q, configs[ci]),
-                          reference.Explain(q, configs[ci]),
-                          "real-d/" + q.name + "/config" + std::to_string(ci));
+      ExpectPlanIdentical(
+          fast.Explain(q, configs[ci]),
+          ExplainReference(*w.database, fast.params(), q, configs[ci]),
+          "real-d/" + q.name + "/config" + std::to_string(ci));
     }
   }
 }
@@ -135,22 +134,15 @@ TEST(WhatIfFastPathTest, MemoHitsAcrossConfigs) {
   const Workload w = MakeWorkloadByName("tpch");
   const CandidateSet candidates = GenerateCandidates(w);
   WhatIfOptimizer fast(w.database);
-  WhatIfOptimizer reference(w.database, CostModelParams{},
-                            WhatIfOptimizerOptions{/*use_fast_path=*/false});
   const auto configs = SampleConfigs(candidates, 12, 5, 7);
   const Query& q = w.queries.front();
   for (const auto& config : configs) {
-    EXPECT_EQ(fast.Cost(q, config), reference.Cost(q, config));
+    EXPECT_EQ(fast.Cost(q, config), ReferenceCost(fast, q, config));
   }
   PlanMemoStats stats = fast.memo_stats();
   EXPECT_EQ(stats.misses, 1);  // one skeleton build for the one query
   EXPECT_EQ(stats.hits, static_cast<int64_t>(configs.size()) - 1);
   EXPECT_EQ(stats.entries, 1);
-
-  // Clearing the memo forces a rebuild; results are unaffected.
-  fast.ClearPlanMemo();
-  EXPECT_EQ(fast.Cost(q, configs.back()), reference.Cost(q, configs.back()));
-  EXPECT_EQ(fast.memo_stats().misses, 2);
 }
 
 // A stale memo entry must never be served: mutating a query in place (same
@@ -159,50 +151,59 @@ TEST(WhatIfFastPathTest, MemoInvalidatesOnContentChange) {
   Workload w = MakeWorkloadByName("tpch");
   const CandidateSet candidates = GenerateCandidates(w);
   WhatIfOptimizer fast(w.database);
-  WhatIfOptimizer reference(w.database, CostModelParams{},
-                            WhatIfOptimizerOptions{/*use_fast_path=*/false});
   Query& q = w.queries.front();
   const auto configs = SampleConfigs(candidates, 4, 5, 99);
 
-  EXPECT_EQ(fast.Cost(q, configs[1]), reference.Cost(q, configs[1]));
+  EXPECT_EQ(fast.Cost(q, configs[1]), ReferenceCost(fast, q, configs[1]));
   ASSERT_FALSE(q.filters.empty());
   // Tighten a filter in place: the cached skeleton's selectivities are now
   // stale and the signature check must force a rebuild.
   q.filters.front().selectivity *= 0.125;
   for (const auto& config : configs) {
-    EXPECT_EQ(fast.Cost(q, config), reference.Cost(q, config))
+    EXPECT_EQ(fast.Cost(q, config), ReferenceCost(fast, q, config))
         << "after in-place mutation";
   }
   PlanMemoStats stats = fast.memo_stats();
   EXPECT_GE(stats.misses, 2);
 }
 
-// End-to-end bit-identity: every algorithm, run through a bundle whose
-// optimizer is the fast path and through one on the reference path, must
-// produce byte-identical layout CSVs (the full what-if call trace) and
-// equal outcomes. Extends the session_determinism_test pattern to the
-// refactor boundary.
+// Each optimizer's memo is its own: an optimizer built where a destroyed one
+// lived, over the same query objects but with other cost-model parameters,
+// must not be served the old optimizer's skeletons from a thread's L1.
+TEST(WhatIfFastPathTest, MemoIsPrivateToEachOptimizer) {
+  const Workload w = MakeWorkloadByName("tpch");
+  const CandidateSet candidates = GenerateCandidates(w);
+  const auto configs = SampleConfigs(candidates, 4, 5, 5);
+  CostModelParams backoff;
+  backoff.exponential_backoff = true;
+  std::optional<WhatIfOptimizer> slot;
+  slot.emplace(w.database);
+  for (const Query& q : w.queries) slot->Cost(q, configs[1]);
+  slot.reset();
+  slot.emplace(w.database, backoff);  // same address, other parameters
+  for (const Query& q : w.queries) {
+    for (const auto& config : configs) {
+      EXPECT_EQ(slot->Cost(q, config), ReferenceCost(*slot, q, config))
+          << q.name;
+    }
+  }
+  EXPECT_EQ(slot->memo_stats().misses, w.num_queries());
+}
+
+// End-to-end bit-identity: every algorithm runs once on the production
+// optimizer, and every cost the run asked it for must equal the reference
+// implementation's bit for bit. A session asks for three kinds of cells:
+// each layout entry (the charged what-if calls), each query's base cost
+// c(q, {}) and each query's cost under the recommended configuration (the
+// true-improvement evaluation). Tuners are deterministic given their
+// answers, so a run on the reference path would follow the same trajectory.
 class FastPathSessionTest : public testing::TestWithParam<const char*> {};
 
-TEST_P(FastPathSessionTest, LayoutCsvMatchesReferenceOptimizer) {
+TEST_P(FastPathSessionTest, EveryOptimizerCallMatchesReference) {
   const std::string algorithm = GetParam();
   for (const char* workload_name : {"toy", "tpch"}) {
-    const Workload w = MakeWorkloadByName(workload_name);
-    ASSERT_NE(w.database, nullptr);
-
-    WorkloadBundle fast_bundle;
-    fast_bundle.workload = w;
-    fast_bundle.candidates = GenerateCandidates(fast_bundle.workload);
-    fast_bundle.optimizer = std::make_shared<WhatIfOptimizer>(
-        fast_bundle.workload.database, CostModelParams{},
-        WhatIfOptimizerOptions{/*use_fast_path=*/true});
-
-    WorkloadBundle ref_bundle;
-    ref_bundle.workload = w;
-    ref_bundle.candidates = GenerateCandidates(ref_bundle.workload);
-    ref_bundle.optimizer = std::make_shared<WhatIfOptimizer>(
-        ref_bundle.workload.database, CostModelParams{},
-        WhatIfOptimizerOptions{/*use_fast_path=*/false});
+    const WorkloadBundle& bundle = LoadBundle(workload_name);
+    const WhatIfOptimizer& optimizer = *bundle.optimizer;
 
     RunSpec spec;
     spec.workload = workload_name;
@@ -210,30 +211,32 @@ TEST_P(FastPathSessionTest, LayoutCsvMatchesReferenceOptimizer) {
     spec.budget = std::string(workload_name) == "toy" ? 60 : 200;
     spec.max_indexes = 5;
     spec.seed = 11;
+    TuningSession session(bundle, spec);
+    session.Run();
+    const CostService& service = session.service();
 
-    SessionOptions options;
-    options.capture_layout_csv = true;
-
-    TuningSession fast_session(fast_bundle, spec, options);
-    RunOutcome fast_outcome = fast_session.Run();
-    const std::string fast_csv = fast_session.layout_csv();
-
-    TuningSession ref_session(ref_bundle, spec, options);
-    RunOutcome ref_outcome = ref_session.Run();
-    const std::string ref_csv = ref_session.layout_csv();
-
-    const std::string label =
-        std::string(workload_name) + "/" + algorithm;
-    EXPECT_EQ(fast_csv, ref_csv) << label;
-    EXPECT_DOUBLE_EQ(fast_outcome.true_improvement,
-                     ref_outcome.true_improvement)
-        << label;
-    EXPECT_DOUBLE_EQ(fast_outcome.derived_improvement,
-                     ref_outcome.derived_improvement)
-        << label;
-    EXPECT_EQ(fast_outcome.calls_used, ref_outcome.calls_used) << label;
-    EXPECT_EQ(fast_outcome.config_size, ref_outcome.config_size) << label;
-    EXPECT_EQ(fast_outcome.trace, ref_outcome.trace) << label;
+    const std::string label = std::string(workload_name) + "/" + algorithm;
+    // `seen` is the cost the run got for (query_id, config).
+    auto expect_reference = [&](int query_id,
+                                const std::vector<Index>& config, double seen,
+                                const char* cell) {
+      const Query& q = bundle.workload.queries[static_cast<size_t>(query_id)];
+      EXPECT_EQ(seen, ReferenceCost(optimizer, q, config))
+          << label << " " << cell << " " << q.name;
+    };
+    ASSERT_FALSE(service.layout().empty()) << label;
+    for (const LayoutEntry& entry : service.layout()) {
+      expect_reference(entry.query_id, service.Materialize(entry.config),
+                       service.CachedCost(entry.query_id, entry.config).value(),
+                       "layout");
+    }
+    const std::vector<Index> best =
+        service.Materialize(session.result().best_config);
+    for (int q = 0; q < bundle.workload.num_queries(); ++q) {
+      const Query& query = bundle.workload.queries[static_cast<size_t>(q)];
+      expect_reference(q, {}, service.BaseCost(q), "base");
+      expect_reference(q, best, optimizer.Cost(query, best), "best");
+    }
   }
 }
 
