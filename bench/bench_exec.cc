@@ -18,10 +18,6 @@
 // committed previous result — drops by more than --max-regression (default
 // 0.05, absolute correlation units) below the baseline's value.
 //
-// A YCSB-style B+-tree micro-harness section (zipfian key mix, concurrent
-// readers/writers) is reported for trajectory context but never gated:
-// absolute ops/sec track hardware, not correctness.
-//
 // Usage:
 //   bench_exec [--out PATH] [--baseline PATH] [--max-regression X]
 //              [--min-correlation X] [--quick]
@@ -34,7 +30,6 @@
 
 #include "common/file_util.h"
 #include "exec/harness.h"
-#include "exec/ycsb.h"
 #include "tuner/candidate_gen.h"
 #include "workload/generators.h"
 
@@ -56,8 +51,7 @@ struct WorkloadResult {
   exec::CorrelationReport report;
 };
 
-std::string ToJson(const std::vector<WorkloadResult>& results,
-                   const exec::YcsbReport& ycsb, int ycsb_workers) {
+std::string ToJson(const std::vector<WorkloadResult>& results) {
   std::string out = "{\n  \"suite\": \"exec_correlation\",\n";
   out += "  \"gate\": \"spearman_combined\",\n";
   out += "  \"workloads\": {\n";
@@ -104,25 +98,7 @@ std::string ToJson(const std::vector<WorkloadResult>& results,
     out += "      ]\n    }";
     out += i + 1 < results.size() ? ",\n" : "\n";
   }
-  out += "  },\n";
-  std::snprintf(buf, sizeof(buf),
-                "  \"ycsb\": {\n"
-                "    \"distribution\": \"zipfian\",\n"
-                "    \"workers\": %d,\n"
-                "    \"ops_per_second\": %.0f,\n"
-                "    \"reads\": %lld,\n"
-                "    \"read_hits\": %lld,\n"
-                "    \"scans\": %lld,\n"
-                "    \"inserts\": %lld,\n"
-                "    \"tree_size\": %lld\n"
-                "  }\n}\n",
-                ycsb_workers, ycsb.ops_per_second,
-                static_cast<long long>(ycsb.reads),
-                static_cast<long long>(ycsb.read_hits),
-                static_cast<long long>(ycsb.scans),
-                static_cast<long long>(ycsb.inserts),
-                static_cast<long long>(ycsb.tree_size));
-  out += buf;
+  out += "  }\n}\n";
   return out;
 }
 
@@ -214,13 +190,7 @@ int Run(int argc, char** argv) {
     results.push_back(std::move(r));
   }
 
-  exec::YcsbOptions yopts;
-  yopts.ops_per_worker = quick ? 50 * 1000 : 200 * 1000;
-  const exec::YcsbReport ycsb = exec::RunYcsb(yopts);
-  std::fprintf(stderr, "[bench_exec] ycsb: %.0f ops/s (%d workers)\n",
-               ycsb.ops_per_second, yopts.workers);
-
-  const std::string json = ToJson(results, ycsb, yopts.workers);
+  const std::string json = ToJson(results);
   Status st = AtomicWriteFile(out_path, json);
   if (!st.ok()) {
     std::fprintf(stderr, "[bench_exec] write %s: %s\n", out_path.c_str(),

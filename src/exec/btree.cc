@@ -1,15 +1,14 @@
 #include "exec/btree.h"
 
 #include <algorithm>
-#include <cstring>
+#include <cstddef>
 #include <limits>
 
 namespace bati::exec {
 
 /// Node layout: leaves hold flattened entries plus a next-leaf link;
-/// interior nodes hold separator entries (key + row id of the smallest
-/// entry of each child but the first) and child pointers, so
-/// children.size() == separator count + 1.
+/// interior nodes hold separator keys (the smallest key of each child but
+/// the first) and child pointers, so children.size() == separator count + 1.
 struct BTree::Node {
   bool is_leaf = true;
 };
@@ -22,8 +21,7 @@ struct BTree::Leaf : BTree::Node {
 };
 
 struct BTree::Interior : BTree::Node {
-  std::vector<double> sep_keys;      // key_width * (children - 1)
-  std::vector<uint32_t> sep_rows;    // children - 1
+  std::vector<double> sep_keys;  // key_width * (children - 1)
   std::vector<Node*> children;
 };
 
@@ -81,15 +79,6 @@ void BTree::FreeTree(Node* node) {
   }
 }
 
-int BTree::CompareEntry(const double* a_key, uint32_t a_row,
-                        const double* b_key, uint32_t b_row) const {
-  const int c = CompareKeys(a_key, b_key, key_width_);
-  if (c != 0) return c;
-  if (a_row < b_row) return -1;
-  if (a_row > b_row) return 1;
-  return 0;
-}
-
 void BTree::BulkLoad(const std::vector<double>& keys,
                      const std::vector<double>& payloads,
                      const std::vector<uint32_t>& row_ids) {
@@ -101,8 +90,7 @@ void BTree::BulkLoad(const std::vector<double>& keys,
 
   // Level 0: packed leaves, linked left to right.
   std::vector<Node*> level;
-  std::vector<double> level_min_keys;   // key_width per node
-  std::vector<uint32_t> level_min_rows;
+  std::vector<double> level_min_keys;  // key_width per node
   Leaf* prev = nullptr;
   const size_t cap = static_cast<size_t>(leaf_capacity_);
   for (size_t start = 0; start < n; start += cap) {
@@ -124,7 +112,6 @@ void BTree::BulkLoad(const std::vector<double>& keys,
     level.push_back(leaf);
     level_min_keys.insert(level_min_keys.end(), leaf->keys.begin(),
                           leaf->keys.begin() + key_width_);
-    level_min_rows.push_back(leaf->row_ids.front());
   }
 
   // Interior levels until one root remains.
@@ -132,7 +119,6 @@ void BTree::BulkLoad(const std::vector<double>& keys,
   while (level.size() > 1) {
     std::vector<Node*> next_level;
     std::vector<double> next_min_keys;
-    std::vector<uint32_t> next_min_rows;
     for (size_t start = 0; start < level.size(); start += cap) {
       const size_t count = std::min(cap, level.size() - start);
       auto* in = new Interior();
@@ -142,127 +128,18 @@ void BTree::BulkLoad(const std::vector<double>& keys,
         if (i > 0) {
           const double* mk = &level_min_keys[(start + i) * key_width_];
           in->sep_keys.insert(in->sep_keys.end(), mk, mk + key_width_);
-          in->sep_rows.push_back(level_min_rows[start + i]);
         }
       }
       next_level.push_back(in);
       const double* mk = &level_min_keys[start * key_width_];
       next_min_keys.insert(next_min_keys.end(), mk, mk + key_width_);
-      next_min_rows.push_back(level_min_rows[start]);
     }
     level.swap(next_level);
     level_min_keys.swap(next_min_keys);
-    level_min_rows.swap(next_min_rows);
     ++height_;
   }
   root_ = level.front();
   size_ = static_cast<int64_t>(n);
-}
-
-void BTree::InsertRec(Node* node, const double* key, const double* payload,
-                      uint32_t row_id, std::unique_ptr<Node>* new_sibling,
-                      std::vector<double>* split_key, uint32_t* split_row) {
-  if (node->is_leaf) {
-    auto* leaf = static_cast<Leaf*>(node);
-    const int count = static_cast<int>(leaf->row_ids.size());
-    int pos = 0;
-    while (pos < count &&
-           CompareEntry(&leaf->keys[static_cast<size_t>(pos) * key_width_],
-                        leaf->row_ids[static_cast<size_t>(pos)], key,
-                        row_id) < 0) {
-      ++pos;
-    }
-    leaf->keys.insert(
-        leaf->keys.begin() + static_cast<ptrdiff_t>(pos) * key_width_, key,
-        key + key_width_);
-    leaf->payloads.insert(
-        leaf->payloads.begin() + static_cast<ptrdiff_t>(pos) * payload_width_,
-        payload, payload + payload_width_);
-    leaf->row_ids.insert(leaf->row_ids.begin() + pos, row_id);
-    if (static_cast<int>(leaf->row_ids.size()) <= leaf_capacity_) return;
-
-    // Split: upper half moves to a new right sibling.
-    const int keep = static_cast<int>(leaf->row_ids.size()) / 2;
-    auto right = std::make_unique<Leaf>();
-    right->is_leaf = true;
-    right->keys.assign(
-        leaf->keys.begin() + static_cast<ptrdiff_t>(keep) * key_width_,
-        leaf->keys.end());
-    right->payloads.assign(
-        leaf->payloads.begin() + static_cast<ptrdiff_t>(keep) * payload_width_,
-        leaf->payloads.end());
-    right->row_ids.assign(leaf->row_ids.begin() + keep, leaf->row_ids.end());
-    leaf->keys.resize(static_cast<size_t>(keep) * key_width_);
-    leaf->payloads.resize(static_cast<size_t>(keep) * payload_width_);
-    leaf->row_ids.resize(static_cast<size_t>(keep));
-    right->next = leaf->next;
-    leaf->next = right.get();
-    split_key->assign(right->keys.begin(), right->keys.begin() + key_width_);
-    *split_row = right->row_ids.front();
-    *new_sibling = std::move(right);
-    return;
-  }
-
-  auto* in = static_cast<Interior*>(node);
-  const int seps = static_cast<int>(in->sep_rows.size());
-  int child = 0;
-  while (child < seps &&
-         CompareEntry(&in->sep_keys[static_cast<size_t>(child) * key_width_],
-                      in->sep_rows[static_cast<size_t>(child)], key,
-                      row_id) <= 0) {
-    ++child;
-  }
-  std::unique_ptr<Node> child_sibling;
-  std::vector<double> child_split_key;
-  uint32_t child_split_row = 0;
-  InsertRec(in->children[static_cast<size_t>(child)], key, payload, row_id,
-            &child_sibling, &child_split_key, &child_split_row);
-  if (child_sibling == nullptr) return;
-
-  in->sep_keys.insert(
-      in->sep_keys.begin() + static_cast<ptrdiff_t>(child) * key_width_,
-      child_split_key.begin(), child_split_key.end());
-  in->sep_rows.insert(in->sep_rows.begin() + child, child_split_row);
-  in->children.insert(in->children.begin() + child + 1,
-                      child_sibling.release());
-  if (static_cast<int>(in->children.size()) <= leaf_capacity_) return;
-
-  // Split interior: middle separator promotes to the parent.
-  const int mid = static_cast<int>(in->sep_rows.size()) / 2;
-  auto right = std::make_unique<Interior>();
-  right->is_leaf = false;
-  split_key->assign(
-      in->sep_keys.begin() + static_cast<ptrdiff_t>(mid) * key_width_,
-      in->sep_keys.begin() + static_cast<ptrdiff_t>(mid + 1) * key_width_);
-  *split_row = in->sep_rows[static_cast<size_t>(mid)];
-  right->sep_keys.assign(
-      in->sep_keys.begin() + static_cast<ptrdiff_t>(mid + 1) * key_width_,
-      in->sep_keys.end());
-  right->sep_rows.assign(in->sep_rows.begin() + mid + 1, in->sep_rows.end());
-  right->children.assign(in->children.begin() + mid + 1, in->children.end());
-  in->sep_keys.resize(static_cast<size_t>(mid) * key_width_);
-  in->sep_rows.resize(static_cast<size_t>(mid));
-  in->children.resize(static_cast<size_t>(mid) + 1);
-  *new_sibling = std::move(right);
-}
-
-void BTree::Insert(const double* key, const double* payload,
-                   uint32_t row_id) {
-  std::unique_ptr<Node> sibling;
-  std::vector<double> split_key;
-  uint32_t split_row = 0;
-  InsertRec(root_, key, payload, row_id, &sibling, &split_key, &split_row);
-  if (sibling != nullptr) {
-    auto* new_root = new Interior();
-    new_root->is_leaf = false;
-    new_root->children.push_back(root_);
-    new_root->children.push_back(sibling.release());
-    new_root->sep_keys = std::move(split_key);
-    new_root->sep_rows.push_back(split_row);
-    root_ = new_root;
-    ++height_;
-  }
-  ++size_;
 }
 
 const BTree::Leaf* BTree::LowerBoundLeaf(const double* prefix, int prefix_len,
@@ -292,8 +169,8 @@ const BTree::Leaf* BTree::LowerBoundLeaf(const double* prefix, int prefix_len,
   const Node* node = root_;
   while (!node->is_leaf) {
     const auto* in = static_cast<const Interior*>(node);
-    const int child =
-        first_not_less(in->sep_keys, static_cast<int>(in->sep_rows.size()));
+    const int child = first_not_less(
+        in->sep_keys, static_cast<int>(in->children.size()) - 1);
     node = in->children[static_cast<size_t>(child)];
   }
   const auto* leaf = static_cast<const Leaf*>(node);

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/macros.h"
@@ -34,8 +33,8 @@ class BTree {
   /// Visit callback; return false to stop the scan early.
   using Visitor = std::function<bool(const Entry&)>;
 
-  /// `leaf_capacity` is the max entries per leaf (and keys per interior
-  /// node); small capacities exercise splits in tests.
+  /// `leaf_capacity` is the max entries per leaf (and children per interior
+  /// node); small capacities build deep trees in tests.
   BTree(int key_width, int payload_width, int leaf_capacity = 64);
   ~BTree();
   BATI_DISALLOW_COPY_AND_ASSIGN(BTree);
@@ -52,9 +51,6 @@ class BTree {
   void BulkLoad(const std::vector<double>& keys,
                 const std::vector<double>& payloads,
                 const std::vector<uint32_t>& row_ids);
-
-  /// Inserts one entry (root-to-leaf descent with node splits).
-  void Insert(const double* key, const double* payload, uint32_t row_id);
 
   /// Visits every entry whose first `prefix_len` key columns equal
   /// `prefix`, in key order. `prefix_len` in [1, key_width].
@@ -81,20 +77,10 @@ class BTree {
   struct Leaf;
   struct Interior;
 
-  /// Compares entry (a_key, a_row) against (b_key, b_row): full
-  /// lexicographic key order with row-id tiebreak.
-  int CompareEntry(const double* a_key, uint32_t a_row, const double* b_key,
-                   uint32_t b_row) const;
-
   /// The leftmost leaf that may contain a key >= (prefix, -inf...) on its
   /// first prefix_len columns; also returns the entry position within it.
   const Leaf* LowerBoundLeaf(const double* prefix, int prefix_len,
                              double first_extra, int* pos) const;
-
-  /// Splits a full child during insert descent.
-  void InsertRec(Node* node, const double* key, const double* payload,
-                 uint32_t row_id, std::unique_ptr<Node>* new_sibling,
-                 std::vector<double>* split_key, uint32_t* split_row);
 
   void FreeTree(Node* node);
 

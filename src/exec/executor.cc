@@ -231,6 +231,10 @@ void ExecCounters::Add(const OpCounts& work) const {
   Bump(result_rows, work.result_rows);
 }
 
+namespace {
+
+/// Materializes a covering B+-tree for `ix` over the store (sorted bulk
+/// load; deterministic).
 std::unique_ptr<BTree> MaterializeIndex(const ColumnStore& store,
                                         const Index& ix) {
   const int t = ix.table_id;
@@ -282,6 +286,8 @@ std::unique_ptr<BTree> MaterializeIndex(const ColumnStore& store,
   tree->BulkLoad(sorted_keys, sorted_payloads, sorted_rows);
   return tree;
 }
+
+}  // namespace
 
 ExecutionEngine::ExecutionEngine(const Workload& workload,
                                  const StoreOptions& options,

@@ -176,11 +176,6 @@ class ExecutionEngine {
   std::map<std::vector<int>, OpCounts> plan_memo_;
 };
 
-/// Materializes a covering B+-tree for `ix` over the store (sorted bulk
-/// load; deterministic). Exposed for tests and the YCSB harness.
-std::unique_ptr<BTree> MaterializeIndex(const ColumnStore& store,
-                                        const Index& ix);
-
 }  // namespace bati::exec
 
 #endif  // BATI_EXEC_EXECUTOR_H_

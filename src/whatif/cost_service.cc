@@ -256,6 +256,9 @@ void CostService::ResolveCells(std::span<const int> query_ids,
           i, static_cast<size_t>(first - pending_ids_.begin()));
       continue;
     }
+    // An exhausted meter answers before the governor is asked: no unit
+    // could be spent, so none may be skipped or banked.
+    if (!meter_.HasBudget()) continue;  // nullopt: exhausted
     CellQuote quote;
     quote.query_id = q;
     if (governor_ != nullptr) {
@@ -267,7 +270,6 @@ void CostService::ResolveCells(std::span<const int> query_ids,
         continue;
       }
     }
-    if (!meter_.HasBudget()) continue;  // nullopt: exhausted
     pending_.push_back(PendingCell{i, quote});
     pending_ids_.push_back(q);
   }

@@ -233,17 +233,9 @@ class CostService {
 
   /// True when WhatIfCost() on an uncached cell returns nullopt and moves
   /// nothing: no charge, no governor decision, no counter. That holds once
-  /// the governor has stopped the run, or once the budget is exhausted and
-  /// either there is no governor or it never skips: a governor without
-  /// skipping is handed a quote that reads no index, and its OnCell()
-  /// always answers "charge". A live skipping governor is still consulted
-  /// after the budget runs out (it may skip, bank and count), so such a
-  /// run is never free before it stops.
-  bool UncachedCellIsFree() const {
-    if (governor_ != nullptr && governor_->ShouldStop()) return true;
-    return !meter_.HasBudget() &&
-           (governor_ == nullptr || !governor_->WantsCostBounds());
-  }
+  /// the budget is exhausted, since the governor is consulted only while a
+  /// unit can still be spent, or once the governor has stopped the run.
+  bool UncachedCellIsFree() const { return !HasBudget(); }
 
   /// The derived-cost change d(q, C ∪ {pos}) − d(q, C), a value <= 0.
   double DerivedCostDeltaAdd(int query_id, const Config& config,

@@ -9,6 +9,8 @@
 #include "budget/improvement_curve.h"
 #include "budget/reallocator.h"
 #include "harness/experiment.h"
+#include "obs/tracer.h"
+#include "whatif/cost_service.h"
 
 namespace bati {
 namespace {
@@ -231,6 +233,76 @@ TEST(EarlyStop, SteepCurveKeepsRunning) {
   curve.Observe(50, 60.0);  // 20 pct points over the trailing 10 calls
   EXPECT_FALSE(checker.ShouldStop(curve, 50, 50));
   EXPECT_GT(checker.last_upper_bound_pct(), 0.1);
+}
+
+// ---- Invariant: the governor is quiet once the budget is spent. --------
+//
+// A skip banks a unit for later, so it is sound only while a unit can still
+// be spent. Every charged call advances the simulated clock (by at least
+// 0.12 s), so a governor.skip recorded after the B-th charge carries the
+// run's final simulated time, and one recorded before it an earlier time.
+
+void ExpectQuietAfterExhaustion(const std::string& workload,
+                                const std::string& algorithm, int64_t budget,
+                                bool early_stop, bool realloc) {
+  SCOPED_TRACE(workload + "/" + algorithm + (early_stop ? " early-stop" : "") +
+               (realloc ? " realloc" : ""));
+  const WorkloadBundle& bundle = LoadBundle(workload);
+  TuningContext ctx;
+  ctx.workload = &bundle.workload;
+  ctx.candidates = &bundle.candidates;
+  ctx.constraints.max_indexes = 5;
+  Tracer tracer(1 << 16);
+  CostEngineOptions options;
+  options.governor.enabled = true;
+  options.governor.early_stop = early_stop;
+  options.governor.skip_what_if = realloc;
+  options.tracer = &tracer;
+  CostService service(bundle.optimizer.get(), &bundle.workload,
+                      &bundle.candidates.indexes, budget, options);
+  MakeTuner(algorithm, ctx, /*seed=*/7)->Tune(service);
+  ASSERT_EQ(tracer.dropped(), 0u);
+  if (!realloc) {
+    EXPECT_EQ(service.EngineStats().governor_skipped_calls, 0);
+  }
+  if (service.calls_made() < budget) return;  // stopped early: nothing to see
+
+  const double spent_at = service.SimulatedWhatIfSeconds();
+  for (const TraceEvent& e : tracer.Events()) {
+    if (std::string(e.name) == "governor.skip") {
+      EXPECT_LT(e.sim_ts_s, spent_at) << "skip after the budget was spent";
+    }
+  }
+  // Cells asked for afterwards are cache hits or nullopt, and bank nothing.
+  const CostEngineStats before = service.EngineStats();
+  const size_t events = tracer.size();
+  for (int q = 0; q < service.num_queries(); ++q) {
+    for (int pos = 0; pos < service.num_candidates() && pos < 16; ++pos) {
+      Config c = service.EmptyConfig();
+      c.set(static_cast<size_t>(pos));
+      service.WhatIfCost(q, c);
+    }
+  }
+  const CostEngineStats after = service.EngineStats();
+  EXPECT_EQ(after.what_if_calls, before.what_if_calls);
+  EXPECT_EQ(after.governor_skipped_calls, before.governor_skipped_calls);
+  EXPECT_EQ(after.governor_banked_calls, before.governor_banked_calls);
+  EXPECT_EQ(after.lower_bound_lookups, before.lower_bound_lookups);
+  EXPECT_EQ(tracer.size(), events);
+}
+
+TEST(GovernorInvariant, NoSkipOnceTheBudgetIsSpent) {
+  for (const char* algorithm : kAllAlgorithms) {
+    for (const char* workload : {"toy", "tpch"}) {
+      const int64_t budget = std::string(workload) == "toy" ? 30 : 150;
+      ExpectQuietAfterExhaustion(workload, algorithm, budget,
+                                 /*early_stop=*/false, /*realloc=*/true);
+      ExpectQuietAfterExhaustion(workload, algorithm, budget,
+                                 /*early_stop=*/true, /*realloc=*/true);
+      ExpectQuietAfterExhaustion(workload, algorithm, budget,
+                                 /*early_stop=*/true, /*realloc=*/false);
+    }
+  }
 }
 
 // ---- Governed end-to-end smoke test. ------------------------------------

@@ -103,8 +103,9 @@ TEST(CostService, UncachedCellIsFreeExactlyWhenNothingCanHappen) {
     EXPECT_TRUE(service->UncachedCellIsFree());
     expect_inert(*service, 2);
   }
-  // A live reallocating governor is quoted even after exhaustion: never
-  // free, and an uncached cell does move its bound counters.
+  // A reallocating governor is quoted only while a unit can be spent:
+  // after exhaustion it is not asked, so the cell is inert and banks
+  // nothing.
   {
     BudgetGovernorOptions realloc;
     realloc.enabled = true;
@@ -115,11 +116,10 @@ TEST(CostService, UncachedCellIsFreeExactlyWhenNothingCanHappen) {
     service->WhatIfCost(0, single(*service, 0));
     service->WhatIfCost(0, single(*service, 1));
     ASSERT_FALSE(service->meter().HasBudget());
-    EXPECT_FALSE(service->UncachedCellIsFree());
-    const int64_t bounds = service->EngineStats().lower_bound_lookups;
-    service->WhatIfCost(0, single(*service, 2));
-    EXPECT_GT(service->EngineStats().lower_bound_lookups, bounds);
-    EXPECT_FALSE(service->UncachedCellIsFree());
+    EXPECT_TRUE(service->UncachedCellIsFree());
+    const int64_t banked = service->EngineStats().governor_banked_calls;
+    expect_inert(*service, 2);
+    EXPECT_EQ(service->EngineStats().governor_banked_calls, banked);
   }
   // An early-stop-only governor never skips: after exhaustion its quote
   // reads no index and OnCell() charges, so the cell is inert.

@@ -1,6 +1,6 @@
 // Tests for the execution engine: the covering B+-tree against a std::map
 // oracle, deterministic store materialization, predicate realization,
-// rank-correlation statistics, the YCSB key generators, and — the contract
+// rank-correlation statistics, and — the contract
 // everything else rests on — plan-driven execution agreeing exactly with
 // the scalar reference executor under every index configuration.
 
@@ -18,7 +18,6 @@
 #include "exec/correlation.h"
 #include "exec/executor.h"
 #include "exec/harness.h"
-#include "exec/ycsb.h"
 #include "tuner/candidate_gen.h"
 #include "workload/generators.h"
 
@@ -57,74 +56,53 @@ void ExpectMatchesOracle(const BTree& tree, const Oracle& oracle, int kw,
   }
 }
 
-TEST(BTree, InsertMatchesOracleWithSplits) {
-  const int kw = 2, pw = 2;
-  BTree tree(kw, pw, /*leaf_capacity=*/4);  // tiny leaves force splits
+/// Bulk-loads `tree` from the oracle, whose map order is the tree's own
+/// (key lexicographic, then row id), so the input is sorted as required.
+void LoadFromOracle(const Oracle& oracle, BTree* tree) {
+  std::vector<double> keys, payloads;
+  std::vector<uint32_t> rows;
+  for (const auto& [key, payload] : oracle) {
+    keys.insert(keys.end(), key.first.begin(), key.first.end());
+    payloads.insert(payloads.end(), payload.begin(), payload.end());
+    rows.push_back(key.second);
+  }
+  tree->BulkLoad(keys, payloads, rows);
+}
+
+/// `n` entries with two key columns drawn from [0, max_val] (so duplicate
+/// keys are guaranteed) and `pw` payload columns derived from the row id.
+Oracle RandomOracle(uint32_t n, int max_val, int pw, uint64_t seed) {
   Oracle oracle;
-  std::mt19937_64 rng(7);
-  std::uniform_int_distribution<int> val(0, 40);  // collisions guaranteed
-  for (uint32_t r = 0; r < 500; ++r) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> val(0, max_val);
+  for (uint32_t r = 0; r < n; ++r) {
     std::vector<double> key = {static_cast<double>(val(rng)),
                                static_cast<double>(val(rng))};
-    std::vector<double> payload = {static_cast<double>(r) * 0.5,
-                                   static_cast<double>(r) * 2.0};
-    tree.Insert(key.data(), payload.data(), r);
+    std::vector<double> payload;
+    for (int p = 0; p < pw; ++p) {
+      payload.push_back(static_cast<double>(r) * (p + 0.5));
+    }
     oracle[{key, r}] = payload;
   }
+  return oracle;
+}
+
+TEST(BTree, BulkLoadMatchesOracleAcrossLevels) {
+  const int kw = 2, pw = 2;
+  BTree tree(kw, pw, /*leaf_capacity=*/4);  // tiny nodes force height > 2
+  const Oracle oracle = RandomOracle(500, 40, pw, 7);
+  LoadFromOracle(oracle, &tree);
   EXPECT_EQ(tree.size(), 500);
   EXPECT_GT(tree.height(), 2);
   ExpectMatchesOracle(tree, oracle, kw, pw);
 }
 
-TEST(BTree, BulkLoadMatchesInsertBuilt) {
-  const int kw = 1, pw = 1;
-  std::mt19937_64 rng(11);
-  std::uniform_int_distribution<int> val(0, 99);
-  std::vector<std::pair<OracleKey, double>> entries;
-  for (uint32_t r = 0; r < 300; ++r) {
-    entries.push_back(
-        {{{static_cast<double>(val(rng))}, r}, static_cast<double>(r)});
-  }
-  std::sort(entries.begin(), entries.end());
-
-  BTree bulk(kw, pw, 8);
-  std::vector<double> keys, payloads;
-  std::vector<uint32_t> rows;
-  for (const auto& [key, payload] : entries) {
-    keys.push_back(key.first[0]);
-    payloads.push_back(payload);
-    rows.push_back(key.second);
-  }
-  bulk.BulkLoad(keys, payloads, rows);
-
-  BTree inserted(kw, pw, 8);
-  for (const auto& [key, payload] : entries) {
-    inserted.Insert(key.first.data(), &payload, key.second);
-  }
-
-  const auto a = Collect(bulk);
-  const auto b = Collect(inserted);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].key[0], b[i].key[0]);
-    EXPECT_EQ(a[i].row_id, b[i].row_id);
-    EXPECT_EQ(a[i].payload[0], b[i].payload[0]);
-  }
-}
-
 TEST(BTree, SeekPrefixMatchesOracle) {
   const int kw = 2, pw = 1;
   BTree tree(kw, pw, 4);
-  Oracle oracle;
-  std::mt19937_64 rng(13);
-  std::uniform_int_distribution<int> val(0, 15);
-  for (uint32_t r = 0; r < 400; ++r) {
-    std::vector<double> key = {static_cast<double>(val(rng)),
-                               static_cast<double>(val(rng))};
-    std::vector<double> payload = {static_cast<double>(r)};
-    tree.Insert(key.data(), payload.data(), r);
-    oracle[{key, r}] = payload;
-  }
+  const Oracle oracle = RandomOracle(400, 15, pw, 13);
+  LoadFromOracle(oracle, &tree);
+  ASSERT_GT(tree.height(), 2);
   for (int first = 0; first <= 15; ++first) {
     // Full-prefix and partial-prefix seeks against a filtered oracle walk.
     const double p1[2] = {static_cast<double>(first), 7.0};
@@ -157,16 +135,9 @@ TEST(BTree, SeekPrefixMatchesOracle) {
 TEST(BTree, SeekRangeMatchesOracle) {
   const int kw = 2, pw = 1;
   BTree tree(kw, pw, 4);
-  Oracle oracle;
-  std::mt19937_64 rng(17);
-  std::uniform_int_distribution<int> val(0, 20);
-  for (uint32_t r = 0; r < 400; ++r) {
-    std::vector<double> key = {static_cast<double>(val(rng)),
-                               static_cast<double>(val(rng))};
-    std::vector<double> payload = {static_cast<double>(r)};
-    tree.Insert(key.data(), payload.data(), r);
-    oracle[{key, r}] = payload;
-  }
+  const Oracle oracle = RandomOracle(400, 20, pw, 17);
+  LoadFromOracle(oracle, &tree);
+  ASSERT_GT(tree.height(), 2);
   // Range on the second column under an equality prefix, and a pure range
   // on the leading column (prefix_len 0).
   const double prefix[1] = {9.0};
@@ -198,12 +169,8 @@ TEST(BTree, SeekRangeMatchesOracle) {
 }
 
 TEST(BTree, VisitorEarlyStop) {
-  BTree tree(1, 1, 4);
-  for (uint32_t r = 0; r < 100; ++r) {
-    const double k = static_cast<double>(r);
-    const double p = 0.0;
-    tree.Insert(&k, &p, r);
-  }
+  BTree tree(2, 1, 4);
+  LoadFromOracle(RandomOracle(100, 9, 1, 19), &tree);
   int visited = 0;
   tree.Scan([&](const BTree::Entry&) { return ++visited < 10; });
   EXPECT_EQ(visited, 10);
@@ -294,70 +261,6 @@ TEST(Correlation, FractionalRanksAverageTies) {
   EXPECT_DOUBLE_EQ(ranks[1], 2.5);
   EXPECT_DOUBLE_EQ(ranks[2], 2.5);
   EXPECT_DOUBLE_EQ(ranks[3], 4.0);
-}
-
-// ---------------------------------------------------------------------------
-// YCSB key generators.
-
-TEST(Ycsb, CounterGeneratorIsSequential) {
-  // The counter starts at its seed (mod key space) and then walks the key
-  // space one step at a time, wrapping at the end.
-  auto gen = MakeKeyGenerator(KeyDistribution::kCounter, 1000, 42);
-  for (uint64_t i = 0; i < 10; ++i) EXPECT_EQ(gen->Next(), (42 + i) % 1000);
-  auto wrap = MakeKeyGenerator(KeyDistribution::kCounter, 5, 3);
-  for (uint64_t i = 0; i < 10; ++i) EXPECT_EQ(wrap->Next(), (3 + i) % 5);
-}
-
-TEST(Ycsb, UniformGeneratorStaysInRangeAndCoversIt) {
-  auto gen = MakeKeyGenerator(KeyDistribution::kUniform, 100, 42);
-  std::set<uint64_t> seen;
-  for (int i = 0; i < 5000; ++i) {
-    const uint64_t k = gen->Next();
-    ASSERT_LT(k, 100u);
-    seen.insert(k);
-  }
-  EXPECT_GT(seen.size(), 90u);  // essentially all keys hit
-}
-
-TEST(Ycsb, ZipfianSkewsTowardSmallKeys) {
-  auto gen = MakeKeyGenerator(KeyDistribution::kZipfian, 10000, 42);
-  int64_t small = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    if (gen->Next() < 100) ++small;  // hottest 1% of the key space
-  }
-  // Under theta=0.99 zipf the head dominates; uniform would give ~1%.
-  EXPECT_GT(small, n / 4);
-}
-
-TEST(Ycsb, ScrambledZipfianSpreadsTheHead) {
-  auto gen =
-      MakeKeyGenerator(KeyDistribution::kScrambledZipfian, 10000, 42);
-  int64_t small = 0;
-  std::set<uint64_t> seen;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const uint64_t k = gen->Next();
-    ASSERT_LT(k, 10000u);
-    if (k < 100) ++small;
-    seen.insert(k);
-  }
-  // Still skewed onto few distinct keys, but the hot set is hashed away
-  // from the low ids.
-  EXPECT_LT(small, n / 10);
-  EXPECT_LT(seen.size(), 5000u);
-}
-
-TEST(Ycsb, MixedWorkloadRunsAndCounts) {
-  YcsbOptions opts;
-  opts.workers = 2;
-  opts.ops_per_worker = 2000;
-  opts.key_space = 10000;
-  const YcsbReport r = RunYcsb(opts);
-  EXPECT_EQ(r.reads + r.scans + r.inserts, 2 * 2000);
-  EXPECT_EQ(r.read_hits, r.reads);  // preloaded key space: every read hits
-  EXPECT_EQ(r.tree_size, 10000 + r.inserts);
-  EXPECT_GT(r.ops_per_second, 0.0);
 }
 
 // ---------------------------------------------------------------------------

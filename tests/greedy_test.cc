@@ -219,13 +219,13 @@ std::string PinnedLine(const char* cell, const RunOutcome& o) {
 TEST(Greedy, VariantsMatchPinnedResults) {
   // {vanilla, two-phase, autoadmin, dta} x {plain, early-stop, realloc,
   // fault 0.1} on toy and tpch at a small budget and 5000, each with and
-  // without a binding storage limit; Real-M only at 5000 without a limit,
-  // and without realloc for vanilla and two-phase greedy (a live
-  // reallocating governor is quoted on every cell of every sweep, which
-  // takes seconds there). K = 10, seed 1. Captured before the argmax sweep
-  // priced posting-free extensions in one step: that shortcut must not
-  // move a what-if call, a recommended index, a derived-cost bit or an
-  // engine counter.
+  // without a binding storage limit; Real-M only at 5000 without a limit.
+  // K = 10, seed 1. Captured before the argmax sweep priced posting-free
+  // extensions in one step: that shortcut must not move a what-if call, a
+  // recommended index, a derived-cost bit or an engine counter. The realloc
+  // rows' lookup and governor counters were re-pinned when the governor
+  // stopped being quoted after the budget is spent; their calls, indexes
+  // and improvements did not move.
   const std::string pinned = R"(
 toy B20 plain vanilla-greedy 20 {0,6} 79.130835181127139 | hits=0 batched=0 derived=12 delta=22 entries=20 scanned=13 pruned=103 lb=0 sim=6.6000000000000014 degraded=0 faults=0/0/0 retries=0 governor=0/0/0 stop=-1@-1
 toy B20 plain two-phase-greedy 20 {0,6} 37.484617522937569 | hits=3 batched=0 derived=14 delta=9 entries=20 scanned=44 pruned=81 lb=0 sim=6.799999999999998 degraded=0 faults=0/0/0 retries=0 governor=0/0/0 stop=-1@-1
@@ -235,10 +235,10 @@ toy B20 early-stop vanilla-greedy 20 {0,6} 79.130835181127139 | hits=0 batched=0
 toy B20 early-stop two-phase-greedy 20 {0,6} 37.484617522937569 | hits=3 batched=0 derived=14 delta=9 entries=20 scanned=44 pruned=81 lb=0 sim=6.799999999999998 degraded=0 faults=0/0/0 retries=0 governor=0/0/0 stop=-1@-1
 toy B20 early-stop autoadmin-greedy 14 {6,7} 59.946549448262857 | hits=3 batched=0 derived=14 delta=13 entries=14 scanned=17 pruned=78 lb=0 sim=4.6400000000000015 degraded=0 faults=0/0/0 retries=0 governor=0/0/0 stop=-1@-1
 toy B20 early-stop dta 20 {0,6,7} 70.046700143705252 | hits=30 batched=0 derived=29 delta=28 entries=20 scanned=111 pruned=194 lb=0 sim=6.4800000000000022 degraded=0 faults=0/0/0 retries=0 governor=0/0/0 stop=-1@-1
-toy B20 realloc vanilla-greedy 20 {0,6,7} 80.14685083914766 | hits=0 batched=0 derived=68 delta=5 entries=20 scanned=480 pruned=443 lb=104 sim=6.5800000000000018 degraded=0 faults=0/0/0 retries=0 governor=27/25/2 stop=-1@-1
+toy B20 realloc vanilla-greedy 20 {0,6,7} 80.14685083914766 | hits=0 batched=0 derived=58 delta=10 entries=20 scanned=370 pruned=358 lb=84 sim=6.5800000000000018 degraded=0 faults=0/0/0 retries=0 governor=22/20/2 stop=-1@-1
 toy B20 realloc two-phase-greedy 19 {0,6,7} 80.14685083914766 | hits=6 batched=0 derived=59 delta=0 entries=19 scanned=327 pruned=308 lb=78 sim=6.2600000000000025 degraded=0 faults=0/0/0 retries=0 governor=20/10/10 stop=-1@-1
 toy B20 realloc autoadmin-greedy 14 {6,7} 59.946549448262857 | hits=3 batched=0 derived=28 delta=13 entries=14 scanned=74 pruned=107 lb=28 sim=4.6400000000000015 degraded=0 faults=0/0/0 retries=0 governor=0/0/0 stop=-1@-1
-toy B20 realloc dta 20 {0,6,7} 80.14685083914766 | hits=55 batched=0 derived=117 delta=42 entries=20 scanned=663 pruned=705 lb=124 sim=6.5800000000000001 degraded=0 faults=0/0/0 retries=0 governor=42/36/6 stop=-1@-1
+toy B20 realloc dta 20 {0,6,7} 80.14685083914766 | hits=55 batched=0 derived=100 delta=59 entries=20 scanned=476 pruned=597 lb=90 sim=6.5800000000000001 degraded=0 faults=0/0/0 retries=0 governor=25/19/6 stop=-1@-1
 toy B20 fault vanilla-greedy 20 {0,6} 79.130835181127139 | hits=0 batched=0 derived=12 delta=22 entries=20 scanned=13 pruned=103 lb=0 sim=7.740000000000002 degraded=0 faults=2/0/0 retries=2 governor=0/0/0 stop=-1@-1
 toy B20 fault two-phase-greedy 20 {0,6} 37.484617522937569 | hits=3 batched=0 derived=14 delta=9 entries=20 scanned=44 pruned=81 lb=0 sim=7.3899999999999988 degraded=0 faults=1/0/0 retries=1 governor=0/0/0 stop=-1@-1
 toy B20 fault autoadmin-greedy 14 {6,7} 59.946549448262857 | hits=3 batched=0 derived=14 delta=13 entries=14 scanned=17 pruned=78 lb=0 sim=5.2100000000000009 degraded=0 faults=1/0/0 retries=1 governor=0/0/0 stop=-1@-1
@@ -299,10 +299,10 @@ tpch B150 early-stop vanilla-greedy 150 {0,2,3,4,6} 7.7739946883443878 | hits=0 
 tpch B150 early-stop two-phase-greedy 62 {2,3,9,13} 5.4935797120176382 | hits=4 batched=0 derived=224 delta=449 entries=62 scanned=356 pruned=459 lb=0 sim=37.890000000000015 degraded=0 faults=0/0/0 retries=0 governor=0/0/0 stop=6@62
 tpch B150 early-stop autoadmin-greedy 109 {2,13,32,37,43,48,50,59} 24.352852813836535 | hits=8 batched=0 derived=404 delta=1015 entries=109 scanned=643 pruned=1448 lb=0 sim=71.26499999999993 degraded=0 faults=0/0/0 retries=0 governor=0/0/0 stop=16@109
 tpch B150 early-stop dta 47 {41,43} 3.6263411638734921 | hits=7 batched=0 derived=62 delta=191 entries=47 scanned=64 pruned=290 lb=0 sim=35.25 degraded=0 faults=0/0/0 retries=0 governor=0/0/0 stop=4@47
-tpch B150 realloc vanilla-greedy 150 {0,2,3,4,6} 7.7739946883443878 | hits=0 batched=0 derived=15906 delta=15130 entries=150 scanned=112746 pruned=101094 lb=31284 sim=68.919999999999987 degraded=0 faults=0/0/0 retries=0 governor=362/362/0 stop=-1@-1
-tpch B150 realloc two-phase-greedy 150 {2,13,29,32,37,43,48,50,51,59} 26.021177452374555 | hits=19 batched=0 derived=3222 delta=2433 entries=150 scanned=31379 pruned=14116 lb=5446 sim=93.999999999999801 degraded=0 faults=0/0/0 retries=0 governor=140/80/60 stop=-1@-1
-tpch B150 realloc autoadmin-greedy 150 {2,13,32,37,43,48,50,61,71,74} 31.78644940871802 | hits=14 batched=0 derived=962 delta=1649 entries=150 scanned=5207 pruned=3828 lb=934 sim=96.204999999999799 degraded=0 faults=0/0/0 retries=0 governor=0/0/0 stop=-1@-1
-tpch B150 realloc dta 150 {2,13,41,43,61,65,66} 13.079672071464376 | hits=21 batched=0 derived=1072 delta=396 entries=150 scanned=52022 pruned=38387 lb=1988 sim=92.654999999999845 degraded=0 faults=0/0/0 retries=0 governor=449/367/82 stop=-1@-1
+tpch B150 realloc vanilla-greedy 150 {0,2,3,4,6} 7.7739946883443878 | hits=0 batched=0 derived=414 delta=15492 entries=150 scanned=587 pruned=2367 lb=300 sim=68.919999999999987 degraded=0 faults=0/0/0 retries=0 governor=0/0/0 stop=-1@-1
+tpch B150 realloc two-phase-greedy 150 {2,13,29,32,37,43,48,50,51,59} 26.021177452374555 | hits=19 batched=0 derived=775 delta=2447 entries=150 scanned=7830 pruned=5835 lb=552 sim=93.999999999999801 degraded=0 faults=0/0/0 retries=0 governor=126/66/60 stop=-1@-1
+tpch B150 realloc autoadmin-greedy 150 {2,13,32,37,43,48,50,61,71,74} 31.78644940871802 | hits=14 batched=0 derived=645 delta=1649 entries=150 scanned=2934 pruned=3171 lb=300 sim=96.204999999999799 degraded=0 faults=0/0/0 retries=0 governor=0/0/0 stop=-1@-1
+tpch B150 realloc dta 150 {2,13,41,43,61,65,66} 13.079672071464376 | hits=21 batched=0 derived=316 delta=757 entries=150 scanned=8789 pruned=6594 lb=476 sim=92.654999999999845 degraded=0 faults=0/0/0 retries=0 governor=88/6/82 stop=-1@-1
 tpch B150 fault vanilla-greedy 150 {0,2,3,4,6} 7.7739946883443878 | hits=0 batched=0 derived=264 delta=15492 entries=150 scanned=114 pruned=1964 lb=0 sim=81.049999999999997 degraded=0 faults=16/0/0 retries=16 governor=0/0/0 stop=-1@-1
 tpch B150 fault two-phase-greedy 150 {2,3,9,13,17,21,23,29,32} 10.044101499477854 | hits=9 batched=0 derived=449 delta=1187 entries=150 scanned=2900 pruned=1665 lb=0 sim=105.42999999999996 degraded=0 faults=22/0/0 retries=22 governor=0/0/0 stop=-1@-1
 tpch B150 fault autoadmin-greedy 150 {2,13,32,37,43,48,50,61,71,74} 31.78644940871802 | hits=14 batched=0 derived=495 delta=1649 entries=150 scanned=872 pruned=2639 lb=0 sim=115.68999999999974 degraded=0 faults=22/0/0 retries=22 governor=0/0/0 stop=-1@-1
@@ -315,10 +315,10 @@ tpch B150 limited early-stop vanilla-greedy 150 {3,4,6,7,9} 0.39143690743193016 
 tpch B150 limited early-stop two-phase-greedy 53 {3,9,13} 0.93991534716354463 | hits=6 batched=0 derived=179 delta=294 entries=53 scanned=146 pruned=376 lb=0 sim=34.184999999999995 degraded=0 faults=0/0/0 retries=0 governor=0/0/0 stop=5@53
 tpch B150 limited early-stop autoadmin-greedy 150 {41,82,107} 2.3745927505298359 | hits=36 batched=0 derived=215 delta=490 entries=150 scanned=502 pruned=944 lb=0 sim=90.72000000000007 degraded=0 faults=0/0/0 retries=0 governor=0/0/0 stop=-1@-1
 tpch B150 limited early-stop dta 53 {17,21,41,47} 0.7628436015129636 | hits=23 batched=0 derived=72 delta=195 entries=53 scanned=116 pruned=451 lb=0 sim=39.75 degraded=0 faults=0/0/0 retries=0 governor=0/0/0 stop=6@53
-tpch B150 limited realloc vanilla-greedy 150 {3,4,6,7,9} 0.39143690743193016 | hits=0 batched=0 derived=8536 delta=7759 entries=150 scanned=61934 pruned=51409 lb=16544 sim=68.919999999999987 degraded=0 faults=0/0/0 retries=0 governor=363/363/0 stop=-1@-1
-tpch B150 limited realloc two-phase-greedy 150 {41,47,82} 2.3919267044654524 | hits=37 batched=0 derived=867 delta=397 entries=150 scanned=7541 pruned=4015 lb=1302 sim=91.435000000000002 degraded=0 faults=0/0/0 retries=0 governor=104/43/61 stop=-1@-1
-tpch B150 limited realloc autoadmin-greedy 150 {41,82,107} 2.3745927505298359 | hits=36 batched=0 derived=684 delta=490 entries=150 scanned=4983 pruned=2167 lb=938 sim=90.72000000000007 degraded=0 faults=0/0/0 retries=0 governor=0/0/0 stop=-1@-1
-tpch B150 limited realloc dta 150 {41} 2.9860417019552776 | hits=78 batched=0 derived=360 delta=77 entries=150 scanned=5108 pruned=3296 lb=518 sim=92.42499999999994 degraded=0 faults=0/0/0 retries=0 governor=53/17/36 stop=-1@-1
+tpch B150 limited realloc vanilla-greedy 150 {3,4,6,7,9} 0.39143690743193016 | hits=0 batched=0 derived=414 delta=8122 entries=150 scanned=673 pruned=2285 lb=300 sim=68.919999999999987 degraded=0 faults=0/0/0 retries=0 governor=0/0/0 stop=-1@-1
+tpch B150 limited realloc two-phase-greedy 150 {41,47,82} 2.3919267044654524 | hits=37 batched=0 derived=468 delta=399 entries=150 scanned=4148 pruned=2996 lb=504 sim=91.435000000000002 degraded=0 faults=0/0/0 retries=0 governor=102/41/61 stop=-1@-1
+tpch B150 limited realloc autoadmin-greedy 150 {41,82,107} 2.3745927505298359 | hits=36 batched=0 derived=365 delta=490 entries=150 scanned=2051 pruned=1317 lb=300 sim=90.72000000000007 degraded=0 faults=0/0/0 retries=0 governor=0/0/0 stop=-1@-1
+tpch B150 limited realloc dta 150 {41} 2.9860417019552776 | hits=78 batched=0 derived=287 delta=94 entries=150 scanned=3272 pruned=2235 lb=372 sim=92.42499999999994 degraded=0 faults=0/0/0 retries=0 governor=36/0/36 stop=-1@-1
 tpch B150 limited fault vanilla-greedy 150 {3,4,6,7,9} 0.39143690743193016 | hits=0 batched=0 derived=264 delta=8122 entries=150 scanned=176 pruned=1906 lb=0 sim=82.864999999999995 degraded=0 faults=18/0/0 retries=18 governor=0/0/0 stop=-1@-1
 tpch B150 limited fault two-phase-greedy 150 {3,9,13,17,21,23,47} 1.0892170895507203 | hits=17 batched=0 derived=383 delta=753 entries=150 scanned=1581 pruned=1538 lb=0 sim=120.13000000000007 degraded=0 faults=23/0/0 retries=23 governor=0/0/0 stop=-1@-1
 tpch B150 limited fault autoadmin-greedy 150 {41,82,107} 2.3745927505298359 | hits=36 batched=0 derived=215 delta=490 entries=150 scanned=502 pruned=944 lb=0 sim=110.155 degraded=0 faults=22/0/0 retries=22 governor=0/0/0 stop=-1@-1
@@ -334,7 +334,7 @@ tpch B5000 early-stop dta 1727 {2,13,39,61,62,65,66,94,96,99} 17.035479472536906
 tpch B5000 realloc vanilla-greedy 4595 {2,27,50,59,71,76,80,99,110,113} 60.605519200410974 | hits=0 batched=0 derived=26092 delta=0 entries=4595 scanned=4296617 pruned=3306921 lb=51260 sim=2506.5900000000202 degraded=0 faults=0/0/0 retries=0 governor=21035/19183/1852 stop=-1@-1
 tpch B5000 realloc two-phase-greedy 1984 {2,29,50,59,71,76,80,99,110,113} 60.486072924727786 | hits=78 batched=0 derived=9685 delta=0 entries=1984 scanned=723760 pruned=464785 lb=18306 sim=1091.1550000000054 degraded=0 faults=0/0/0 retries=0 governor=7169/6667/502 stop=-1@-1
 tpch B5000 realloc autoadmin-greedy 696 {2,32,50,59,71,76,80,99,110,113} 55.623196772155062 | hits=27 batched=0 derived=1202 delta=3583 entries=696 scanned=17340 pruned=22919 lb=1392 sim=342.69500000000079 degraded=0 faults=0/0/0 retries=0 governor=0/0/0 stop=-1@-1
-tpch B5000 realloc dta 5000 {2,27,49,50,61,71,78,99,113,117} 45.766335665646395 | hits=858 batched=0 derived=15184 delta=537 entries=5000 scanned=5048540 pruned=2478039 lb=29628 sim=3218.8200000001043 degraded=0 faults=0/0/0 retries=0 governor=9277/6063/3214 stop=-1@-1
+tpch B5000 realloc dta 5000 {2,27,49,50,61,71,78,99,113,117} 45.766335665646395 | hits=858 batched=0 derived=14075 delta=1109 entries=5000 scanned=4475977 pruned=2129803 lb=27410 sim=3218.8200000001043 degraded=0 faults=0/0/0 retries=0 governor=8705/5491/3214 stop=-1@-1
 tpch B5000 fault vanilla-greedy 5000 {2,50,59,62,71,74,76,80,99,113} 57.187459943133121 | hits=0 batched=0 derived=463 delta=20629 entries=5000 scanned=8616 pruned=125449 lb=0 sim=2720.1100000000024 degraded=1 faults=574/0/0 retries=573 governor=0/0/0 stop=-1@-1
 tpch B5000 fault two-phase-greedy 5000 {2,29,50,59,71,76,80,99,110,113} 58.481177348439893 | hits=109 batched=0 derived=553 delta=6629 entries=5000 scanned=38306 pruned=92799 lb=0 sim=2903.7300000000068 degraded=0 faults=584/0/0 retries=584 governor=0/0/0 stop=-1@-1
 tpch B5000 fault autoadmin-greedy 696 {2,32,50,59,71,76,80,99,110,113} 55.623196772155062 | hits=27 batched=0 derived=506 delta=3583 entries=696 scanned=2004 pruned=15977 lb=0 sim=412.37000000000063 degraded=0 faults=92/0/0 retries=92 governor=0/0/0 stop=-1@-1
@@ -363,8 +363,10 @@ real-m B5000 early-stop vanilla-greedy 5000 {3,4,6,7,8,9,12,15} 0.19247385640296
 real-m B5000 early-stop two-phase-greedy 1647 {27,28,33,78,79,104,122,126,151,162} 0.42220361825509034 | hits=57 batched=0 derived=7010 delta=122040 entries=1647 scanned=76241 pruned=14223 lb=0 sim=3468.7200000000134 degraded=0 faults=0/0/0 retries=0 governor=0/0/0 stop=40@1647
 real-m B5000 early-stop autoadmin-greedy 3976 {152,304,413,721,1099,1389,1659,1837,1925,1983} 15.224858957908705 | hits=170 batched=0 derived=7053 delta=213931 entries=3976 scanned=57925 pruned=34892 lb=0 sim=8596.6949999999033 degraded=0 faults=0/0/0 retries=0 governor=0/0/0 stop=158@3976
 real-m B5000 early-stop dta 1715 {27,162,1118,1580,1837,1838,1860,2939,3135,3137} 10.806916179996184 | hits=79 batched=0 derived=705 delta=5356 entries=1715 scanned=61135 pruned=13805 lb=0 sim=4445.6749999999838 degraded=0 faults=0/0/0 retries=0 governor=0/0/0 stop=32@1715
-real-m B5000 realloc autoadmin-greedy 5000 {152,304,413,721,1099,1389,1837,1925,1983,2431} 16.449466124292712 | hits=230 batched=0 derived=47307 delta=245599 entries=5000 scanned=953595 pruned=169973 lb=80468 sim=10967.635000000062 degraded=0 faults=0/0/0 retries=0 governor=0/0/0 stop=-1@-1
-real-m B5000 realloc dta 5000 {1837,2939,3135,3179,3180,3529,3970,4046,4083,4338} 74.322554557634689 | hits=6342 batched=0 derived=48997 delta=2032 entries=5000 scanned=6716185 pruned=4939420 lb=89256 sim=11412.080000000024 degraded=0 faults=0/0/0 retries=0 governor=37596/33834/3762 stop=-1@-1
+real-m B5000 realloc vanilla-greedy 5000 {3,4,6,7,8,9,12,15} 0.19247385640296377 | hits=0 batched=0 derived=10706 delta=14653714 entries=5000 scanned=40238 pruned=147558 lb=10000 sim=10727.825000000001 degraded=0 faults=0/0/0 retries=0 governor=0/0/0 stop=-1@-1
+real-m B5000 realloc two-phase-greedy 5000 {27,123,126,152,162,304,413,427,721,1099} 3.7878590934646961 | hits=392 batched=0 derived=20857 delta=719118 entries=5000 scanned=1595941 pruned=1199329 lb=27234 sim=10583.739999999727 degraded=0 faults=0/0/0 retries=0 governor=8617/5566/3051 stop=-1@-1
+real-m B5000 realloc autoadmin-greedy 5000 {152,304,413,721,1099,1389,1837,1925,1983,2431} 16.449466124292712 | hits=230 batched=0 derived=12073 delta=245599 entries=5000 scanned=298134 pruned=77956 lb=10000 sim=10967.635000000062 degraded=0 faults=0/0/0 retries=0 governor=0/0/0 stop=-1@-1
+real-m B5000 realloc dta 5000 {1837,2939,3135,3179,3180,3529,3970,4046,4083,4338} 74.322554557634689 | hits=6342 batched=0 derived=40362 delta=8635 entries=5000 scanned=5118154 pruned=3864118 lb=71986 sim=11412.080000000024 degraded=0 faults=0/0/0 retries=0 governor=30993/27231/3762 stop=-1@-1
 real-m B5000 fault vanilla-greedy 5000 {3,4,6,7,8,9,12,15} 0.19247385640296377 | hits=0 batched=0 derived=5706 delta=14653714 entries=5000 scanned=1469 pruned=112407 lb=0 sim=12036.655000000004 degraded=0 faults=537/0/0 retries=537 governor=0/0/0 stop=-1@-1
 real-m B5000 fault two-phase-greedy 5000 {27,33,123,126,151,162,180,304,413,427} 2.1361244255036937 | hits=145 batched=0 derived=7072 delta=327654 entries=5000 scanned=265921 pruned=34448 lb=0 sim=12556.84499999995 degraded=0 faults=550/0/0 retries=550 governor=0/0/0 stop=-1@-1
 real-m B5000 fault autoadmin-greedy 5000 {152,304,413,721,1099,1389,1837,1925,1983,2431} 16.449466124292712 | hits=230 batched=0 derived=7073 delta=245599 entries=5000 scanned=74382 pruned=42498 lb=0 sim=12346.534999999983 degraded=0 faults=558/0/0 retries=558 governor=0/0/0 stop=-1@-1
@@ -393,11 +395,6 @@ real-m B5000 fault dta 5000 {27,162,418,1118,1334,2726,2939,3061,3135,3137} 14.4
             spec.max_indexes = 10;
             if (limited) spec.max_storage_bytes = TwoMedianIndexes(bundle);
             const std::string m = mode;
-            if (std::string(grid.workload) == "real-m" && m == "realloc" &&
-                std::string(algo) != "autoadmin-greedy" &&
-                std::string(algo) != "dta") {
-              continue;
-            }
             if (m == "early-stop" || m == "realloc") {
               spec.governor.enabled = true;
               spec.governor.early_stop = m == "early-stop";

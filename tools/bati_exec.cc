@@ -15,7 +15,6 @@
 #include "common/file_util.h"
 #include "common/flags.h"
 #include "exec/harness.h"
-#include "exec/ycsb.h"
 #include "obs/metrics.h"
 #include "tuner/candidate_gen.h"
 #include "workload/generators.h"
@@ -47,12 +46,7 @@ constexpr char kUsage[] =
     "  --max-rows N          refuse stores larger than N rows (default 10M)\n"
     "  --per-query           print per-query cost vs time diagnostics\n"
     "  --json FILE           write the report as JSON\n"
-    "  --metrics FILE        write the exec.* metrics snapshot JSON\n"
-    "  --ycsb                also run the YCSB-style B+-tree micro-harness\n"
-    "  --ycsb-workers N      worker threads for --ycsb (default 4)\n"
-    "  --ycsb-ops N          operations per worker (default 200000)\n"
-    "  --ycsb-dist NAME      counter | uniform | zipfian | scrambled\n"
-    "                        (default zipfian)\n";
+    "  --metrics FILE        write the exec.* metrics snapshot JSON\n";
 
 std::string ReportJson(const std::string& workload,
                        const exec::CorrelationReport& report) {
@@ -114,10 +108,6 @@ int Run(int argc, char** argv) {
   std::string json_path;
   std::string metrics_path;
   bool per_query = false;
-  bool run_ycsb = false;
-  int64_t ycsb_workers = 4;
-  int64_t ycsb_ops = 200 * 1000;
-  std::string ycsb_dist = "zipfian";
 
   FlagParser parser;
   parser.AddString("workload", &workload_name);
@@ -136,10 +126,6 @@ int Run(int argc, char** argv) {
   parser.AddString("json", &json_path);
   parser.AddString("metrics", &metrics_path);
   parser.AddBool("per-query", &per_query);
-  parser.AddBool("ycsb", &run_ycsb);
-  parser.AddInt64("ycsb-workers", &ycsb_workers, 1);
-  parser.AddInt64("ycsb-ops", &ycsb_ops, 1);
-  parser.AddString("ycsb-dist", &ycsb_dist);
   bool help = false;
   if (!parser.Parse(argc, argv, &help)) {
     std::fputs(kUsage, help ? stdout : stderr);
@@ -241,34 +227,6 @@ int Run(int argc, char** argv) {
       }
       std::fprintf(stderr, "%s\n", line.c_str());
     }
-  }
-
-  if (run_ycsb) {
-    exec::YcsbOptions yopts;
-    yopts.workers = static_cast<int>(ycsb_workers);
-    yopts.ops_per_worker = ycsb_ops;
-    yopts.seed = seed;
-    if (ycsb_dist == "counter") {
-      yopts.distribution = exec::KeyDistribution::kCounter;
-    } else if (ycsb_dist == "uniform") {
-      yopts.distribution = exec::KeyDistribution::kUniform;
-    } else if (ycsb_dist == "zipfian") {
-      yopts.distribution = exec::KeyDistribution::kZipfian;
-    } else if (ycsb_dist == "scrambled") {
-      yopts.distribution = exec::KeyDistribution::kScrambledZipfian;
-    } else {
-      std::fprintf(stderr, "bati_exec: unknown --ycsb-dist '%s'\n",
-                   ycsb_dist.c_str());
-      return 2;
-    }
-    const exec::YcsbReport y = exec::RunYcsb(yopts);
-    std::printf(
-        "ycsb dist=%s workers=%d ops/s=%.0f reads=%lld hits=%lld "
-        "scans=%lld inserts=%lld tree=%lld\n",
-        ycsb_dist.c_str(), yopts.workers, y.ops_per_second,
-        static_cast<long long>(y.reads), static_cast<long long>(y.read_hits),
-        static_cast<long long>(y.scans), static_cast<long long>(y.inserts),
-        static_cast<long long>(y.tree_size));
   }
 
   if (!json_path.empty()) {

@@ -3,30 +3,21 @@
 // `bati_tune --schema-file ... --sql-file ...`.
 //
 //   bati_export --workload tpch --out /tmp/tpch
-//   bati_export --workload tpch --engine-stats   (cost-engine probe as JSON)
 
 #include <cstdio>
 #include <fstream>
 #include <string>
 
 #include "common/flags.h"
-#include "harness/experiment.h"
+#include "session/bundle_registry.h"
 #include "workload/loader.h"
 
 namespace {
 
 void Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s --workload NAME [--out PREFIX] [--engine-stats]"
-               " [--governor] [--metrics]\n"
-               "writes PREFIX.schema.sql and PREFIX.queries.sql;\n"
-               "--engine-stats instead runs a small greedy tuning probe\n"
-               "and prints the cost-engine counters as JSON;\n"
-               "--governor runs the probe with the budget governor\n"
-               "enabled, so skip/stop decisions appear in the stats;\n"
-               "--metrics runs the probe with the metrics registry\n"
-               "attached and prints the full snapshot (histograms with\n"
-               "percentiles) alongside the engine stats\n",
+               "usage: %s --workload NAME [--out PREFIX]\n"
+               "writes PREFIX.schema.sql and PREFIX.queries.sql\n",
                argv0);
 }
 
@@ -36,17 +27,11 @@ int main(int argc, char** argv) {
   using namespace bati;
   std::string workload = "tpch";
   std::string out_prefix = "workload";
-  bool engine_stats = false;
-  bool governor = false;
-  bool metrics = false;
   // The same strict flag table as bati_tune/bati_batch (common/flags.h):
   // unknown or malformed flags print usage and exit 2.
   FlagParser parser;
   parser.AddString("workload", &workload);
   parser.AddString("out", &out_prefix);
-  parser.AddBool("engine-stats", &engine_stats);
-  parser.AddBool("governor", &governor);
-  parser.AddBool("metrics", &metrics);
   if (!parser.Parse(argc, argv)) {
     Usage(argv[0]);
     return 2;
@@ -55,26 +40,6 @@ int main(int argc, char** argv) {
   if (bundle == nullptr) {
     std::fprintf(stderr, "unknown workload: %s\n", workload.c_str());
     return 1;
-  }
-  if (engine_stats || governor || metrics) {
-    // Small deterministic greedy probe: enough activity to exercise the
-    // cache, the batched executor, and the derived-cost index.
-    RunSpec spec;
-    spec.workload = workload;
-    spec.algorithm = "vanilla-greedy";
-    spec.budget = 200;
-    spec.max_indexes = 5;
-    if (governor) spec.governor = BudgetGovernorOptions::Enabled();
-    spec.collect_metrics = metrics;
-    RunOutcome outcome = RunOnce(*bundle, spec);
-    std::string line = "{\"workload\":\"" + workload + "\"";
-    line += ",\"engine_stats\":" + outcome.engine.ToJson();
-    if (outcome.has_metrics) {
-      line += ",\"metrics\":" + outcome.metrics.ToJson();
-    }
-    line += "}";
-    std::printf("%s\n", line.c_str());
-    return 0;
   }
   std::string schema_path = out_prefix + ".schema.sql";
   std::string queries_path = out_prefix + ".queries.sql";

@@ -38,8 +38,4 @@ grep -q '"spearman_combined"' "${workdir}/report.json"
 grep -q '"exec.trees.built"' "${workdir}/metrics.json"
 grep -q '"exec.index.seeks"' "${workdir}/metrics.json"
 
-echo "==> exec smoke: YCSB micro-harness sanity (zipfian, 2 workers)"
-"${exec_cli}" --workload toy --configs 3 --samples 16 --reps 1 --passes 1 \
-  --ycsb --ycsb-workers 2 --ycsb-ops 20000 > "${workdir}/ycsb.out"
-
 echo "exec smoke: OK"
