@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "budget/budget_policy.h"
 #include "budget/early_stop.h"
 #include "budget/improvement_curve.h"
 #include "budget/reallocator.h"
@@ -61,29 +60,50 @@ struct GovernorStats {
   double remaining_improvement_ub_pct = -1.0;
 };
 
-/// The budget governor: the default BudgetPolicy, composing
+/// The budget governor, the policy layer between the cost engine and the
+/// budget meter. It composes
 ///
 ///  * an ImprovementCurve fed by every charged call and round boundary,
 ///  * an EarlyStopChecker evaluated at round boundaries, and
 ///  * a BudgetReallocator consulted per uncached cell.
 ///
+/// The engine consults it at three points: OnCell() before charging an
+/// uncached what-if cell, OnCharged() after a charged cell has been
+/// evaluated and cached, and OnRound() at tuner-declared round boundaries
+/// (CostService::BeginRound()).
+///
 /// Stopping is evaluated only at OnRound(): within a round (and therefore
 /// within one batched WhatIfCostMany() charge loop) the stop state is
 /// constant, which keeps governed runs deterministic and batch charging
-/// aligned with the sequential loop.
-class BudgetGovernor : public BudgetPolicy {
+/// aligned with the sequential loop. Decisions depend only on the quotes
+/// and notifications received, never on wall-clock time or randomness, so
+/// governed runs stay exactly reproducible.
+class BudgetGovernor {
  public:
   /// `budget` is the what-if call budget B; `base_workload_cost` the
   /// workload cost at zero spend (the curve's origin).
   BudgetGovernor(const BudgetGovernorOptions& options, int64_t budget,
                  double base_workload_cost);
 
-  CellDecision OnCell(const CellQuote& quote) override;
+  /// Decision for one uncached cell about to be charged.
+  CellDecision OnCell(const CellQuote& quote);
+
+  /// A charged cell finished evaluating. `quote` is the quote OnCell() saw
+  /// (calls_made still pre-charge), `cost` the evaluated what-if cost, and
+  /// `best_workload_cost` the engine's optimistic workload floor (sum of
+  /// per-query minima over cached cells) after caching this cell.
   void OnCharged(const CellQuote& quote, double cost,
-                 double best_workload_cost) override;
+                 double best_workload_cost);
+
+  /// A tuner declared the start of round `round` (1-based, monotone).
   void OnRound(int round, int64_t calls_made, int64_t remaining_budget,
-               double best_workload_cost) override;
-  bool ShouldStop() const override { return stopped_; }
+               double best_workload_cost);
+
+  /// True once early stopping has fired. Sticky: from then on the engine
+  /// treats the budget as exhausted (WhatIfCost() returns nullopt,
+  /// HasBudget() is false), which every tuner already handles as its
+  /// termination signal.
+  bool ShouldStop() const { return stopped_; }
 
   const ImprovementCurve& curve() const { return curve_; }
   const BudgetGovernorOptions& options() const { return options_; }

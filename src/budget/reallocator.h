@@ -3,9 +3,37 @@
 
 #include <cstdint>
 
-#include "budget/budget_policy.h"
-
 namespace bati {
+
+/// Everything the budget governor may inspect about one uncached what-if
+/// cell *before* the cell is charged against the budget. The cost engine
+/// computes the bounds; the governor only decides. All costs are in
+/// optimizer cost units for the cell's query.
+struct CellQuote {
+  int query_id = -1;
+  /// c(q, {}): the query's base cost (always known, never charged).
+  double base_cost = 0.0;
+  /// d(q, C): the Equation-1 derived cost — an upper bound on the true
+  /// what-if cost c(q, C), and exactly the value the caller would fall back
+  /// to if the call were skipped or the budget were exhausted.
+  double derived_upper = 0.0;
+  /// A lower bound on c(q, C), clamped into [0, derived_upper]. Combines
+  /// the cached-superset bound (cost monotonicity) with the additive
+  /// singleton-improvement bound; see DerivedCostIndex.
+  double cost_lower = 0.0;
+  /// Budget state at decision time (before any charge for this cell).
+  int64_t calls_made = 0;
+  int64_t remaining_budget = 0;
+};
+
+/// The governor's verdict for one uncached cell.
+enum class CellDecision {
+  /// Charge one budget unit and run the optimizer (the ungoverned default).
+  kCharge,
+  /// Do not charge; answer the caller with `derived_upper` instead. Sound
+  /// up to `derived_upper - cost_lower` error in the reported cost.
+  kSkip,
+};
 
 /// Thresholds for Wii-style what-if call skipping. Comparisons are
 /// *strict* and the cost gap is clamped to >= 0, so zero thresholds

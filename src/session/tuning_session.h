@@ -105,7 +105,8 @@ struct RunOutcome {
   /// the last point equals `derived_improvement`.
   std::vector<double> trace;
   /// Cost-engine counters for the run: cache hits, derived and delta
-  /// lookups, posting-list pruning, batched cells, wall time, the
+  /// lookups made, one-step extensions and config-table walks,
+  /// posting-list pruning, batched cells, executor wall time, the
   /// governor's skipped/banked/reallocated calls and stop round, and the
   /// degraded cells of a faulted run.
   CostEngineStats engine;

@@ -54,48 +54,24 @@ Config GreedyEnumerate(const TuningContext& ctx, CostService& service,
     // Per-round derived baseline d(q, best) for the incremental argmax:
     // cells cached during the round are supersets of `best` (they are the
     // candidate extensions themselves), so the baseline stays exact. Its
-    // sum, taken in query order, is the cost of every extension that no
-    // cached cell contains.
+    // sum, taken in query order, prices every extension that no cached cell
+    // contains and that cannot spend a call.
     double base_sum = 0.0;
     for (size_t i = 0; i < query_ids.size(); ++i) {
       base_derived[i] = service.DerivedCost(query_ids[i], best);
       base_sum += base_derived[i];
     }
     const double best_bytes = StorageBytes(ctx, best);
-    const size_t candidate_size = best.count() + 1;
+    const int64_t call_limit = filter.CallLimit(best.count() + 1);
     int chosen = -1;
     double chosen_cost = best_cost;
     for (int pos : remaining) {
       const size_t p = static_cast<size_t>(pos);
       if (best.test(p)) continue;
       if (!FitsStorage(ctx, best_bytes, pos)) continue;
-      double cost = 0.0;
-      if (!service.AnyCachedCellContains(p) &&
-          (!filter.Allows(candidate_size, service.calls_made()) ||
-           service.UncachedCellIsFree())) {
-        // No cached cell contains pos, so best ∪ {pos} has no cached cell
-        // and no cached subset beyond best's, and no call can be spent on
-        // it: every query would fall back to d(q, best). The same doubles
-        // summed in the same order, without the m probes.
-        service.CountPostingFreeDeltaLookups(
-            static_cast<int64_t>(query_ids.size()));
-        cost = base_sum;
-      } else {
-        const Config candidate = best.With(p);
-        for (size_t i = 0; i < query_ids.size(); ++i) {
-          const int q = query_ids[i];
-          // Checked per query: a call limit can be reached mid-candidate.
-          if (filter.Allows(candidate_size, service.calls_made())) {
-            if (auto c = service.WhatIfCost(q, candidate); c.has_value()) {
-              cost += *c;
-              continue;
-            }
-          }
-          // Incremental Equation 1: only cached entries containing `pos`
-          // can tighten d(q, best) — probed via the posting-list index.
-          cost += service.DerivedCostWithAdd(q, best, p, base_derived[i]);
-        }
-      }
+      const double cost = service.ExtensionCost(query_ids, best, p,
+                                                base_derived, base_sum,
+                                                call_limit);
       if (cost < chosen_cost) {
         chosen = pos;
         chosen_cost = cost;

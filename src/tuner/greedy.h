@@ -21,8 +21,15 @@ struct WhatIfFilter {
   int64_t call_limit = std::numeric_limits<int64_t>::max();
 
   bool Allows(size_t config_size, int64_t calls_made) const {
-    return static_cast<int64_t>(config_size) <= max_size &&
-           calls_made < call_limit;
+    return calls_made < CallLimit(config_size);
+  }
+
+  /// The call limit in effect for configurations of `config_size` members:
+  /// `call_limit`, or INT64_MIN (no call) above `max_size`.
+  int64_t CallLimit(size_t config_size) const {
+    return static_cast<int64_t>(config_size) <= max_size
+               ? call_limit
+               : std::numeric_limits<int64_t>::min();
   }
 };
 
@@ -49,9 +56,9 @@ constexpr WhatIfFilter DenyAllWhatIf() {
 /// starting from `initial` (normally empty). Costs go through `service`
 /// under `filter`; when a what-if call is disallowed or the budget is
 /// exhausted, the derived cost is used — incrementally, via the engine's
-/// posting-list index (DerivedCostWithAdd), so the inner argmax does not
-/// rescan the cache per candidate. An extension that no cached cell
-/// contains and that cannot spend a call is priced d(W', best) in one
+/// posting-list index (CostService::ExtensionCost), so the inner argmax
+/// does not rescan the cache per candidate. An extension that no cached
+/// cell contains and that cannot spend a call is priced d(W', best) in one
 /// step, with no per-query work. Respects the cardinality and storage
 /// constraints in `ctx`. When `trace` is non-null, the derived improvement
 /// after each accepted extension is appended to it. Returns the best

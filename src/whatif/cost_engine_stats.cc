@@ -9,7 +9,8 @@ std::string CostEngineStats::ToString() const {
   std::snprintf(
       buf, sizeof(buf),
       "what-if calls=%lld (cache hits=%lld, batched=%lld), derived "
-      "lookups=%lld (+%lld delta), index entries=%lld "
+      "lookups=%lld (+%lld delta, %lld posting-free, %lld table walks), "
+      "index entries=%lld "
       "(scanned=%lld, pruned=%lld), executor wall=%.3fs, "
       "simulated what-if=%.1fs",
       static_cast<long long>(what_if_calls),
@@ -17,6 +18,8 @@ std::string CostEngineStats::ToString() const {
       static_cast<long long>(batched_cells),
       static_cast<long long>(derived_lookups),
       static_cast<long long>(delta_lookups),
+      static_cast<long long>(delta_posting_free),
+      static_cast<long long>(derived_table_walks),
       static_cast<long long>(index_entries),
       static_cast<long long>(index_scanned_entries),
       static_cast<long long>(index_pruned_entries), executor_wall_seconds,
@@ -58,11 +61,12 @@ std::string CostEngineStats::ToString() const {
 }
 
 std::string CostEngineStats::ToJson() const {
-  char buf[1024];
+  char buf[1536];
   std::snprintf(
       buf, sizeof(buf),
       "{\"what_if_calls\":%lld,\"cache_hits\":%lld,\"batched_cells\":%lld,"
       "\"derived_lookups\":%lld,\"delta_lookups\":%lld,"
+      "\"delta_posting_free\":%lld,\"derived_table_walks\":%lld,"
       "\"index_entries\":%lld,\"index_scanned_entries\":%lld,"
       "\"index_pruned_entries\":%lld,\"lower_bound_lookups\":%lld,"
       "\"executor_wall_seconds\":%.6f,"
@@ -78,6 +82,8 @@ std::string CostEngineStats::ToJson() const {
       static_cast<long long>(batched_cells),
       static_cast<long long>(derived_lookups),
       static_cast<long long>(delta_lookups),
+      static_cast<long long>(delta_posting_free),
+      static_cast<long long>(derived_table_walks),
       static_cast<long long>(index_entries),
       static_cast<long long>(index_scanned_entries),
       static_cast<long long>(index_pruned_entries),

@@ -15,13 +15,20 @@ struct CostEngineStats {
   int64_t what_if_calls = 0;
   /// WhatIfCost() requests answered from the exact-cell cache.
   int64_t cache_hits = 0;
-  /// Cells evaluated through the batched CostMany() entry point (subset of
-  /// what_if_calls).
+  /// Cells evaluated through the batched WhatIfCostMany() entry point
+  /// (subset of what_if_calls).
   int64_t batched_cells = 0;
-  /// Full subset-minimum derived-cost lookups (Equation 1 evaluations).
+  /// Per-query subset-minimum derived-cost lookups (Equation 1
+  /// evaluations) made.
   int64_t derived_lookups = 0;
-  /// Incremental delta lookups (DeltaAdd / posting-list probes).
+  /// Incremental posting-list probes made (DeltaAdd / greedy extensions).
   int64_t delta_lookups = 0;
+  /// Greedy extensions priced in one step, with no probe: no cached cell
+  /// contains the added candidate and no what-if call could be spent.
+  int64_t delta_posting_free = 0;
+  /// All-query derived-cost calls answered by walking the configuration's
+  /// subsets in the config table instead of m per-query lookups.
+  int64_t derived_table_walks = 0;
   /// Cached cells currently indexed (sum over queries).
   int64_t index_entries = 0;
   /// Entries a linear Equation-1 scan would have visited but the index
@@ -34,7 +41,7 @@ struct CostEngineStats {
   /// behalf of the budget governor).
   int64_t lower_bound_lookups = 0;
   /// Real wall-clock seconds spent inside the executor (optimizer calls,
-  /// including the parallel CostMany() path).
+  /// single and batched, all on the calling thread).
   double executor_wall_seconds = 0.0;
   /// Simulated server-side what-if seconds (paper Figure 2 accounting).
   double simulated_whatif_seconds = 0.0;

@@ -505,10 +505,35 @@ double CostService::DerivedWorkloadCost(const Config& config) const {
   return total;
 }
 
-double CostService::DerivedCostWithAdd(int query_id, const Config& config,
-                                       size_t pos,
-                                       double current_derived) const {
-  return index_.SubsetMinWithAdd(query_id, config, pos, current_derived);
+double CostService::ExtensionCost(std::span<const int> query_ids,
+                                  const Config& config, size_t pos,
+                                  std::span<const double> derived,
+                                  double derived_sum, int64_t call_limit) {
+  BATI_CHECK(derived.size() == query_ids.size());
+  if (!index_.AnyEntryContains(pos) &&
+      (calls_made() >= call_limit || !HasBudget())) {
+    // C ∪ {pos} has no cached cell and no cached subset beyond C's, and no
+    // call can be spent on it: every query falls back to d(q, C). The same
+    // doubles summed in the same order, without the probes.
+    ++delta_posting_free_;
+    return derived_sum;
+  }
+  const Config extension = config.With(pos);
+  double cost = 0.0;
+  for (size_t i = 0; i < query_ids.size(); ++i) {
+    const int q = query_ids[i];
+    // Checked per query: a call limit can be reached mid-extension.
+    if (calls_made() < call_limit) {
+      if (auto c = WhatIfCost(q, extension); c.has_value()) {
+        cost += *c;
+        continue;
+      }
+    }
+    // Incremental Equation 1: only cached entries containing `pos` can
+    // tighten d(q, C).
+    cost += index_.SubsetMinWithAdd(q, config, pos, derived[i]);
+  }
+  return cost;
 }
 
 double CostService::DerivedCostDeltaAdd(int query_id, const Config& config,
@@ -599,6 +624,8 @@ void CostService::FinishObservability() {
   sync("engine.retry_attempts", s.retry_attempts);
   sync("index.derived_lookups", s.derived_lookups);
   sync("index.delta_lookups", s.delta_lookups);
+  sync("index.delta_posting_free", s.delta_posting_free);
+  sync("index.derived_table_walks", s.derived_table_walks);
   sync("index.entries", s.index_entries);
   sync("index.scanned_entries", s.index_scanned_entries);
   sync("index.pruned_entries", s.index_pruned_entries);
@@ -630,6 +657,7 @@ CostEngineStats CostService::EngineStats() const {
   stats.fault_sticky_failures = executor_.sticky_faults();
   stats.fault_timeouts = executor_.timeout_faults();
   stats.retry_attempts = executor_.retry_attempts();
+  stats.delta_posting_free = delta_posting_free_;
   index_.AccumulateStats(&stats);
   if (governor_ != nullptr) {
     const GovernorStats g = governor_->stats();

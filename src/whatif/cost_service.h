@@ -98,8 +98,8 @@ struct CostEngineOptions {
 ///    charging order, caching, and results) with the uncached cells of one
 ///    configuration materialized once and evaluated as one executor batch.
 ///  * DerivedCosts() — d(q, C) for every query at once.
-///  * DerivedCostWithAdd() / DerivedCostDeltaAdd() — d(q, C ∪ {z}) through
-///    the posting-list index, without rescanning the cache.
+///  * ExtensionCost() / DerivedCostDeltaAdd() — the cost of C ∪ {z}
+///    through the posting-list index, without rescanning the cache.
 ///
 /// Base costs c(q, {}) are computed up front and are not charged against the
 /// budget, matching the paper's budget allocation matrix whose rows range
@@ -210,32 +210,23 @@ class CostService {
   /// Derived workload cost d(W, C) = sum_q d(q, C).
   double DerivedWorkloadCost(const Config& config) const;
 
-  /// d(q, C ∪ {pos}) computed incrementally from `current_derived` =
-  /// d(q, C) via the posting-list index: only cached entries containing
-  /// `pos` are probed. Bit-identical to DerivedCost(q, C.With(pos)).
-  double DerivedCostWithAdd(int query_id, const Config& config, size_t pos,
-                            double current_derived) const;
-
-  /// True iff some cached cell, of any query, contains candidate `pos`.
-  /// When false, DerivedCostWithAdd(q, C, pos, d) returns d for every
-  /// query, and no cell of a configuration containing pos is cached.
-  bool AnyCachedCellContains(size_t pos) const {
-    return index_.AnyEntryContains(pos);
-  }
-
-  /// Counts `n` DerivedCostWithAdd() calls for a candidate no cached cell
-  /// contains, without making them: the engine counters and the sampled
-  /// index.delta_scan_depth histogram end up exactly as those calls would
-  /// leave them.
-  void CountPostingFreeDeltaLookups(int64_t n) const {
-    index_.CountPostingFreeDeltaLookups(n);
-  }
-
-  /// True when WhatIfCost() on an uncached cell returns nullopt and moves
-  /// nothing: no charge, no governor decision, no counter. That holds once
-  /// the budget is exhausted, since the governor is consulted only while a
-  /// unit can still be spent, or once the governor has stopped the run.
-  bool UncachedCellIsFree() const { return !HasBudget(); }
+  /// The cost over `query_ids` of the greedy extension C ∪ {pos}, given
+  /// derived[i] = d(query_ids[i], C) and their sum `derived_sum` in query
+  /// order. Each query, in order, is priced by WhatIfCost() while
+  /// calls_made() < `call_limit` (checked per query, so the limit can be
+  /// reached mid-extension), and otherwise — or when that call answers
+  /// nullopt — by d(q, C ∪ {pos}) through the posting list of `pos` (one
+  /// delta lookup). Bit-identical to summing WhatIfCost() or
+  /// DerivedCost(q, C ∪ {pos}) in that order.
+  ///
+  /// When no cached cell contains `pos` and no call can be spent
+  /// (calls_made() >= call_limit or !HasBudget()), C ∪ {pos} has no cached
+  /// subset beyond C's and every query falls back to d(q, C): the call
+  /// returns `derived_sum` without per-query work and counts one
+  /// delta_posting_free instead.
+  double ExtensionCost(std::span<const int> query_ids, const Config& config,
+                       size_t pos, std::span<const double> derived,
+                       double derived_sum, int64_t call_limit);
 
   /// The derived-cost change d(q, C ∪ {pos}) − d(q, C), a value <= 0.
   double DerivedCostDeltaAdd(int query_id, const Config& config,
@@ -401,6 +392,8 @@ class CostService {
   std::vector<int> pending_ids_;
   std::vector<CellOutcome> outcomes_;
   std::vector<std::pair<size_t, size_t>> duplicates_;
+  /// ExtensionCost() calls answered in one step.
+  int64_t delta_posting_free_ = 0;
 
   // ---- Fault tolerance and checkpoint/resume state. ----
   CostEngineOptions options_;

@@ -217,15 +217,7 @@ void DerivedCostIndex::SubsetMinAll(const Config& config,
     }
     return;
   }
-  // The call stands for lookups [first, first + m); it is observed once for
-  // each of them SubsetMin()'s 1-in-64 sampling would pick, recording the
-  // per-query averages.
-  const int64_t first = derived_lookups_;
-  derived_lookups_ += static_cast<int64_t>(m);
-  const int64_t samples = (derived_lookups_ + 63) / 64 - (first + 63) / 64;
-  const bool timed = samples > 0 && obs_lookup_wall_us_ != nullptr;
-  const double t0 = timed ? NowSeconds() : 0.0;
-
+  ++derived_table_walks_;
   std::copy(base.begin(), base.end(), derived.begin());
   int64_t merged = 0;
   auto merge = [&](const Cells& cells) {
@@ -257,15 +249,6 @@ void DerivedCostIndex::SubsetMinAll(const Config& config,
 
   scanned_entries_ += merged;
   pruned_entries_ += entries_ - merged;
-  if (samples > 0) {
-    const double queries = static_cast<double>(m);
-    const double per_query = static_cast<double>(merged) / queries;
-    const double wall_us = timed ? (NowSeconds() - t0) * 1e6 / queries : 0.0;
-    for (int64_t s = 0; s < samples; ++s) {
-      if (obs_scan_depth_ != nullptr) obs_scan_depth_->Record(per_query);
-      if (timed) obs_lookup_wall_us_->Record(wall_us);
-    }
-  }
 }
 
 double DerivedCostIndex::SubsetMinWithAdd(int query_id, const Config& config,
@@ -298,17 +281,6 @@ double DerivedCostIndex::SubsetMinWithAdd(int query_id, const Config& config,
     obs_delta_scan_depth_->Record(static_cast<double>(scanned));
   }
   return best;
-}
-
-void DerivedCostIndex::CountPostingFreeDeltaLookups(int64_t n) const {
-  BATI_CHECK(n >= 0);
-  // The probes would be lookups [first, first + n); the sampled ones are
-  // those numbered 0 mod 64, and each would have scanned nothing.
-  const int64_t first = delta_lookups_;
-  delta_lookups_ += n;
-  if (obs_delta_scan_depth_ == nullptr) return;
-  const int64_t samples = (delta_lookups_ + 63) / 64 - (first + 63) / 64;
-  for (int64_t s = 0; s < samples; ++s) obs_delta_scan_depth_->Record(0.0);
 }
 
 double DerivedCostIndex::DeltaAdd(int query_id, const Config& config,
@@ -363,6 +335,7 @@ double DerivedCostIndex::AdditiveLowerBound(int query_id, const Config& config,
 void DerivedCostIndex::AccumulateStats(CostEngineStats* stats) const {
   stats->derived_lookups += derived_lookups_;
   stats->delta_lookups += delta_lookups_;
+  stats->derived_table_walks += derived_table_walks_;
   stats->index_entries += entries_;
   stats->index_scanned_entries += scanned_entries_;
   stats->index_pruned_entries += pruned_entries_;

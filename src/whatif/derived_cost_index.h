@@ -75,10 +75,11 @@ class DerivedCostIndex {
   /// one slot per query. When 2^|C| − 1 <= the number of queries, the call
   /// walks C's non-empty subsets in Gray-code order (one member toggled per
   /// step), looks each up in the config table and takes min(base, cell
-  /// cost) over the cells it finds; otherwise it runs SubsetMin() per
-  /// query. The rule depends only on |C| and the query count. Values are
-  /// bit-identical either way, and derived_lookups advances by the number
-  /// of queries. Points the resolve memo at C.
+  /// cost) over the cells it finds, counted as one derived_table_walks
+  /// (no derived lookup, no scan-depth or lookup-latency sample);
+  /// otherwise it runs SubsetMin() per query, m derived lookups. The rule
+  /// depends only on |C| and the query count, and values are bit-identical
+  /// either way. Points the resolve memo at C.
   void SubsetMinAll(const Config& config, std::span<const double> base,
                     std::span<double> derived,
                     std::span<uint8_t> known) const;
@@ -94,12 +95,6 @@ class DerivedCostIndex {
   /// When false, SubsetMinWithAdd(q, C, pos, current) is `current` for
   /// every query: no subset of C ∪ {pos} containing pos is cached.
   bool AnyEntryContains(size_t pos) const { return contained_.test(pos); }
-
-  /// Advances the counters exactly as `n` SubsetMinWithAdd() probes of a
-  /// candidate no entry contains would: delta_lookups grows by n, no entry
-  /// is scanned or pruned, and index.delta_scan_depth records a 0 for each
-  /// of those probes its 1-in-64 sampling picks.
-  void CountPostingFreeDeltaLookups(int64_t n) const;
 
   /// The derived-cost change d(q, C ∪ {pos}) − d(q, C), a value <= 0.
   /// `base` = c(q, {}).
@@ -211,6 +206,7 @@ class DerivedCostIndex {
   /// stays const.
   mutable int64_t derived_lookups_ = 0;
   mutable int64_t delta_lookups_ = 0;
+  mutable int64_t derived_table_walks_ = 0;
   mutable int64_t scanned_entries_ = 0;
   mutable int64_t pruned_entries_ = 0;
   mutable int64_t lower_bound_lookups_ = 0;

@@ -1,4 +1,5 @@
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -66,7 +67,38 @@ TEST(CostService, BudgetExhaustionReturnsNullopt) {
   EXPECT_TRUE(f.service.WhatIfCost(0, a).has_value());
 }
 
-TEST(CostService, UncachedCellIsFreeExactlyWhenNothingCanHappen) {
+/// Prices the extension {} ∪ {pos} for query 0 with no call limit and
+/// checks which way ExtensionCost() went. `one_step`: the answer is the
+/// base cost d(0, {}) and only delta_posting_free moves (no charge, no
+/// governor decision, no lookup); otherwise exactly one what-if call is
+/// charged and its cost is the answer.
+void ExpectExtension(CostService& service, size_t pos, bool one_step) {
+  SCOPED_TRACE("pos " + std::to_string(pos));
+  const int query = 0;
+  const double start = service.BaseCost(query);
+  const CostEngineStats before = service.EngineStats();
+  const double cost = service.ExtensionCost(
+      {&query, 1}, service.EmptyConfig(), pos, {&start, 1}, start,
+      std::numeric_limits<int64_t>::max());
+  const CostEngineStats after = service.EngineStats();
+  EXPECT_EQ(after.delta_posting_free - before.delta_posting_free,
+            one_step ? 1 : 0);
+  EXPECT_EQ(after.what_if_calls - before.what_if_calls, one_step ? 0 : 1);
+  EXPECT_EQ(after.cache_hits, before.cache_hits);
+  EXPECT_EQ(after.delta_lookups, before.delta_lookups);
+  EXPECT_EQ(after.governor_skipped_calls, before.governor_skipped_calls);
+  if (one_step) {
+    EXPECT_EQ(cost, start);
+    EXPECT_EQ(after.derived_lookups, before.derived_lookups);
+    EXPECT_EQ(after.lower_bound_lookups, before.lower_bound_lookups);
+  } else {
+    Config cell = service.EmptyConfig();
+    cell.set(pos);
+    EXPECT_EQ(service.CachedCost(query, cell), cost);
+  }
+}
+
+TEST(CostService, ExtensionCostIsOneStepExactlyWhenNothingCanHappen) {
   const WorkloadBundle& bundle = LoadBundle("toy");
   auto make = [&](int64_t budget, const BudgetGovernorOptions& governor) {
     CostEngineOptions options;
@@ -76,66 +108,45 @@ TEST(CostService, UncachedCellIsFreeExactlyWhenNothingCanHappen) {
                                          &bundle.candidates.indexes, budget,
                                          options);
   };
-  auto single = [&](const CostService& service, size_t pos) {
-    Config c = service.EmptyConfig();
-    c.set(pos);
-    return c;
-  };
-  // An uncached cell when the predicate holds: nullopt, nothing moves.
-  auto expect_inert = [&](CostService& service, size_t pos) {
-    const CostEngineStats before = service.EngineStats();
-    EXPECT_FALSE(service.WhatIfCost(0, single(service, pos)).has_value());
-    const CostEngineStats after = service.EngineStats();
-    EXPECT_EQ(after.what_if_calls, before.what_if_calls);
-    EXPECT_EQ(after.cache_hits, before.cache_hits);
-    EXPECT_EQ(after.derived_lookups, before.derived_lookups);
-    EXPECT_EQ(after.lower_bound_lookups, before.lower_bound_lookups);
-    EXPECT_EQ(after.governor_skipped_calls, before.governor_skipped_calls);
-  };
+  // Every extension below adds a candidate no cached cell contains, so it
+  // is priced in one step exactly when no call can be spent.
 
-  // Ungoverned: free once the meter is exhausted, not before.
+  // Ungoverned: one step once the meter is exhausted, not before.
   {
     auto service = make(2, BudgetGovernorOptions{});
-    EXPECT_FALSE(service->UncachedCellIsFree());
-    ASSERT_TRUE(service->WhatIfCost(0, single(*service, 0)).has_value());
-    EXPECT_FALSE(service->UncachedCellIsFree());
-    ASSERT_TRUE(service->WhatIfCost(0, single(*service, 1)).has_value());
-    EXPECT_TRUE(service->UncachedCellIsFree());
-    expect_inert(*service, 2);
+    ExpectExtension(*service, 0, /*one_step=*/false);
+    ExpectExtension(*service, 1, /*one_step=*/false);
+    ASSERT_FALSE(service->HasBudget());
+    ExpectExtension(*service, 2, /*one_step=*/true);
   }
   // A reallocating governor is quoted only while a unit can be spent:
-  // after exhaustion it is not asked, so the cell is inert and banks
-  // nothing.
+  // after exhaustion it is not asked, so the extension banks nothing.
   {
     BudgetGovernorOptions realloc;
     realloc.enabled = true;
     realloc.early_stop = false;
     realloc.skip_what_if = true;
     auto service = make(2, realloc);
-    EXPECT_FALSE(service->UncachedCellIsFree());
-    service->WhatIfCost(0, single(*service, 0));
-    service->WhatIfCost(0, single(*service, 1));
+    ExpectExtension(*service, 0, /*one_step=*/false);
+    ExpectExtension(*service, 1, /*one_step=*/false);
     ASSERT_FALSE(service->meter().HasBudget());
-    EXPECT_TRUE(service->UncachedCellIsFree());
     const int64_t banked = service->EngineStats().governor_banked_calls;
-    expect_inert(*service, 2);
+    ExpectExtension(*service, 2, /*one_step=*/true);
     EXPECT_EQ(service->EngineStats().governor_banked_calls, banked);
   }
   // An early-stop-only governor never skips: after exhaustion its quote
-  // reads no index and OnCell() charges, so the cell is inert.
+  // reads no index and OnCell() charges, so the extension is one step.
   {
     BudgetGovernorOptions stop_only;
     stop_only.enabled = true;
     stop_only.early_stop = true;
     stop_only.skip_what_if = false;
     auto service = make(1, stop_only);
-    EXPECT_FALSE(service->UncachedCellIsFree());
-    ASSERT_TRUE(service->WhatIfCost(0, single(*service, 0)).has_value());
+    ExpectExtension(*service, 0, /*one_step=*/false);
     ASSERT_FALSE(service->GovernorStopped());
-    EXPECT_TRUE(service->UncachedCellIsFree());
-    expect_inert(*service, 1);
+    ExpectExtension(*service, 1, /*one_step=*/true);
   }
-  // Early stop: free once the governor has stopped, with budget left.
+  // Early stop: one step once the governor has stopped, with budget left.
   {
     BudgetGovernorOptions stop;
     stop.enabled = true;
@@ -146,15 +157,183 @@ TEST(CostService, UncachedCellIsFreeExactlyWhenNothingCanHappen) {
     stop.stop.abs_threshold_pct = 1e9;  // any projection is below it
     auto service = make(10, stop);
     service->BeginRound();
-    EXPECT_FALSE(service->UncachedCellIsFree());
-    ASSERT_TRUE(service->WhatIfCost(0, single(*service, 0)).has_value());
-    EXPECT_FALSE(service->UncachedCellIsFree());
+    ExpectExtension(*service, 0, /*one_step=*/false);
     service->BeginRound();
     ASSERT_TRUE(service->GovernorStopped());
     EXPECT_TRUE(service->meter().HasBudget());
-    EXPECT_TRUE(service->UncachedCellIsFree());
-    expect_inert(*service, 1);
+    ExpectExtension(*service, 1, /*one_step=*/true);
   }
+  // A call limit already reached makes the extension one step with budget
+  // left; one not yet reached does not.
+  {
+    auto service = make(10, BudgetGovernorOptions{});
+    const int query = 0;
+    const double start = service->BaseCost(query);
+    EXPECT_EQ(service->ExtensionCost({&query, 1}, service->EmptyConfig(), 0,
+                                     {&start, 1}, start, /*call_limit=*/0),
+              start);
+    EXPECT_EQ(service->EngineStats().delta_posting_free, 1);
+    EXPECT_EQ(service->calls_made(), 0);
+    ExpectExtension(*service, 0, /*one_step=*/false);
+  }
+}
+
+/// The loop ExtensionCost() replaces, spelled out: per query, a what-if
+/// call while the limit allows, else the derived cost of the extension.
+/// Returns the cost; `derived` counts the queries priced by derivation.
+double NaiveExtensionCost(CostService& service, const std::vector<int>& ids,
+                          const Config& extension, int64_t call_limit,
+                          int64_t* derived) {
+  double cost = 0.0;
+  for (int q : ids) {
+    if (service.calls_made() < call_limit) {
+      if (auto c = service.WhatIfCost(q, extension); c.has_value()) {
+        cost += *c;
+        continue;
+      }
+    }
+    cost += service.DerivedCost(q, extension);
+    ++*derived;
+  }
+  return cost;
+}
+
+// ExtensionCost() on one service equals the naive per-query loop on a twin
+// service bit for bit, leaves both in the same budget state, and advances
+// each counter by exactly the probes it made: one delta lookup per query
+// priced by derivation, or one delta_posting_free and nothing else when
+// the extension is priced in one step. Random caches on tpch, with an
+// exhausted budget, a reallocating governor, a stopped governor, and call
+// limits that deny every size, are already reached, or are reached
+// mid-extension.
+TEST(CostService, ExtensionCostMatchesNaivePerQueryLoop) {
+  const WorkloadBundle& bundle = LoadBundle("tpch");
+  BudgetGovernorOptions realloc;
+  realloc.enabled = true;
+  realloc.early_stop = false;
+  realloc.skip_what_if = true;
+  realloc.realloc.skip_rel_threshold = 0.2;
+  BudgetGovernorOptions stop;
+  stop.enabled = true;
+  stop.skip_what_if = false;
+  stop.stop.min_budget_fraction = 0.0;
+  stop.stop.window_calls = 1;
+  stop.stop.abs_threshold_pct = 1e9;  // stops at the second round
+  const struct {
+    const char* name;
+    int64_t budget;
+    BudgetGovernorOptions governor;
+  } cases[] = {{"plain", 400, {}},
+               {"exhausted", 30, {}},
+               {"realloc", 60, realloc},
+               {"stopped", 400, stop}};
+  int64_t one_steps = 0;
+  int64_t mid_limit = 0;
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    CostEngineOptions options;
+    options.governor = c.governor;
+    CostService a(bundle.optimizer.get(), &bundle.workload,
+                  &bundle.candidates.indexes, c.budget, options);
+    CostService b(bundle.optimizer.get(), &bundle.workload,
+                  &bundle.candidates.indexes, c.budget, options);
+    const int m = a.num_queries();
+    const int n = a.num_candidates();
+    // Cells are drawn over a small pool so they overlap; extensions also
+    // add candidates outside it, which no cell contains until priced.
+    std::vector<size_t> pool;
+    for (int i = 0; i < 8; ++i) pool.push_back(static_cast<size_t>(i * 3));
+    Rng rng(17);
+    auto pool_config = [&](int max_members) {
+      Config config = a.EmptyConfig();
+      const int64_t members = rng.UniformInt(0, max_members);
+      for (int64_t i = 0; i < members; ++i) {
+        config.set(pool[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1))]);
+      }
+      return config;
+    };
+    for (int step = 0; step < 120; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      if (step % 15 == 0) {
+        a.BeginRound();
+        b.BeginRound();
+      }
+      // Grow both caches identically.
+      const Config cell = pool_config(3);
+      const int cell_query = static_cast<int>(rng.UniformInt(0, m - 1));
+      ASSERT_EQ(a.WhatIfCost(cell_query, cell),
+                b.WhatIfCost(cell_query, cell));
+
+      const Config base = pool_config(2);
+      size_t pos = rng.Bernoulli(0.5)
+                       ? pool[static_cast<size_t>(rng.UniformInt(
+                             0, static_cast<int64_t>(pool.size()) - 1))]
+                       : static_cast<size_t>(rng.UniformInt(0, n - 1));
+      if (base.test(pos)) continue;
+      std::vector<int> ids;
+      for (int q = 0; q < m; ++q) {
+        if (rng.Bernoulli(0.3)) ids.push_back(q);
+      }
+      const int64_t calls = a.calls_made();
+      const int64_t limits[] = {std::numeric_limits<int64_t>::max(),
+                                std::numeric_limits<int64_t>::min(), calls,
+                                calls + 1, calls + 2};
+      const int64_t limit = limits[rng.UniformInt(0, 4)];
+
+      std::vector<double> derived;
+      double derived_sum = 0.0;
+      for (int q : ids) {
+        derived.push_back(a.DerivedCost(q, base));
+        derived_sum += derived.back();
+      }
+      // One step iff no cached cell contains pos and no call can be spent.
+      bool contained = false;
+      for (const LayoutEntry& entry : b.layout()) {
+        contained = contained || entry.config.test(pos);
+      }
+      const bool one_step =
+          !contained && (calls >= limit || !b.HasBudget());
+
+      const CostEngineStats a0 = a.EngineStats();
+      const CostEngineStats b0 = b.EngineStats();
+      const double got =
+          a.ExtensionCost(ids, base, pos, derived, derived_sum, limit);
+      int64_t fallbacks = 0;
+      const double want =
+          NaiveExtensionCost(b, ids, base.With(pos), limit, &fallbacks);
+      const CostEngineStats a1 = a.EngineStats();
+      const CostEngineStats b1 = b.EngineStats();
+
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(a.calls_made(), b.calls_made());
+      EXPECT_EQ(a.HasBudget(), b.HasBudget());
+      EXPECT_EQ(a1.cache_hits - a0.cache_hits, b1.cache_hits - b0.cache_hits);
+      EXPECT_EQ(a1.governor_skipped_calls, b1.governor_skipped_calls);
+      EXPECT_EQ(a1.lower_bound_lookups - a0.lower_bound_lookups,
+                b1.lower_bound_lookups - b0.lower_bound_lookups);
+      EXPECT_EQ(a1.delta_posting_free - a0.delta_posting_free,
+                one_step ? 1 : 0);
+      EXPECT_EQ(a1.delta_lookups - a0.delta_lookups,
+                one_step ? 0 : fallbacks);
+      // Governor quotes make the same derived lookups on both sides; the
+      // naive loop's derivations add one each.
+      EXPECT_EQ(a1.derived_lookups - a0.derived_lookups + fallbacks,
+                b1.derived_lookups - b0.derived_lookups);
+      one_steps += one_step ? 1 : 0;
+      mid_limit += limit == calls + 1 && b.calls_made() == limit &&
+                   fallbacks > 0;
+    }
+    if (std::string(c.name) == "stopped") {
+      EXPECT_TRUE(a.GovernorStopped());
+    }
+    if (std::string(c.name) == "exhausted") {
+      EXPECT_FALSE(a.HasBudget());
+    }
+  }
+  // The shortcut and the mid-extension limit were both exercised.
+  EXPECT_GT(one_steps, 0);
+  EXPECT_GT(mid_limit, 0);
 }
 
 TEST(CostService, EmptyConfigIsAlwaysFree) {

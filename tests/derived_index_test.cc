@@ -196,8 +196,9 @@ void CheckAgainstBruteForce(size_t universe) {
     // The all-query call agrees with per-query brute force on both sides of
     // its 2^|C| - 1 <= m rule (with m = 3, |C| <= 2 walks C's subsets in the
     // config table and larger probes scan per query) and on the empty
-    // configuration; known[q] flags exactly the cached cells of C; every
-    // call advances derived_lookups by m.
+    // configuration; known[q] flags exactly the cached cells of C. A walk
+    // counts one derived_table_walks and no derived lookup; the per-query
+    // fallback counts m derived lookups and no walk.
     std::vector<double> derived(kQueries);
     std::vector<uint8_t> known(kQueries);
     auto check_all = [&](const Config& probe) {
@@ -207,7 +208,12 @@ void CheckAgainstBruteForce(size_t universe) {
       index.SubsetMinAll(probe, base, derived, known);
       CostEngineStats after;
       index.AccumulateStats(&after);
-      EXPECT_EQ(after.derived_lookups - before.derived_lookups, kQueries);
+      const bool walks =
+          (size_t{1} << probe.count()) - 1 <= static_cast<size_t>(kQueries);
+      EXPECT_EQ(after.derived_table_walks - before.derived_table_walks,
+                walks ? 1 : 0);
+      EXPECT_EQ(after.derived_lookups - before.derived_lookups,
+                walks ? 0 : kQueries);
       for (size_t q = 0; q < kQueries; ++q) {
         EXPECT_EQ(derived[q], BruteForceSubsetMin(brute[q], probe, base[q]));
         EXPECT_EQ(known[q] != 0, BruteForceFind(brute[q], probe).has_value());
@@ -295,69 +301,6 @@ TEST(DerivedCostIndex, AnyEntryContainsTracksAdd) {
         brute[static_cast<size_t>(q)].emplace_back(c, cost);
         check();
       }
-    }
-  }
-}
-
-TEST(DerivedCostIndex, PostingFreeCountMatchesRealProbes) {
-  // Index `real` makes `start` and then `n` posting-free probes; index
-  // `bulk` makes the same `start` probes and counts the other n in one
-  // step. Counters and the sampled depth histogram must agree, whatever
-  // the start offset's residue mod 64.
-  constexpr size_t kUniverse = 130;
-  Config cell(kUniverse);
-  cell.set(3);
-  cell.set(70);
-  Config best(kUniverse);
-  best.set(3);
-  const size_t free_pos = 5;  // no cell contains it
-  for (int64_t start : {0, 1, 63, 64, 65, 130}) {
-    for (int64_t n : {0, 1, 2, 63, 64, 65, 129, 300}) {
-      SCOPED_TRACE("start " + std::to_string(start) + " n " +
-                   std::to_string(n));
-      MetricsRegistry real_metrics, bulk_metrics;
-      DerivedCostIndex real(2, kUniverse), bulk(2, kUniverse);
-      real.SetObservability(&real_metrics);
-      bulk.SetObservability(&bulk_metrics);
-      for (DerivedCostIndex* index : {&real, &bulk}) {
-        index->Add(0, cell, cell.ToIndices(), 10.0);
-        index->Add(1, best, best.ToIndices(), 20.0);
-        ASSERT_FALSE(index->AnyEntryContains(free_pos));
-        // A probe with a posting list, then `start` without one.
-        index->SubsetMinWithAdd(0, best, 70, 50.0);
-        for (int64_t i = 0; i < start; ++i) {
-          index->SubsetMinWithAdd(static_cast<int>(i % 2), best, free_pos,
-                                  50.0);
-        }
-      }
-      for (int64_t i = 0; i < n; ++i) {
-        real.SubsetMinWithAdd(static_cast<int>(i % 2), best, free_pos, 50.0);
-      }
-      bulk.CountPostingFreeDeltaLookups(n);
-
-      CostEngineStats want, got;
-      real.AccumulateStats(&want);
-      bulk.AccumulateStats(&got);
-      EXPECT_EQ(got.delta_lookups, want.delta_lookups);
-      EXPECT_EQ(got.delta_lookups, start + n + 1);
-      EXPECT_EQ(got.derived_lookups, want.derived_lookups);
-      EXPECT_EQ(got.index_entries, want.index_entries);
-      EXPECT_EQ(got.index_scanned_entries, want.index_scanned_entries);
-      EXPECT_EQ(got.index_pruned_entries, want.index_pruned_entries);
-      EXPECT_EQ(got.lower_bound_lookups, want.lower_bound_lookups);
-
-      const MetricsSnapshot real_snap = real_metrics.Snapshot();
-      const MetricsSnapshot bulk_snap = bulk_metrics.Snapshot();
-      const auto* w = real_snap.FindHistogram("index.delta_scan_depth");
-      const auto* g = bulk_snap.FindHistogram("index.delta_scan_depth");
-      ASSERT_NE(w, nullptr);
-      ASSERT_NE(g, nullptr);
-      EXPECT_EQ(g->stats.count, w->stats.count);
-      EXPECT_EQ(g->stats.count, (start + n + 1 + 63) / 64);
-      EXPECT_EQ(g->stats.sum, w->stats.sum);
-      EXPECT_EQ(g->stats.min, w->stats.min);
-      EXPECT_EQ(g->stats.max, w->stats.max);
-      EXPECT_EQ(g->stats.p50, w->stats.p50);
     }
   }
 }
