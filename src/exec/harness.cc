@@ -63,7 +63,7 @@ CorrelationReport RunCorrelation(ExecutionEngine* engine,
     std::vector<int> positions;
     double cost;
   };
-  if (options.trajectory && !universe.empty()) {
+  if (!universe.empty()) {
     // Greedy forward selection over the whole universe; every prefix of
     // the trajectory joins the pool.
     std::vector<int> current;
@@ -113,7 +113,7 @@ CorrelationReport RunCorrelation(ExecutionEngine* engine,
   std::vector<Sampled> chosen;
   const int want = std::min<int>(options.num_configs,
                                  static_cast<int>(costed.size()));
-  if (options.spread && static_cast<int>(costed.size()) > want) {
+  if (static_cast<int>(costed.size()) > want) {
     // Pick the configs whose costs are nearest to evenly spaced targets
     // over [cheapest, dearest]: the correlation then spans the whole cost
     // range at roughly uniform spacing instead of clustering wherever
@@ -140,7 +140,7 @@ CorrelationReport RunCorrelation(ExecutionEngine* engine,
       if (taken[j]) chosen.push_back(costed[j]);
     }
   } else {
-    chosen.assign(costed.begin(), costed.begin() + want);
+    chosen = std::move(costed);  // no more distinct costs than wanted
   }
 
   CorrelationReport report;
@@ -224,16 +224,14 @@ CorrelationReport RunCorrelation(ExecutionEngine* engine,
 
   // ---- Validation: every configuration must compute the same logical
   // result, and that result must match the scalar reference executor. ----
-  if (options.validate) {
-    const int nq = static_cast<int>(first_results.front().size());
-    for (int qi = 0; qi < nq; ++qi) {
-      const ExecResult reference = engine->ExecuteReference(qi);
-      for (size_t ci = 0; ci < first_results.size(); ++ci) {
-        BATI_CHECK(first_results[ci][static_cast<size_t>(qi)] == reference);
-      }
+  const int nq = static_cast<int>(first_results.front().size());
+  for (int qi = 0; qi < nq; ++qi) {
+    const ExecResult reference = engine->ExecuteReference(qi);
+    for (size_t ci = 0; ci < first_results.size(); ++ci) {
+      BATI_CHECK(first_results[ci][static_cast<size_t>(qi)] == reference);
     }
-    report.validated = true;
   }
+  report.validated = true;
   return report;
 }
 

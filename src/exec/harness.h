@@ -21,23 +21,11 @@ struct CorrelationOptions {
   int sample_configs = 64;
   /// Max indexes per sampled configuration.
   int max_config_size = 4;
-  /// Select executed configs spread evenly across the sampled what-if cost
-  /// range (robust correlation); false takes the first `num_configs`
-  /// samples as drawn.
-  bool spread = true;
-  /// Seed the sampled pool with the greedy tuning trajectory: prefixes of
-  /// a forward selection that repeatedly adds the candidate with the best
-  /// predicted improvement. These are the configurations index tuning
-  /// actually visits, and they anchor the cheap end of the cost range.
-  bool trajectory = true;
   /// Timed repetitions per configuration; the minimum is kept.
   int repetitions = 2;
   /// Full measurement passes over all configurations; per-pass correlations
   /// expose run-to-run reproducibility.
   int passes = 2;
-  /// Cross-check every configuration's results against each other and
-  /// against the scalar reference executor (exact row counts + checksums).
-  bool validate = true;
   uint64_t seed = 0xC0FFEE;
 };
 
@@ -69,17 +57,22 @@ struct CorrelationReport {
   double spearman_combined = 0.0;
   /// Kendall tau-b over seconds_best.
   double kendall = 0.0;
-  /// True when validation ran and every configuration agreed with the
-  /// scalar reference executor on every query.
+  /// True once every configuration agreed with the scalar reference
+  /// executor on every query (RunCorrelation dies on a disagreement).
   bool validated = false;
   int64_t store_rows = 0;
   std::vector<ConfigMeasurement> configs;
 };
 
-/// Samples configurations over `universe`, executes them under `engine`,
-/// and correlates what-if cost ordering with measured time. Dies (CHECK)
-/// if validation is on and any configuration disagrees with the reference
-/// executor — a wrong executor must never produce a gated number.
+/// Samples configurations over `universe` — random position sets plus every
+/// prefix of a greedy forward selection, the configurations index tuning
+/// actually visits, which anchor the cheap end of the cost range — and
+/// executes under `engine` the `num_configs` whose what-if costs spread
+/// most evenly across the sampled range. Correlates what-if cost ordering
+/// with measured time, then cross-checks every configuration's results
+/// against each other and against the scalar reference executor (exact
+/// row counts + checksums). Dies (CHECK) on any disagreement — a wrong
+/// executor must never produce a gated number.
 CorrelationReport RunCorrelation(ExecutionEngine* engine,
                                  const std::vector<Index>& universe,
                                  const CorrelationOptions& options);

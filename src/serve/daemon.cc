@@ -38,8 +38,8 @@ void AppendPositionsField(std::string* out, const char* key,
 }
 
 /// Appends the signal provenance of a lifecycle decision. Decisions judged
-/// by the default what-if signal emit nothing — the legacy output stays
-/// byte-identical.
+/// by the default what-if signal, and no-change decisions, which no signal
+/// judged, emit nothing — the legacy what-if output stays byte-identical.
 void AppendSignalFields(std::string* out,
                         const LifecycleDecision& decision) {
   if (decision.signal == SignalKind::kWhatIf) return;
@@ -56,6 +56,13 @@ void AppendSignalFields(std::string* out,
     out->append(",\"candidate_cost\":");
     AppendNumber(out, decision.candidate_cost);
   }
+}
+
+/// `options` with the engines' operator counters landing in `metrics`.
+ExecSignalOptions CountingInto(ExecSignalOptions options,
+                               MetricsRegistry* metrics) {
+  options.metrics = metrics;
+  return options;
 }
 
 bool ValidTenantName(const std::string& name) {
@@ -101,7 +108,9 @@ const char* ServeStatusCodeName(StatusCode code) {
   return "unknown";
 }
 
-ServeDaemon::ServeDaemon(const ServeOptions& options) : options_(options) {
+ServeDaemon::ServeDaemon(const ServeOptions& options)
+    : options_(options),
+      engines_(CountingInto(options.signal_options, &metrics_)) {
   BATI_CHECK(options_.parallelism >= 1);
   SessionManagerOptions manager_options;
   manager_options.parallelism = options_.parallelism;
@@ -113,7 +122,6 @@ ServeDaemon::ServeDaemon(const ServeOptions& options) : options_(options) {
     results_cv_.notify_all();
   };
   manager_ = std::make_unique<SessionManager>(manager_options);
-  hub_ = std::make_unique<SignalHub>(options_.signal_options, &metrics_);
 }
 
 ServeDaemon::~ServeDaemon() {
@@ -439,13 +447,6 @@ void ServeDaemon::HandleDeploy(const ServeEvent& event, std::string* out) {
     }
   }
   const LifecycleDecision decision = Judge(t, "deploy", event.config);
-  if (decision.action == LifecycleDecision::Action::kShipped) {
-    ++shipped_;
-    metrics_.GetCounter("serve.shipped")->Increment();
-  } else if (decision.action == LifecycleDecision::Action::kRollback) {
-    ++rollbacks_;
-    metrics_.GetCounter("serve.rollbacks")->Increment();
-  }
   tracer_.Instant("lifecycle", "serve", clock_,
                   {{"regression", decision.regression},
                    {"shipped", decision.action ==
@@ -567,13 +568,6 @@ void ServeDaemon::ApplyTune(PendingTune* tune, std::string* out) {
 
   const LifecycleDecision decision =
       Judge(t, tune->origin, tune->positions);
-  if (decision.action == LifecycleDecision::Action::kShipped) {
-    ++shipped_;
-    metrics_.GetCounter("serve.shipped")->Increment();
-  } else if (decision.action == LifecycleDecision::Action::kRollback) {
-    ++rollbacks_;
-    metrics_.GetCounter("serve.rollbacks")->Increment();
-  }
   tracer_.Instant("tune-applied", "serve", clock_,
                   {{"improvement", tune->improvement},
                    {"calls", static_cast<double>(tune->calls_used)},
@@ -596,45 +590,64 @@ void ServeDaemon::ApplyTune(PendingTune* tune, std::string* out) {
 
 LifecycleDecision ServeDaemon::Judge(Tenant* t, const std::string& origin,
                                      const std::vector<size_t>& candidate) {
+  if (candidate == t->lifecycle.deployed()) {
+    // No-change: the lifecycle answers without consulting a signal, so the
+    // decision carries no provenance, counts no signal evaluation and adds
+    // no calibration sample.
+    return t->lifecycle.Apply(*t->bundle, {}, candidate, &whatif_);
+  }
   const std::vector<std::pair<int, double>> window =
       t->observer.WindowSupport();
-  if (options_.signal == SignalKind::kWhatIf) {
-    // The pre-signal-layer pathway, byte for byte: built-in what-if
-    // signal, calibration 1.0, no signal metrics.
-    return t->lifecycle.Apply(*t->bundle, window, candidate);
-  }
-
-  metrics_.GetCounter("serve.signal.evals")->Increment();
-  DeploymentSignal* signal = hub_->Get(options_.signal);
-  // Drift re-tunes fire on every window shift — too often to pay for a
-  // full execution-backed evaluation. They take the Wii-style cheap
-  // stand-in: the derived what-if cost scaled by the tenant's running
-  // observed/what-if ratio. Oversized stores fall back the same way.
-  const bool estimate = origin == "drift";
-  Status ready = Status::Ok();
-  if (!estimate) {
-    ready = signal->Ready(*t->bundle);
-    if (!ready.ok()) {
-      metrics_.GetCounter("serve.signal.fallbacks")->Increment();
-      tracer_.Instant("signal-fallback", "serve", clock_, {});
-    }
-  } else {
-    metrics_.GetCounter("serve.signal.estimates")->Increment();
-  }
-
   LifecycleDecision decision;
-  if (estimate || !ready.ok()) {
-    const double calibration = t->calibration();
-    decision =
-        t->lifecycle.Apply(*t->bundle, window, candidate,
-                           hub_->Get(SignalKind::kWhatIf), calibration);
-    decision.estimated = true;
-    decision.calibration = calibration;
+  if (options_.signal == SignalKind::kWhatIf) {
+    // The pre-signal-layer pathway, byte for byte: what-if costs,
+    // calibration 1.0, no signal metrics.
+    decision = t->lifecycle.Apply(*t->bundle, window, candidate, &whatif_);
   } else {
-    decision = t->lifecycle.Apply(*t->bundle, window, candidate, signal);
-    UpdateCalibration(t, decision);
+    metrics_.GetCounter("serve.signal.evals")->Increment();
+    if (signal_ == nullptr) {
+      if (options_.signal == SignalKind::kMeasured) {
+        signal_ = std::make_unique<MeasuredSignal>(&engines_);
+      } else {
+        signal_ = std::make_unique<DeterministicExecSignal>(&engines_);
+      }
+    }
+    // Drift re-tunes fire on every window shift — too often to pay for a
+    // full execution-backed evaluation. They take the Wii-style cheap
+    // stand-in: the derived what-if cost scaled by the tenant's running
+    // observed/what-if ratio. Oversized stores fall back the same way.
+    const bool estimate = origin == "drift";
+    Status ready = Status::Ok();
+    if (!estimate) {
+      ready = signal_->Ready(*t->bundle);
+      if (!ready.ok()) {
+        metrics_.GetCounter("serve.signal.fallbacks")->Increment();
+        tracer_.Instant("signal-fallback", "serve", clock_, {});
+      }
+    } else {
+      metrics_.GetCounter("serve.signal.estimates")->Increment();
+    }
+
+    if (estimate || !ready.ok()) {
+      const double calibration = t->calibration();
+      decision = t->lifecycle.Apply(*t->bundle, window, candidate, &whatif_,
+                                    calibration);
+      decision.estimated = true;
+      decision.calibration = calibration;
+    } else {
+      decision =
+          t->lifecycle.Apply(*t->bundle, window, candidate, signal_.get());
+      UpdateCalibration(t, decision);
+    }
+    decision.signal = options_.signal;
   }
-  decision.signal = options_.signal;
+  if (decision.action == LifecycleDecision::Action::kShipped) {
+    ++shipped_;
+    metrics_.GetCounter("serve.shipped")->Increment();
+  } else if (decision.action == LifecycleDecision::Action::kRollback) {
+    ++rollbacks_;
+    metrics_.GetCounter("serve.rollbacks")->Increment();
+  }
   return decision;
 }
 

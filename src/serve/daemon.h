@@ -19,7 +19,7 @@
 #include "serve/serve_checkpoint.h"
 #include "serve/workload_observer.h"
 #include "session/session_manager.h"
-#include "signal/signal_hub.h"
+#include "signal/exec_signal.h"
 
 namespace bati {
 
@@ -186,12 +186,14 @@ class ServeDaemon {
   void ApplyMatured(bool force, std::string* out);
   void ApplyTune(PendingTune* tune, std::string* out);
 
-  /// Runs `candidate` through the tenant's lifecycle under the daemon's
-  /// configured deployment signal. Under kWhatIf this is exactly the old
-  /// direct lifecycle call. Under an exec-backed signal, drift-origin
-  /// decisions and tenants whose store exceeds the signal's cap fall back
-  /// to the calibrated what-if estimate; full evaluations feed the
-  /// tenant's observed/what-if calibration ratio.
+  /// Runs `candidate` through the tenant's lifecycle and counts the
+  /// shipped/rollback verdict. A candidate equal to the deployed
+  /// configuration is a no-change that consults no signal: no provenance,
+  /// no signal counter, no calibration sample. Otherwise, under kWhatIf
+  /// this is exactly the old direct lifecycle call; under an exec-backed
+  /// signal, drift-origin decisions and tenants whose store exceeds the
+  /// signal's cap fall back to the calibrated what-if estimate, and full
+  /// evaluations feed the tenant's observed/what-if calibration ratio.
   LifecycleDecision Judge(Tenant* t, const std::string& origin,
                           const std::vector<size_t>& candidate);
   /// Folds one full signal evaluation into the tenant's calibration ratio
@@ -216,10 +218,16 @@ class ServeDaemon {
   MetricsRegistry metrics_;
   Tracer tracer_;
   std::unique_ptr<SessionManager> manager_;
-  /// Deployment signals + their shared execution engines; exec.* operator
-  /// counters land in metrics_. Constructed lazily per kind, so a
+  /// Execution engines shared by the exec-backed signals; exec.* operator
+  /// counters land in metrics_. Engines are built on first use, so a
   /// what-if-only daemon never materializes a column store.
-  std::unique_ptr<SignalHub> hub_;
+  SignalEngineCache engines_;
+  /// The what-if signal: every decision under kWhatIf, and the calibrated
+  /// estimates that stand in for an exec-backed signal.
+  WhatIfSignal whatif_;
+  /// The configured exec-backed signal, built on first use because
+  /// Resume() may replace options_.signal.
+  std::unique_ptr<DeploymentSignal> signal_;
 
   /// Results crossing from the session pool's worker threads to the event
   /// loop, keyed by manager ticket.

@@ -23,12 +23,14 @@ LifecycleDecision IndexLifecycle::Apply(
     const std::vector<std::pair<int, double>>& window,
     const std::vector<size_t>& candidate, DeploymentSignal* signal,
     double calibration) {
-  static WhatIfSignal default_signal;  // stateless, safe to share
-  if (signal == nullptr) signal = &default_signal;
+  LifecycleDecision decision;
+  if (candidate == deployed_) {
+    decision.action = LifecycleDecision::Action::kNoChange;
+    return decision;
+  }
 
   const SignalCosts costs =
       signal->Evaluate(bundle, window, deployed_, candidate);
-  LifecycleDecision decision;
   // calibration is exactly 1.0 on every uncalibrated path, and x * 1.0 is
   // bit-exact — the what-if signal's decisions are byte-identical to the
   // pre-signal-layer lifecycle.
@@ -42,10 +44,6 @@ LifecycleDecision IndexLifecycle::Apply(
                 decision.deployed_cost
           : 0.0;
 
-  if (candidate == deployed_) {
-    decision.action = LifecycleDecision::Action::kNoChange;
-    return decision;
-  }
   if (decision.regression > safety_bound_) {
     decision.action = LifecycleDecision::Action::kRollback;
     return decision;

@@ -30,8 +30,9 @@ struct LifecycleDecision {
   std::vector<size_t> created;
   std::vector<size_t> dropped;
   /// Signal costs of both configurations on the live window, after the
-  /// calibration multiplier. Under the default what-if signal these are
-  /// the weighted derived costs, exactly as before the signal layer.
+  /// calibration multiplier (0 for kNoChange, which evaluates nothing).
+  /// Under the default what-if signal these are the weighted derived
+  /// costs, exactly as before the signal layer.
   double deployed_cost = 0.0;
   double candidate_cost = 0.0;
   /// (candidate - deployed) / deployed; negative is an improvement.
@@ -40,9 +41,10 @@ struct LifecycleDecision {
   /// (uncalibrated) — the denominator of the observed/what-if ratio.
   double whatif_deployed_cost = 0.0;
   double whatif_candidate_cost = 0.0;
-  /// Reporting fields stamped by the caller (the daemon): which signal
-  /// kind judged this tenant's decision, whether a calibrated what-if
-  /// estimate stood in for it, and the multiplier that was applied.
+  /// Reporting fields stamped by the caller (the daemon) on a decision a
+  /// non-default signal judged: which signal kind, whether a calibrated
+  /// what-if estimate stood in for it, and the multiplier that was
+  /// applied. A kNoChange decision keeps the defaults.
   SignalKind signal = SignalKind::kWhatIf;
   bool estimated = false;
   double calibration = 1.0;
@@ -52,8 +54,8 @@ const char* LifecycleActionName(LifecycleDecision::Action action);
 
 /// One tenant's index lifecycle: tracks the deployed configuration (as
 /// candidate positions in the tenant bundle's universe) and evaluates each
-/// recommended or operator-proposed candidate against it on the *live*
-/// window before anything ships. The evaluation runs through a pluggable
+/// recommended or operator-proposed candidate that differs from it on the
+/// *live* window before anything ships. The evaluation runs through a pluggable
 /// DeploymentSignal — pure what-if by default (the serve-side analogue of
 /// DBA-bandits' safety check on derived cost), or one of the
 /// execution-backed signals when the daemon closes the loop on real
@@ -66,22 +68,20 @@ class IndexLifecycle {
   explicit IndexLifecycle(double safety_bound)
       : safety_bound_(safety_bound) {}
 
-  /// Evaluates `candidate` (ascending positions into
+  /// Judges `candidate` (ascending positions into
   /// `bundle.candidates.indexes`; all positions must be in range) against
-  /// the deployed configuration, weighting each query by `window` (the
-  /// observer's WindowSupport(); uniform over the whole workload when
-  /// empty). Ships it — updating deployed() — unless it equals the
-  /// deployed configuration or regresses past the safety bound.
-  ///
-  /// `signal` supplies both configurations' window costs; null means the
-  /// built-in what-if signal. `calibration` scales the signal's costs —
-  /// the daemon passes its running observed/what-if ratio when a what-if
-  /// estimate stands in for an expensive signal, and 1.0 otherwise.
+  /// the deployed configuration. A candidate equal to deployed() is
+  /// kNoChange at once: no signal evaluation, zero costs and regression.
+  /// Any other candidate is costed by `signal` on `window` (the observer's
+  /// WindowSupport(); uniform over the whole workload when empty) and
+  /// ships — updating deployed() — unless it regresses past the safety
+  /// bound. `calibration` scales the signal's costs: the daemon passes its
+  /// running observed/what-if ratio when a what-if estimate stands in for
+  /// an expensive signal, and 1.0 otherwise.
   LifecycleDecision Apply(const WorkloadBundle& bundle,
                           const std::vector<std::pair<int, double>>& window,
                           const std::vector<size_t>& candidate,
-                          DeploymentSignal* signal = nullptr,
-                          double calibration = 1.0);
+                          DeploymentSignal* signal, double calibration = 1.0);
 
   const std::vector<size_t>& deployed() const { return deployed_; }
 

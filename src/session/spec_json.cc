@@ -76,18 +76,6 @@ Status RunSpecFromFields(const std::vector<JsonField>& fields,
       st = WantString(value, &spec->resume_path);
     } else if (key == "trace_out") {
       st = WantString(value, &spec->trace_path);
-    } else if (key == "signal") {
-      st = WantString(value, &spec->deploy_signal);
-      // The valid names mirror src/signal's ParseSignalKind — the session
-      // layer sits below the signal layer and cannot call it, so the list
-      // is spelled out here (cross-checked by a test).
-      if (st.ok() && !spec->deploy_signal.empty() &&
-          spec->deploy_signal != "whatif" &&
-          spec->deploy_signal != "exec-deterministic" &&
-          spec->deploy_signal != "measured") {
-        st = Status::InvalidArgument("unknown signal \"" +
-                                     spec->deploy_signal + "\"");
-      }
     } else {
       st = Status::InvalidArgument("unknown key \"" + key + "\"");
     }
@@ -200,9 +188,6 @@ std::string RunSpecToJson(const RunSpec& spec) {
   }
   if (!spec.trace_path.empty()) {
     out.String("trace_out", spec.trace_path);
-  }
-  if (!spec.deploy_signal.empty()) {
-    out.String("signal", spec.deploy_signal);
   }
   return out.Finish();
 }

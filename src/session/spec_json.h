@@ -31,7 +31,6 @@ namespace bati {
 ///   retry_attempts          integer >= 1
 ///   retry_timeout           number >= 0 (simulated seconds; 0 disables)
 ///   checkpoint, resume, trace_out                 path strings
-///   signal                  "whatif" | "exec-deterministic" | "measured"
 ///
 /// Validation is strict: an unknown key, a malformed value, an
 /// out-of-range value, or an unknown algorithm name is an InvalidArgument
@@ -55,7 +54,7 @@ Status RunSpecFromFields(const std::vector<JsonField>& fields,
 /// spelled with '-' for '_' (`--fault-rate` is "fault_rate"). Each flag
 /// appends its field to `*fields` for RunSpecFromFields(), so the flags
 /// take the spec line's names, bounds and wiring. The keys a command line
-/// sets another way (collect_metrics, trace_out, signal) get no flag.
+/// sets another way (collect_metrics, trace_out) get no flag.
 void AddRunSpecFlags(FlagParser* parser, std::vector<JsonField>* fields);
 
 /// Serializes a spec back to the flat JSON object ParseRunSpecJson

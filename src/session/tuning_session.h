@@ -69,12 +69,6 @@ struct RunSpec {
   /// Setting this non-zero enables tracing even without a trace_path (the
   /// trace is then only reachable programmatically).
   size_t trace_buffer = 0;
-  /// Deployment-signal preference for serve-side lifecycle decisions:
-  /// "" (daemon default) | "whatif" | "exec-deterministic" | "measured".
-  /// The tuning session itself ignores it — it rides the spec so a serve
-  /// tenant's registration can carry the preference through checkpoints.
-  /// Kept out of RunIdentity: the signal judges deployment, not tuning.
-  std::string deploy_signal;
 };
 
 /// The canonical identity string for a spec — everything that must match

@@ -1,6 +1,5 @@
 #include "signal/deployment_signal.h"
 
-#include "common/macros.h"
 #include "storage/index.h"
 
 namespace bati {
@@ -33,33 +32,25 @@ bool ParseSignalKind(const std::string& name, SignalKind* kind) {
   return false;
 }
 
-double WindowWhatIfCost(const WorkloadBundle& bundle,
-                        const std::vector<std::pair<int, double>>& window,
-                        const std::vector<size_t>& positions) {
+std::vector<Index> ToConfig(const WorkloadBundle& bundle,
+                            const std::vector<size_t>& positions) {
   std::vector<Index> config;
   config.reserve(positions.size());
   for (size_t pos : positions) {
     BATI_CHECK(pos < bundle.candidates.indexes.size());
     config.push_back(bundle.candidates.indexes[pos]);
   }
-  double cost = 0.0;
-  if (window.empty()) {
-    // No live observations yet: fall back to the tuning-time assumption of
-    // a uniformly weighted workload.
-    for (const Query& query : bundle.workload.queries) {
-      cost += bundle.optimizer->Cost(query, config);
-    }
-    return cost;
-  }
-  for (const auto& [query_id, weight] : window) {
-    BATI_CHECK(query_id >= 0 &&
-               query_id < bundle.workload.num_queries());
-    cost += weight * bundle.optimizer->Cost(
-                         bundle.workload.queries[static_cast<size_t>(
-                             query_id)],
-                         config);
-  }
-  return cost;
+  return config;
+}
+
+double WindowWhatIfCost(const WorkloadBundle& bundle,
+                        const std::vector<std::pair<int, double>>& window,
+                        const std::vector<size_t>& positions) {
+  const std::vector<Index> config = ToConfig(bundle, positions);
+  return WindowAccumulate(bundle, window, [&](int qi) {
+    return bundle.optimizer->Cost(
+        bundle.workload.queries[static_cast<size_t>(qi)], config);
+  });
 }
 
 SignalCosts WhatIfSignal::Evaluate(

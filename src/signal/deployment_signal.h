@@ -5,8 +5,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/macros.h"
 #include "common/status.h"
 #include "session/bundle_registry.h"
+#include "storage/index.h"
 
 namespace bati {
 
@@ -30,7 +32,7 @@ enum class SignalKind {
 };
 
 /// "whatif" | "exec-deterministic" | "measured" — the spelling used by
-/// --signal, the "signal" spec key, and the checkpoint.
+/// bati_serve --signal and the serve checkpoint.
 const char* SignalKindName(SignalKind kind);
 
 /// Inverse of SignalKindName(); false on an unknown spelling.
@@ -59,8 +61,6 @@ class DeploymentSignal {
  public:
   virtual ~DeploymentSignal() = default;
 
-  virtual SignalKind kind() const = 0;
-
   /// Whether Evaluate() may be called for `bundle`. Exec-backed signals
   /// refuse catalogs too large to materialize within their row budget
   /// (FailedPrecondition); the caller then falls back to the calibrated
@@ -80,10 +80,36 @@ class DeploymentSignal {
       const std::vector<size_t>& candidate) = 0;
 };
 
-/// Window-weighted what-if cost of a configuration — the exact arithmetic
-/// (loop order, fallback, accumulation) the pre-signal-layer lifecycle
-/// used, shared by WhatIfSignal and by the exec-backed signals' what-if
-/// sides so every signal's calibration baseline agrees to the bit.
+/// The Index objects behind ascending candidate positions (CHECKs that
+/// each is in range for bundle.candidates.indexes).
+std::vector<Index> ToConfig(const WorkloadBundle& bundle,
+                            const std::vector<size_t>& positions);
+
+/// Window-weighted sum of a per-query cost `unit(query_id)`: each window
+/// entry contributes weight * unit, in window order; an empty window (no
+/// live observations yet) falls back to the tuning-time assumption of a
+/// uniformly weighted workload, in query order. Every signal sums through
+/// this one loop, so their costs and calibration baselines agree to the
+/// bit.
+template <typename UnitFn>
+double WindowAccumulate(const WorkloadBundle& bundle,
+                        const std::vector<std::pair<int, double>>& window,
+                        UnitFn unit) {
+  const int nq = bundle.workload.num_queries();
+  double cost = 0.0;
+  if (window.empty()) {
+    for (int qi = 0; qi < nq; ++qi) cost += unit(qi);
+    return cost;
+  }
+  for (const auto& [query_id, weight] : window) {
+    BATI_CHECK(query_id >= 0 && query_id < nq);
+    cost += weight * unit(query_id);
+  }
+  return cost;
+}
+
+/// Window-weighted what-if cost of a configuration — the derived-cost side
+/// of every signal and the whole of WhatIfSignal.
 double WindowWhatIfCost(const WorkloadBundle& bundle,
                         const std::vector<std::pair<int, double>>& window,
                         const std::vector<size_t>& positions);
@@ -91,7 +117,6 @@ double WindowWhatIfCost(const WorkloadBundle& bundle,
 /// The default signal: both cost pairs are the pure what-if window costs.
 class WhatIfSignal : public DeploymentSignal {
  public:
-  SignalKind kind() const override { return SignalKind::kWhatIf; }
   SignalCosts Evaluate(const WorkloadBundle& bundle,
                        const std::vector<std::pair<int, double>>& window,
                        const std::vector<size_t>& deployed,

@@ -31,36 +31,6 @@ constexpr double kWeightSortRow = 2.0;
 constexpr double kWeightAggGroup = 1.0;
 constexpr double kWeightResultRow = 0.1;
 
-std::vector<Index> ToConfig(const WorkloadBundle& bundle,
-                            const std::vector<size_t>& positions) {
-  std::vector<Index> config;
-  config.reserve(positions.size());
-  for (size_t pos : positions) {
-    BATI_CHECK(pos < bundle.candidates.indexes.size());
-    config.push_back(bundle.candidates.indexes[pos]);
-  }
-  return config;
-}
-
-/// Window-weighted accumulation of a per-query unit cost, with the same
-/// empty-window uniform fallback as WindowWhatIfCost.
-template <typename UnitFn>
-double WindowAccumulate(const WorkloadBundle& bundle,
-                        const std::vector<std::pair<int, double>>& window,
-                        UnitFn unit) {
-  double cost = 0.0;
-  if (window.empty()) {
-    const int nq = bundle.workload.num_queries();
-    for (int qi = 0; qi < nq; ++qi) cost += unit(qi);
-    return cost;
-  }
-  for (const auto& [query_id, weight] : window) {
-    BATI_CHECK(query_id >= 0 && query_id < bundle.workload.num_queries());
-    cost += weight * unit(query_id);
-  }
-  return cost;
-}
-
 /// Largest single-table row count in the bundle's catalog — the quantity
 /// StoreOptions::max_rows_per_table caps. A table beyond the cap would be
 /// silently truncated at materialization, decoupling executed work from

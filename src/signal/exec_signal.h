@@ -24,8 +24,8 @@ struct ExecSignalOptions {
   /// loop must not stall for minutes materializing a statistics-scale
   /// store; the caller falls back to the calibrated what-if estimate.
   int64_t max_store_rows = 2 * 1000 * 1000;
-  /// Where the engines' "exec.*" operator counters land. Never null once
-  /// the hub constructs a signal.
+  /// Where the engines' "exec.*" operator counters land; the serve daemon
+  /// points it at its own registry.
   MetricsRegistry* metrics = nullptr;
   /// Test seam for the measured signal: when set, per-query seconds come
   /// from this function of (query id, configuration positions) instead of
@@ -73,7 +73,6 @@ class DeterministicExecSignal : public DeploymentSignal {
   explicit DeterministicExecSignal(SignalEngineCache* engines)
       : engines_(engines) {}
 
-  SignalKind kind() const override { return SignalKind::kDeterministicExec; }
   Status Ready(const WorkloadBundle& bundle) const override;
   SignalCosts Evaluate(const WorkloadBundle& bundle,
                        const std::vector<std::pair<int, double>>& window,
@@ -98,7 +97,6 @@ class MeasuredSignal : public DeploymentSignal {
  public:
   explicit MeasuredSignal(SignalEngineCache* engines) : engines_(engines) {}
 
-  SignalKind kind() const override { return SignalKind::kMeasured; }
   Status Ready(const WorkloadBundle& bundle) const override;
   SignalCosts Evaluate(const WorkloadBundle& bundle,
                        const std::vector<std::pair<int, double>>& window,

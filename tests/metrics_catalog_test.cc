@@ -66,9 +66,11 @@ void Collect(const MetricsSnapshot& snap, std::set<std::string>* names) {
 }
 
 /// A serve replay under the deterministic exec signal: a tuned tenant
-/// whose deploys ship and roll back, query drift (estimated decisions), a
-/// malformed line, and a tune the queue quota rejects. `max_store_rows`
-/// small enough makes every exec evaluation fall back.
+/// whose deploys ship and roll back, query drift whose re-tune lands on a
+/// configuration other than the deployed one (an estimated decision; a
+/// no-change would consult no signal), a malformed line, and a tune the
+/// queue quota rejects. `max_store_rows` small enough makes every exec
+/// evaluation fall back.
 MetricsSnapshot ServeReplay(int64_t max_store_rows) {
   ServeOptions options;
   options.parallelism = 1;
@@ -87,7 +89,7 @@ MetricsSnapshot ServeReplay(int64_t max_store_rows) {
       R"({"type":"tune","tenant":"q"})",
       R"({"type":"drain"})",
       R"({"type":"deploy","tenant":"toy","config":"1"})",
-      R"({"type":"deploy","tenant":"toy","config":"0 6"})",
+      R"({"type":"deploy","tenant":"toy","config":"0 6 7"})",
       "not an event",
   };
   for (int i = 0; i < 24; ++i) {

@@ -300,21 +300,23 @@ TEST(IndexLifecycleTest, ShipsAndDiffsAgainstDeployed) {
   // A huge safety bound never rolls back, isolating the diff logic.
   IndexLifecycle lifecycle(/*safety_bound=*/1e9);
   const std::vector<std::pair<int, double>> no_window;
+  WhatIfSignal whatif;
 
-  LifecycleDecision decision = lifecycle.Apply(bundle, no_window, {0});
+  LifecycleDecision decision =
+      lifecycle.Apply(bundle, no_window, {0}, &whatif);
   EXPECT_EQ(decision.action, LifecycleDecision::Action::kShipped);
   EXPECT_EQ(decision.created, (std::vector<size_t>{0}));
   EXPECT_TRUE(decision.dropped.empty());
   EXPECT_EQ(lifecycle.deployed(), (std::vector<size_t>{0}));
 
-  decision = lifecycle.Apply(bundle, no_window, {1});
+  decision = lifecycle.Apply(bundle, no_window, {1}, &whatif);
   EXPECT_EQ(decision.action, LifecycleDecision::Action::kShipped);
   EXPECT_EQ(decision.created, (std::vector<size_t>{1}));
   EXPECT_EQ(decision.dropped, (std::vector<size_t>{0}));
   EXPECT_EQ(lifecycle.deployed(), (std::vector<size_t>{1}));
 
   // Re-deploying the active configuration is a no-op.
-  decision = lifecycle.Apply(bundle, no_window, {1});
+  decision = lifecycle.Apply(bundle, no_window, {1}, &whatif);
   EXPECT_EQ(decision.action, LifecycleDecision::Action::kNoChange);
   EXPECT_TRUE(decision.created.empty());
   EXPECT_TRUE(decision.dropped.empty());
@@ -326,8 +328,9 @@ TEST(IndexLifecycleTest, RollbackKeepsDeployedConfiguration) {
   // candidate is evaluated but never shipped, and deployed() is untouched
   // — the DBA-bandits guarantee in its most aggressive setting.
   IndexLifecycle lifecycle(/*safety_bound=*/-1.0);
+  WhatIfSignal whatif;
   const LifecycleDecision decision =
-      lifecycle.Apply(bundle, /*window=*/{}, {0});
+      lifecycle.Apply(bundle, /*window=*/{}, {0}, &whatif);
   EXPECT_EQ(decision.action, LifecycleDecision::Action::kRollback);
   EXPECT_TRUE(lifecycle.deployed().empty());
   EXPECT_GT(decision.deployed_cost, 0.0);
@@ -336,6 +339,52 @@ TEST(IndexLifecycleTest, RollbackKeepsDeployedConfiguration) {
               (decision.candidate_cost - decision.deployed_cost) /
                   decision.deployed_cost,
               1e-12);
+}
+
+/// A signal that counts its evaluations and reports fixed costs: the
+/// candidate always halves the deployed cost.
+class CountingSignal : public DeploymentSignal {
+ public:
+  SignalCosts Evaluate(const WorkloadBundle&,
+                       const std::vector<std::pair<int, double>>&,
+                       const std::vector<size_t>&,
+                       const std::vector<size_t>&) override {
+    ++evaluations;
+    SignalCosts costs;
+    costs.deployed = costs.whatif_deployed = 10.0;
+    costs.candidate = costs.whatif_candidate = 5.0;
+    return costs;
+  }
+
+  int evaluations = 0;
+};
+
+TEST(IndexLifecycleTest, NoChangeConsultsNoSignal) {
+  const WorkloadBundle& bundle = LoadBundle("toy");
+  IndexLifecycle lifecycle(/*safety_bound=*/0.02);
+  CountingSignal signal;
+
+  // The empty candidate equals the empty deployment: decided unseen.
+  LifecycleDecision decision = lifecycle.Apply(bundle, {}, {}, &signal);
+  EXPECT_EQ(decision.action, LifecycleDecision::Action::kNoChange);
+  EXPECT_EQ(signal.evaluations, 0);
+  EXPECT_EQ(decision.regression, 0.0);
+  EXPECT_EQ(decision.deployed_cost, 0.0);
+  EXPECT_EQ(decision.candidate_cost, 0.0);
+
+  // A changed candidate is evaluated exactly once.
+  decision = lifecycle.Apply(bundle, {}, {0}, &signal);
+  EXPECT_EQ(decision.action, LifecycleDecision::Action::kShipped);
+  EXPECT_EQ(signal.evaluations, 1);
+  EXPECT_EQ(decision.regression, -0.5);
+
+  // Re-deploying it is again a no-change, calibrated or not.
+  decision = lifecycle.Apply(bundle, {{0, 1.0}}, {0}, &signal,
+                             /*calibration=*/3.0);
+  EXPECT_EQ(decision.action, LifecycleDecision::Action::kNoChange);
+  EXPECT_EQ(signal.evaluations, 1);
+  EXPECT_EQ(decision.regression, 0.0);
+  EXPECT_EQ(decision.deployed_cost, 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -351,9 +400,10 @@ TEST(SignalTest, WhatIfSignalReproducesLifecycleCosts) {
   EXPECT_EQ(costs.candidate, costs.whatif_candidate);
   EXPECT_EQ(costs.deployed, WindowWhatIfCost(bundle, window, {}));
   EXPECT_EQ(costs.candidate, WindowWhatIfCost(bundle, window, {0}));
-  // A lifecycle given no signal falls back to exactly this evaluation.
+  // A lifecycle judging through it reports exactly these costs.
   IndexLifecycle lifecycle(/*safety_bound=*/1e9);
-  const LifecycleDecision decision = lifecycle.Apply(bundle, window, {0});
+  const LifecycleDecision decision =
+      lifecycle.Apply(bundle, window, {0}, &signal);
   EXPECT_EQ(decision.deployed_cost, costs.deployed);
   EXPECT_EQ(decision.candidate_cost, costs.candidate);
   EXPECT_EQ(decision.signal, SignalKind::kWhatIf);
@@ -361,7 +411,7 @@ TEST(SignalTest, WhatIfSignalReproducesLifecycleCosts) {
   EXPECT_EQ(decision.calibration, 1.0);
 }
 
-TEST(SignalTest, KindNamesRoundTripAndMatchSpecJson) {
+TEST(SignalTest, KindNamesRoundTrip) {
   const SignalKind kinds[] = {SignalKind::kWhatIf,
                               SignalKind::kDeterministicExec,
                               SignalKind::kMeasured};
@@ -369,16 +419,6 @@ TEST(SignalTest, KindNamesRoundTripAndMatchSpecJson) {
     SignalKind parsed = SignalKind::kWhatIf;
     ASSERT_TRUE(ParseSignalKind(SignalKindName(kind), &parsed));
     EXPECT_EQ(parsed, kind);
-    // The spec-JSON "signal" key validates against a hardcoded copy of
-    // these names (the session layer sits below this one and cannot call
-    // ParseSignalKind) — this cross-check keeps the two lists in sync.
-    RunSpec spec;
-    EXPECT_TRUE(ParseRunSpecJson(
-                    std::string(R"({"workload":"toy","signal":")") +
-                        SignalKindName(kind) + R"("})",
-                    &spec)
-                    .ok());
-    EXPECT_EQ(spec.deploy_signal, SignalKindName(kind));
   }
   SignalKind parsed = SignalKind::kWhatIf;
   EXPECT_FALSE(ParseSignalKind("bogus", &parsed));
@@ -919,6 +959,37 @@ TEST(ServeDaemonTest, MeasuredSignalRollsBackWhatWhatIfWouldShip) {
   EXPECT_NE(ratio, 1.0);
 }
 
+TEST(ServeDaemonTest, RedeployUnderMeasuredSignalConsultsNoSignal) {
+  ServeOptions options = MeasuredDrillOptions();
+  options.safety_bound = 1e9;  // ship despite the drill's regression
+  ServeDaemon daemon(options);
+  std::string out;
+  daemon.ProcessLine(R"({"type":"register","tenant":"t","workload":"toy"})",
+                     &out);
+  out.clear();
+  daemon.ProcessLine(R"({"type":"deploy","tenant":"t","config":"0"})", &out);
+  EXPECT_NE(out.find("\"action\":\"shipped\""), std::string::npos) << out;
+  MetricsRegistry& metrics = daemon.metrics();
+  const double samples =
+      metrics.GetGauge("serve.tenant.t.calibration_samples")->value();
+  const int64_t evals = metrics.GetCounter("serve.signal.evals")->value();
+  EXPECT_EQ(samples, 2.0);
+  EXPECT_EQ(evals, 1);
+
+  // The same configuration again: the what-if no-change line, byte for
+  // byte, with no evaluation and no calibration sample behind it.
+  out.clear();
+  daemon.ProcessLine(R"({"type":"deploy","tenant":"t","config":"0"})", &out);
+  EXPECT_EQ(out,
+            R"({"type":"deploy","tenant":"t","action":"no-change",)"
+            R"("regression":0,"create":"","drop":""})"
+            "\n");
+  EXPECT_EQ(metrics.GetGauge("serve.tenant.t.calibration_samples")->value(),
+            samples);
+  EXPECT_EQ(metrics.GetCounter("serve.signal.evals")->value(), evals);
+  EXPECT_EQ(metrics.GetCounter("serve.signal.estimates")->value(), 0);
+}
+
 /// A small toy stream exercising one register-tune and one deploy — two
 /// full signal evaluations, enough to prove reproducibility without
 /// making the exec-backed tests expensive.
@@ -1012,8 +1083,9 @@ std::vector<std::string> PinnedExecScript() {
 }
 
 /// The replay's output, captured before the exec signal memoized operator
-/// work by resolved plan. Plain query acknowledgements (no drift check)
-/// are left out; kPinnedExecReplayLines counts every line.
+/// work by resolved plan. No-change lines carry no signal fields: no signal
+/// judges them. Plain query acknowledgements (no drift check) are left
+/// out; kPinnedExecReplayLines counts every line.
 constexpr int kPinnedExecReplayLines = 215;
 constexpr char kPinnedExecReplay[] = R"pinned(
 {"type":"register","tenant":"toy","workload":"toy","queries":2,"candidates":8,"tune":1,"status":"ok"}
@@ -1030,25 +1102,25 @@ constexpr char kPinnedExecReplay[] = R"pinned(
 {"type":"deploy","tenant":"toy","action":"safety-rollback","regression":19.71316113,"signal":"exec-deterministic","estimated":false,"deployed_cost":7701717.6,"candidate_cost":159526917.6,"create":"","drop":""}
 {"type":"query","tenant":"toy","query":1,"clock":63,"drift":0}
 {"type":"query","tenant":"big","query":17,"clock":64,"drift":0.40625,"retune":6}
-{"type":"tune-result","id":3,"tenant":"toy","origin":"tune","clock":72,"improvement":79.13083518,"calls":40,"config":"0 6","action":"no-change","regression":0,"signal":"exec-deterministic","estimated":false,"deployed_cost":11552576.4,"candidate_cost":11552576.4,"create":"","drop":""}
+{"type":"tune-result","id":3,"tenant":"toy","origin":"tune","clock":72,"improvement":79.13083518,"calls":40,"config":"0 6","action":"no-change","regression":0,"create":"","drop":""}
 {"type":"tune","tenant":"toy","id":7,"status":"ok"}
-{"type":"deploy","tenant":"toy","action":"no-change","regression":0,"signal":"exec-deterministic","estimated":false,"deployed_cost":11552576.4,"candidate_cost":11552576.4,"create":"","drop":""}
+{"type":"deploy","tenant":"toy","action":"no-change","regression":0,"create":"","drop":""}
 {"type":"query","tenant":"big","query":18,"clock":80,"drift":0.16875}
 {"type":"query","tenant":"toy","query":1,"clock":87,"drift":0}
 {"type":"query","tenant":"big","query":4,"clock":96,"drift":0.2291666667}
 {"type":"tune","tenant":"toy","id":8,"status":"ok"}
 {"type":"deploy","tenant":"toy","action":"safety-rollback","regression":16.61254627,"signal":"exec-deterministic","estimated":false,"deployed_cost":15403435.2,"candidate_cost":271293715.2,"create":"","drop":""}
 {"type":"tune-result","id":4,"tenant":"big","origin":"drift","clock":101,"improvement":10.92538793,"calls":60,"config":"0 2 3","action":"shipped","regression":-0.002997455799,"signal":"exec-deterministic","estimated":true,"calibration":1,"create":"3","drop":""}
-{"type":"tune-result","id":5,"tenant":"toy","origin":"tune","clock":101,"improvement":79.13083518,"calls":40,"config":"0 6","action":"no-change","regression":0,"signal":"exec-deterministic","estimated":false,"deployed_cost":16382689.8,"candidate_cost":16382689.8,"create":"","drop":""}
+{"type":"tune-result","id":5,"tenant":"toy","origin":"tune","clock":101,"improvement":79.13083518,"calls":40,"config":"0 6","action":"no-change","regression":0,"create":"","drop":""}
 {"type":"query","tenant":"toy","query":1,"clock":111,"drift":0.07142857143}
 {"type":"query","tenant":"big","query":5,"clock":112,"drift":0.2857142857}
 {"type":"query","tenant":"toy","query":1,"clock":127,"drift":0.125}
 {"type":"query","tenant":"big","query":5,"clock":128,"drift":0.34375}
-{"type":"tune-result","id":6,"tenant":"big","origin":"drift","clock":129,"improvement":8.562275456,"calls":60,"config":"0 2 3","action":"no-change","regression":0,"signal":"exec-deterministic","estimated":true,"calibration":1,"create":"","drop":""}
-{"type":"tune-result","id":7,"tenant":"toy","origin":"tune","clock":129,"improvement":79.13083518,"calls":40,"config":"0 6","action":"no-change","regression":0,"signal":"exec-deterministic","estimated":false,"deployed_cost":20637153,"candidate_cost":20637153,"create":"","drop":""}
+{"type":"tune-result","id":6,"tenant":"big","origin":"drift","clock":129,"improvement":8.562275456,"calls":60,"config":"0 2 3","action":"no-change","regression":0,"create":"","drop":""}
+{"type":"tune-result","id":7,"tenant":"toy","origin":"tune","clock":129,"improvement":79.13083518,"calls":40,"config":"0 6","action":"no-change","regression":0,"create":"","drop":""}
 {"type":"query","tenant":"toy","query":1,"clock":143,"drift":0.1875}
 {"type":"query","tenant":"big","query":5,"clock":144,"drift":0.4375,"retune":9}
-{"type":"tune-result","id":8,"tenant":"toy","origin":"tune","clock":144,"improvement":79.13083518,"calls":40,"config":"0 6","action":"no-change","regression":0,"signal":"exec-deterministic","estimated":false,"deployed_cost":20670232.8,"candidate_cost":20670232.8,"create":"","drop":""}
+{"type":"tune-result","id":8,"tenant":"toy","origin":"tune","clock":144,"improvement":79.13083518,"calls":40,"config":"0 6","action":"no-change","regression":0,"create":"","drop":""}
 {"type":"query","tenant":"toy","query":1,"clock":159,"drift":0.25}
 {"type":"query","tenant":"big","query":5,"clock":160,"drift":0.109375}
 {"type":"query","tenant":"toy","query":1,"clock":175,"drift":0.3125}

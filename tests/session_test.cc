@@ -451,35 +451,18 @@ TEST(SpecJsonTest, EscapedStringsRoundTrip) {
   EXPECT_EQ(RunSpecToJson(reparsed), json);
 }
 
-TEST(SpecJsonTest, SignalKeyValidatesAndRoundTrips) {
+TEST(SpecJsonTest, SignalIsNotASpecKey) {
+  // The deployment signal is the serve daemon's --signal, not a per-spec
+  // preference: a "signal" key is as unknown as any other.
   RunSpec spec;
-  for (const char* name : {"whatif", "exec-deterministic", "measured"}) {
-    ASSERT_TRUE(ParseRunSpecJson(
-                    std::string("{\"workload\":\"toy\",\"signal\":\"") +
-                        name + "\"}",
-                    &spec)
-                    .ok())
-        << name;
-    EXPECT_EQ(spec.deploy_signal, name);
-    const std::string json = RunSpecToJson(spec);
-    EXPECT_NE(json.find(std::string("\"signal\":\"") + name + "\""),
-              std::string::npos)
-        << json;
-    RunSpec reparsed;
-    ASSERT_TRUE(ParseRunSpecJson(json, &reparsed).ok()) << json;
-    EXPECT_EQ(reparsed.deploy_signal, name);
+  for (const char* value : {"\"measured\"", "\"bogus\"", "7"}) {
+    const Status st = ParseRunSpecJson(
+        std::string("{\"workload\":\"toy\",\"signal\":") + value + "}",
+        &spec);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << value;
+    EXPECT_NE(st.message().find("unknown key \"signal\""), std::string::npos)
+        << st.message();
   }
-  // Unknown names and non-string values are strict errors; the absent key
-  // means "daemon default" and stays implicit in the serialized form.
-  EXPECT_FALSE(
-      ParseRunSpecJson("{\"workload\":\"toy\",\"signal\":\"bogus\"}", &spec)
-          .ok());
-  EXPECT_FALSE(
-      ParseRunSpecJson("{\"workload\":\"toy\",\"signal\":7}", &spec).ok());
-  RunSpec minimal;
-  ASSERT_TRUE(ParseRunSpecJson("{\"workload\":\"toy\"}", &minimal).ok());
-  EXPECT_TRUE(minimal.deploy_signal.empty());
-  EXPECT_EQ(RunSpecToJson(minimal).find("signal"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -37,11 +37,6 @@ constexpr char kUsage[] =
     "  --reps N              timed repetitions per config, min kept (2)\n"
     "  --passes N            full measurement passes (default 2)\n"
     "  --seed N              sampling + store seed (default 42)\n"
-    "  --no-spread           execute first N samples instead of spreading\n"
-    "                        across the what-if cost range\n"
-    "  --no-trajectory       do not seed the pool with the greedy tuning\n"
-    "                        trajectory's prefix configurations\n"
-    "  --no-validate         skip cross-executor result validation\n"
     "  --min-correlation X   exit 1 if combined Spearman < X (default off)\n"
     "  --max-rows N          refuse stores larger than N rows (default 10M)\n"
     "  --per-query           print per-query cost vs time diagnostics\n"
@@ -100,9 +95,6 @@ int Run(int argc, char** argv) {
   int64_t reps = 2;
   int64_t passes = 2;
   uint64_t seed = 42;
-  bool no_spread = false;
-  bool no_trajectory = false;
-  bool no_validate = false;
   double min_correlation = -2.0;
   int64_t max_rows = 10 * 1000 * 1000;
   std::string json_path;
@@ -118,9 +110,6 @@ int Run(int argc, char** argv) {
   parser.AddInt64("reps", &reps, 1);
   parser.AddInt64("passes", &passes, 1);
   parser.AddUint64("seed", &seed);
-  parser.AddBool("no-spread", &no_spread);
-  parser.AddBool("no-trajectory", &no_trajectory);
-  parser.AddBool("no-validate", &no_validate);
   parser.AddDouble("min-correlation", &min_correlation, -2.0);
   parser.AddInt64("max-rows", &max_rows, 1);
   parser.AddString("json", &json_path);
@@ -176,9 +165,6 @@ int Run(int argc, char** argv) {
   copts.max_config_size = static_cast<int>(max_config_size);
   copts.repetitions = static_cast<int>(reps);
   copts.passes = static_cast<int>(passes);
-  copts.spread = !no_spread;
-  copts.trajectory = !no_trajectory;
-  copts.validate = !no_validate;
   copts.seed = seed;
   const exec::CorrelationReport report =
       exec::RunCorrelation(&engine, candidates.indexes, copts);

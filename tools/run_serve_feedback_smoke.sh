@@ -11,8 +11,11 @@
 #   * a third replay at a different --parallelism matches too,
 #   * signal verdicts actually ran against the engine (estimated:false
 #     appears; exec.* operator counters are non-zero in --metrics),
-#   * a repeated deploy re-prices plans already executed by lookup
-#     (exec.plan_memo.hits > 0 in --metrics),
+#   * a configuration judged again re-prices plans already executed by
+#     lookup (exec.plan_memo.hits > 0 in --metrics),
+#   * a deploy of the deployed configuration (a second tenant's empty one)
+#     is a no-change line with no signal provenance, exactly as under
+#     --signal whatif,
 #   * a drop-every-index deploy is rolled back on measured cost units.
 #
 # "measured" mode — the nightly leg:
@@ -40,8 +43,9 @@ workdir="$(mktemp -d)"
 trap 'rm -rf "${workdir}"' EXIT
 
 # One register-tune, a handful of queries, the same operator deploy
-# twice, then the rollback drill: the drop-every-index deploy must regress
-# on any execution-backed signal.
+# twice, a second tenant deploying its already-empty configuration, then
+# the rollback drill: the drop-every-index deploy must regress on any
+# execution-backed signal.
 {
   printf '%s\n' \
     '{"type":"register","tenant":"toy0","workload":"toy","algorithm":"vanilla-greedy","budget":40,"tune":true}'
@@ -52,6 +56,8 @@ trap 'rm -rf "${workdir}"' EXIT
     '{"type":"drain"}' \
     '{"type":"deploy","tenant":"toy0","config":"1"}' \
     '{"type":"deploy","tenant":"toy0","config":"1"}' \
+    '{"type":"register","tenant":"toy1","workload":"toy"}' \
+    '{"type":"deploy","tenant":"toy1","config":""}' \
     '{"type":"deploy","tenant":"toy0","config":""}'
 } > "${workdir}/events.jsonl"
 
@@ -86,6 +92,13 @@ case "${mode}" in
     grep -q '"signal":"exec-deterministic","estimated":false' \
       "${workdir}/out1.jsonl" || {
       echo "error: no full exec-signal evaluation ran (all fell back?)" >&2
+      exit 1
+    }
+    grep -qxF \
+      '{"type":"deploy","tenant":"toy1","action":"no-change","regression":0,"create":"","drop":""}' \
+      "${workdir}/out1.jsonl" || {
+      echo "error: a no-change deploy was judged by the signal:" >&2
+      grep '"tenant":"toy1"' "${workdir}/out1.jsonl" >&2
       exit 1
     }
     tail -1 "${workdir}/out1.jsonl" \
