@@ -13,10 +13,14 @@ namespace bati {
 
 namespace {
 constexpr int kNumFeatures = kIndexFeatureCount;
+/// UCB exploration multiplier alpha.
+constexpr double kAlpha = 0.6;
+/// Ridge regularization of the linear model.
+constexpr double kRidgeLambda = 1.0;
 }  // namespace
 
-DbaBanditsTuner::DbaBanditsTuner(TuningContext ctx, DbaBanditsOptions options)
-    : ctx_(std::move(ctx)), options_(options), rng_(options.seed) {}
+DbaBanditsTuner::DbaBanditsTuner(TuningContext ctx, uint64_t seed)
+    : ctx_(std::move(ctx)), rng_(seed) {}
 
 std::vector<double> DbaBanditsTuner::Featurize(int candidate_pos) const {
   return IndexFeatures(ctx_, candidate_pos);
@@ -36,7 +40,7 @@ TuningResult DbaBanditsTuner::Tune(CostService& service) {
   std::vector<std::vector<double>> v(kNumFeatures,
                                      std::vector<double>(kNumFeatures, 0.0));
   for (int i = 0; i < kNumFeatures; ++i) {
-    v[static_cast<size_t>(i)][static_cast<size_t>(i)] = options_.ridge_lambda;
+    v[static_cast<size_t>(i)][static_cast<size_t>(i)] = kRidgeLambda;
   }
   std::vector<double> bvec(kNumFeatures, 0.0);
 
@@ -56,7 +60,7 @@ TuningResult DbaBanditsTuner::Tune(CostService& service) {
       const std::vector<double>& x = features[static_cast<size_t>(a)];
       std::vector<double> y = SolveLinear(v, x);
       double width = std::sqrt(std::max(0.0, DotProduct(x, y)));
-      return DotProduct(theta, x) + options_.alpha * width +
+      return DotProduct(theta, x) + kAlpha * width +
              rng_.Normal(0.0, 0.005);
     };
 

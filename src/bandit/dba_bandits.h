@@ -1,6 +1,7 @@
 #ifndef BATI_BANDIT_DBA_BANDITS_H_
 #define BATI_BANDIT_DBA_BANDITS_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -8,15 +9,6 @@
 #include "tuner/tuner.h"
 
 namespace bati {
-
-/// Options for the DBA-bandits baseline.
-struct DbaBanditsOptions {
-  /// UCB exploration multiplier alpha.
-  double alpha = 0.6;
-  /// Ridge regularization of the linear model.
-  double ridge_lambda = 1.0;
-  uint64_t seed = 1;
-};
 
 /// Re-implementation of the DBA-bandits baseline [Perera et al.] in the
 /// paper's "static workload" setting (Section 7.2.1): a contextual
@@ -28,8 +20,7 @@ struct DbaBanditsOptions {
 /// returned, mirroring how the paper reports this baseline.
 class DbaBanditsTuner : public Tuner {
  public:
-  DbaBanditsTuner(TuningContext ctx,
-                  DbaBanditsOptions options = DbaBanditsOptions());
+  DbaBanditsTuner(TuningContext ctx, uint64_t seed);
 
   TuningResult Tune(CostService& service) override;
   std::string name() const override { return "dba-bandits"; }
@@ -45,7 +36,6 @@ class DbaBanditsTuner : public Tuner {
   std::vector<double> Featurize(int candidate_pos) const;
 
   TuningContext ctx_;
-  DbaBanditsOptions options_;
   Rng rng_;
   std::vector<double> round_trace_;
 };

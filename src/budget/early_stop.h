@@ -53,8 +53,6 @@ class EarlyStopChecker {
   /// last ShouldStop() evaluation computed; for observability.
   double last_upper_bound_pct() const { return last_upper_bound_pct_; }
 
-  int64_t effective_window() const { return window_; }
-
  private:
   EarlyStopOptions options_;
   int64_t budget_;

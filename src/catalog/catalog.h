@@ -55,16 +55,12 @@ class Table {
 
   const std::string& name() const { return name_; }
   double row_count() const { return row_count_; }
-  void set_row_count(double rows) { row_count_ = rows; }
 
   /// Appends a column; returns its ordinal id within this table.
   int AddColumn(Column column);
 
   int num_columns() const { return static_cast<int>(columns_.size()); }
   const Column& column(int id) const {
-    return columns_.at(static_cast<size_t>(id));
-  }
-  Column& mutable_column(int id) {
     return columns_.at(static_cast<size_t>(id));
   }
   const std::vector<Column>& columns() const { return columns_; }
@@ -112,7 +108,6 @@ class Database {
   const Table& table(int id) const {
     return tables_.at(static_cast<size_t>(id));
   }
-  Table& mutable_table(int id) { return tables_.at(static_cast<size_t>(id)); }
 
   /// Table id by name, or -1.
   int FindTable(const std::string& name) const;

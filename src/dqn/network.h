@@ -29,9 +29,6 @@ class Mlp {
   /// Copies the weights of `other` into this network (target-network sync).
   void CopyFrom(const Mlp& other);
 
-  size_t input_size() const { return weights_.front().rows(); }
-  size_t output_size() const { return weights_.back().cols(); }
-
  private:
   struct AdamState {
     Matrix m_w, v_w;

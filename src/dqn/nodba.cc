@@ -12,6 +12,20 @@ namespace bati {
 
 namespace {
 
+/// The paper's adaptation (Section 7.2.2): three hidden layers of 96, ReLU.
+constexpr size_t kHiddenWidth = 96;
+constexpr int kHiddenLayers = 3;
+constexpr double kLearningRate = 1e-3;
+constexpr double kGamma = 0.95;
+constexpr double kEpsilonStart = 1.0;
+constexpr double kEpsilonEnd = 0.05;
+/// Rounds over which epsilon decays linearly.
+constexpr int kEpsilonDecayRounds = 30;
+constexpr size_t kReplayCapacity = 20000;
+constexpr size_t kBatchSize = 32;
+constexpr int kTrainBatchesPerRound = 4;
+constexpr int kTargetSyncRounds = 5;
+
 /// Writes the one-hot encoding h_C of a configuration into a matrix row.
 void EncodeState(const Config& config, Matrix& batch, size_t row) {
   for (size_t pos : config.ToIndices()) batch.at(row, pos) = 1.0;
@@ -19,8 +33,8 @@ void EncodeState(const Config& config, Matrix& batch, size_t row) {
 
 }  // namespace
 
-NoDbaTuner::NoDbaTuner(TuningContext ctx, NoDbaOptions options)
-    : ctx_(std::move(ctx)), options_(std::move(options)), rng_(options_.seed) {}
+NoDbaTuner::NoDbaTuner(TuningContext ctx, uint64_t seed)
+    : ctx_(std::move(ctx)), rng_(seed) {}
 
 TuningResult NoDbaTuner::Tune(CostService& service) {
   round_trace_.clear();
@@ -30,7 +44,7 @@ TuningResult NoDbaTuner::Tune(CostService& service) {
 
   std::vector<size_t> layers;
   layers.push_back(static_cast<size_t>(n));
-  for (size_t h : options_.hidden) layers.push_back(h);
+  layers.insert(layers.end(), kHiddenLayers, kHiddenWidth);
   layers.push_back(static_cast<size_t>(n));
   Mlp q_net(layers, rng_);
   Mlp target_net(layers, rng_);
@@ -58,10 +72,9 @@ TuningResult NoDbaTuner::Tune(CostService& service) {
     service.BeginRound("dqn.round");
     int64_t calls_before = service.calls_made();
     double epsilon =
-        options_.epsilon_start +
-        (options_.epsilon_end - options_.epsilon_start) *
-            std::min(1.0, static_cast<double>(round) /
-                              std::max(1, options_.epsilon_decay_rounds));
+        kEpsilonStart +
+        (kEpsilonEnd - kEpsilonStart) *
+            std::min(1.0, static_cast<double>(round) / kEpsilonDecayRounds);
 
     // ---- Assemble a configuration with epsilon-greedy over the Q-net. ----
     Config config = service.EmptyConfig();
@@ -120,14 +133,14 @@ TuningResult NoDbaTuner::Tune(CostService& service) {
 
     for (Transition& t : episode) {
       replay.push_back(std::move(t));
-      if (replay.size() > options_.replay_capacity) replay.pop_front();
+      if (replay.size() > kReplayCapacity) replay.pop_front();
     }
 
     // ---- Train on replayed minibatches (deep Q-learning). ----
-    for (int b = 0; b < options_.train_batches_per_round &&
-                    replay.size() >= options_.batch_size;
+    for (int b = 0; b < kTrainBatchesPerRound &&
+                    replay.size() >= kBatchSize;
          ++b) {
-      size_t bs = options_.batch_size;
+      size_t bs = kBatchSize;
       Matrix states(bs, static_cast<size_t>(n));
       Matrix next_states(bs, static_cast<size_t>(n));
       std::vector<const Transition*> sample(bs);
@@ -150,12 +163,12 @@ TuningResult NoDbaTuner::Tune(CostService& service) {
             best_next =
                 std::max(best_next, next_q.at(i, static_cast<size_t>(a)));
           }
-          y += options_.gamma * best_next;
+          y += kGamma * best_next;
         }
         target.at(i, static_cast<size_t>(sample[i]->action)) = y;
         mask.at(i, static_cast<size_t>(sample[i]->action)) = 1.0;
       }
-      q_net.TrainStep(states, target, mask, options_.learning_rate);
+      q_net.TrainStep(states, target, mask, kLearningRate);
     }
 
     if (round_cost < best_cost) {
@@ -165,7 +178,7 @@ TuningResult NoDbaTuner::Tune(CostService& service) {
     round_trace_.push_back(base > 0.0 ? (1.0 - best_cost / base) * 100.0
                                       : 0.0);
     ++round;
-    if (round % options_.target_sync_rounds == 0) target_net.CopyFrom(q_net);
+    if (round % kTargetSyncRounds == 0) target_net.CopyFrom(q_net);
     if (budget_ran_out) break;
     // Fully cached rounds spend no budget; bail out if the policy froze.
     if (service.calls_made() == calls_before) {

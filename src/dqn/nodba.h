@@ -1,6 +1,7 @@
 #ifndef BATI_DQN_NODBA_H_
 #define BATI_DQN_NODBA_H_
 
+#include <cstdint>
 #include <deque>
 #include <string>
 #include <vector>
@@ -11,23 +12,6 @@
 
 namespace bati {
 
-/// Options for the No-DBA baseline.
-struct NoDbaOptions {
-  /// Hidden layer widths (paper adaptation: three layers of 96, ReLU).
-  std::vector<size_t> hidden = {96, 96, 96};
-  double learning_rate = 1e-3;
-  double gamma = 0.95;
-  double epsilon_start = 1.0;
-  double epsilon_end = 0.05;
-  /// Rounds over which epsilon decays linearly.
-  int epsilon_decay_rounds = 30;
-  size_t replay_capacity = 20000;
-  size_t batch_size = 32;
-  int train_batches_per_round = 4;
-  int target_sync_rounds = 5;
-  uint64_t seed = 1;
-};
-
 /// Re-implementation of the No-DBA baseline [Sharma et al.] with the paper's
 /// adaptations (Section 7.2.2): one-hot configuration states, what-if costs
 /// as rewards (instead of execution time), deep Q-learning with a small
@@ -37,7 +21,7 @@ struct NoDbaOptions {
 /// configuration over all rounds is returned.
 class NoDbaTuner : public Tuner {
  public:
-  NoDbaTuner(TuningContext ctx, NoDbaOptions options = NoDbaOptions());
+  NoDbaTuner(TuningContext ctx, uint64_t seed);
 
   TuningResult Tune(CostService& service) override;
   std::string name() const override { return "no-dba"; }
@@ -59,7 +43,6 @@ class NoDbaTuner : public Tuner {
   };
 
   TuningContext ctx_;
-  NoDbaOptions options_;
   Rng rng_;
   std::vector<double> round_trace_;
 };

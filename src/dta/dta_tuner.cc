@@ -7,8 +7,15 @@
 
 namespace bati {
 
-DtaTuner::DtaTuner(TuningContext ctx, DtaOptions options)
-    : ctx_(std::move(ctx)), options_(options) {}
+namespace {
+/// Queries consumed per time slice.
+constexpr int kQueriesPerSlice = 4;
+/// Fraction of the remaining budget a slice may spend on per-query tuning
+/// before the periodic workload-level refinement runs.
+constexpr double kSliceBudgetFraction = 0.5;
+}  // namespace
+
+DtaTuner::DtaTuner(TuningContext ctx) : ctx_(std::move(ctx)) {}
 
 TuningResult DtaTuner::Tune(CostService& service) {
   const int m = service.num_queries();
@@ -35,11 +42,11 @@ TuningResult DtaTuner::Tune(CostService& service) {
     int64_t slice_budget = std::max<int64_t>(
         1, static_cast<int64_t>(
                static_cast<double>(service.remaining_budget()) *
-               options_.slice_budget_fraction));
+               kSliceBudgetFraction));
     // Per-query greedy tuning with FCFS inside the slice budget.
     const int64_t slice_end = service.calls_made() + slice_budget;
     const WhatIfFilter slice_filter{.call_limit = slice_end};
-    for (int b = 0; b < options_.queries_per_slice && cursor < queue.size();
+    for (int b = 0; b < kQueriesPerSlice && cursor < queue.size();
          ++b, ++cursor) {
       int q = queue[cursor];
       tuned_queries.push_back(q);
@@ -52,27 +59,22 @@ TuningResult DtaTuner::Tune(CostService& service) {
       if (service.calls_made() >= slice_end) break;
     }
 
-    // ---- Index merging: combine winners that share a table into merged
-    // covering candidates already present in the universe (we approximate
-    // DTA's merge step by admitting every candidate on tables touched by
-    // the pool — merged indexes were generated up front by candidate
-    // generation). ----
+    // ---- Index merging: widen the pool with the universe candidates that
+    // could merge with a winner (same table, same leading key column); we
+    // approximate DTA's merge step by admitting them to the refinement. ----
     Config refinement_pool = pool;
-    if (options_.enable_index_merging) {
-      std::vector<size_t> in_pool = pool.ToIndices();
-      for (int candidate = 0; candidate < ctx_.candidates->size();
-           ++candidate) {
-        if (pool.test(static_cast<size_t>(candidate))) continue;
-        const Index& cx =
-            ctx_.candidates->indexes[static_cast<size_t>(candidate)];
-        for (size_t p : in_pool) {
-          const Index& px = ctx_.candidates->indexes[p];
-          if (px.table_id == cx.table_id &&
-              !px.key_columns.empty() && !cx.key_columns.empty() &&
-              px.key_columns.front() == cx.key_columns.front()) {
-            refinement_pool.set(static_cast<size_t>(candidate));
-            break;
-          }
+    std::vector<size_t> in_pool = pool.ToIndices();
+    for (int candidate = 0; candidate < ctx_.candidates->size(); ++candidate) {
+      if (pool.test(static_cast<size_t>(candidate))) continue;
+      const Index& cx =
+          ctx_.candidates->indexes[static_cast<size_t>(candidate)];
+      for (size_t p : in_pool) {
+        const Index& px = ctx_.candidates->indexes[p];
+        if (px.table_id == cx.table_id && !px.key_columns.empty() &&
+            !cx.key_columns.empty() &&
+            px.key_columns.front() == cx.key_columns.front()) {
+          refinement_pool.set(static_cast<size_t>(candidate));
+          break;
         }
       }
     }

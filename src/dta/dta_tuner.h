@@ -9,18 +9,6 @@
 
 namespace bati {
 
-/// Options for the DTA-like tuner.
-struct DtaOptions {
-  /// Queries consumed per time slice.
-  int queries_per_slice = 4;
-  /// Fraction of the remaining budget a slice may spend on per-query tuning
-  /// before the periodic workload-level refinement runs.
-  double slice_budget_fraction = 0.5;
-  /// Whether to attempt merged-index generation across per-query winners
-  /// (DTA's index-merging optimization).
-  bool enable_index_merging = true;
-};
-
 /// A Database-Tuning-Advisor-like anytime tuner (paper Section 7.3's
 /// comparison point). Mirrors DTA's time-sliced architecture: queries are
 /// consumed in batches ordered by a cost-based priority queue (most expensive
@@ -33,14 +21,13 @@ struct DtaOptions {
 /// non-monotonic quality-vs-budget behaviour the paper observes for DTA.
 class DtaTuner : public Tuner {
  public:
-  DtaTuner(TuningContext ctx, DtaOptions options = DtaOptions());
+  explicit DtaTuner(TuningContext ctx);
 
   TuningResult Tune(CostService& service) override;
   std::string name() const override { return "dta"; }
 
  private:
   TuningContext ctx_;
-  DtaOptions options_;
 };
 
 }  // namespace bati

@@ -66,12 +66,6 @@ class BTree {
   /// Visits all entries in key order (an index-only full scan).
   void Scan(const Visitor& visit) const;
 
-  /// Total doubles stored across leaf entries (key + payload); the measured
-  /// analogue of LeafRowBytes * rows.
-  int64_t leaf_doubles() const {
-    return size_ * (key_width_ + payload_width_);
-  }
-
  private:
   struct Node;
   struct Leaf;

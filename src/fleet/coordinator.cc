@@ -435,7 +435,6 @@ class Coordinator {
       FleetWorkerConfig config;
       config.state_dir = options_.state_dir;
       config.heartbeat_ms = options_.heartbeat_ms;
-      config.canonical_output = options_.canonical;
       config.chaos = options_.chaos;
       // _exit (not exit): a forked copy of the coordinator must not run
       // parent-state destructors or atexit hooks.

@@ -51,9 +51,6 @@ struct FleetOptions {
   std::string state_path;
   /// Load `state_path` before running and skip tasks it marks complete.
   bool resume = false;
-  /// Emit canonical result lines (wall-clock noise scrubbed); required for
-  /// byte-identical recovery, so on by default.
-  bool canonical = true;
   bool verbose = false;
 };
 

@@ -205,7 +205,9 @@ int FleetWorkerMain(int task_fd, int result_fd,
         Heartbeat heartbeat(&writer, task.task_id, config.heartbeat_ms);
         SessionOptions session_options;
         session_options.capture_result_json = true;
-        session_options.canonical_result_json = config.canonical_output;
+        // Canonical lines (wall-clock noise scrubbed) make every attempt of
+        // a task emit the identical bytes.
+        session_options.canonical_result_json = true;
         TuningSession session(*bundle, std::move(spec), session_options);
         session.Run();
         result.payload = session.result_json();

@@ -16,9 +16,6 @@ struct FleetWorkerConfig {
   std::string state_dir;
   /// Milliseconds between heartbeat lines while a task runs.
   int heartbeat_ms = 100;
-  /// Capture canonical result lines (wall-clock noise scrubbed) so every
-  /// attempt of a task emits the identical bytes.
-  bool canonical_output = true;
   /// Deterministic process-fault injection (kill / stall / garble).
   ChaosOptions chaos;
 };

@@ -123,8 +123,7 @@ void PrintSeriesTable(const std::string& title, const WorkloadBundle& bundle,
       spec.max_indexes = k;
       spec.max_storage_bytes = storage_bytes;
       // Deterministic algorithms need only one run.
-      bool randomized = algo.rfind("mcts", 0) == 0 || algo == "dba-bandits" ||
-                        algo == "no-dba";
+      const bool randomized = ParseAlgorithm(algo)->randomized();
       const std::vector<uint64_t> cell_seeds =
           randomized ? seeds : std::vector<uint64_t>{seeds.front()};
       for (uint64_t seed : cell_seeds) {

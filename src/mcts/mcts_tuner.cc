@@ -10,6 +10,17 @@
 
 namespace bati {
 
+namespace {
+/// Exploration constant lambda of Equation 5 (sqrt(2) per UCT).
+constexpr double kUctLambda = 1.4142135623730951;
+/// Temperature tau of Boltzmann exploration.
+constexpr double kBoltzmannTemperature = 0.05;
+/// Ridge regularization of the featurized-prior model.
+constexpr double kPriorRidgeLambda = 1.0;
+/// RAVE equivalence parameter k: beta(n) = sqrt(k / (3n + k)).
+constexpr double kRaveK = 500.0;
+}  // namespace
+
 MctsTuner::MctsTuner(TuningContext ctx, MctsOptions options)
     : ctx_(std::move(ctx)),
       options_(options),
@@ -146,7 +157,7 @@ void MctsTuner::ComputePriors(CostService& service) {
   service.BeginRound("mcts.prior");
   int64_t prior_budget = std::min(service.budget() / 2, total_pairs);
 
-  // Round-robin QuerySelection over queries with work left.
+  // Round-robin query selection over queries with work left.
   std::vector<size_t> cursor(static_cast<size_t>(m), 0);
   int q = 0;
   for (int64_t b = 0; b < prior_budget && service.HasBudget();) {
@@ -193,8 +204,7 @@ void MctsTuner::ComputePriors(CostService& service) {
       ys.push_back(priors_[static_cast<size_t>(pos)]);
     }
     if (xs.size() >= static_cast<size_t>(kIndexFeatureCount)) {
-      std::vector<double> theta =
-          RidgeFit(xs, ys, options_.prior_ridge_lambda);
+      std::vector<double> theta = RidgeFit(xs, ys, kPriorRidgeLambda);
       for (int pos = 0; pos < n; ++pos) {
         if (evaluated[static_cast<size_t>(pos)]) continue;
         double predicted = DotProduct(theta, IndexFeatures(ctx_, pos));
@@ -233,7 +243,7 @@ int MctsTuner::SelectAction(const Node& node) {
     double best_score = -std::numeric_limits<double>::infinity();
     for (size_t i = 0; i < k; ++i) {
       const Edge& e = stats_[i];
-      const double bonus = options_.uct_lambda * std::sqrt(log_n / e.visits);
+      const double bonus = kUctLambda * std::sqrt(log_n / e.visits);
       double score = e.value + bonus;
       if (score > best_score) {
         best_score = score;
@@ -250,7 +260,7 @@ int MctsTuner::SelectAction(const Node& node) {
     for (size_t i = 0; i < k; ++i) {
       const Edge& e = stats_[i];
       double n = e.visits;
-      double beta = std::sqrt(options_.rave_k / (3.0 * n + options_.rave_k));
+      double beta = std::sqrt(kRaveK / (3.0 * n + kRaveK));
       double rave = e.rave_visits > 0 ? e.rave_value : values_[i];
       values_[i] = (1.0 - beta) * values_[i] + beta * rave;
     }
@@ -258,8 +268,9 @@ int MctsTuner::SelectAction(const Node& node) {
   if (options_.action_policy == MctsOptions::ActionPolicy::kBoltzmann) {
     // Softmax with temperature tau; subtract the max for numerical safety.
     double max_v = *std::max_element(values_.begin(), values_.end());
-    double tau = std::max(1e-6, options_.boltzmann_temperature);
-    for (double& v : values_) v = std::exp((v - max_v) / tau);
+    for (double& v : values_) {
+      v = std::exp((v - max_v) / kBoltzmannTemperature);
+    }
   }
   // Proportional epsilon-greedy (Equation 6): Pr(a) proportional to Q-hat;
   // Boltzmann: proportional to the softmax weights.
@@ -355,32 +366,7 @@ bool MctsTuner::RunEpisode(CostService& service) {
     }
   }
   if (!sampled.empty() && any_unknown) {
-    int q_sel = -1;
-    switch (options_.query_selection) {
-      case MctsOptions::QuerySelection::kProportionalToDerivedCost:
-        q_sel = static_cast<int>(rng_.WeightedIndex(weights_));
-        break;
-      case MctsOptions::QuerySelection::kUniform: {
-        std::vector<double> uniform(weights_.size(), 0.0);
-        for (size_t q = 0; q < weights_.size(); ++q) {
-          if (weights_[q] > 0.0) uniform[q] = 1.0;
-        }
-        q_sel = static_cast<int>(rng_.WeightedIndex(uniform));
-        break;
-      }
-      case MctsOptions::QuerySelection::kRoundRobin: {
-        for (int step = 0; step < m; ++step) {
-          int q = (rr_query_cursor_ + step) % m;
-          if (weights_[static_cast<size_t>(q)] > 0.0) {
-            q_sel = q;
-            rr_query_cursor_ = (q + 1) % m;
-            break;
-          }
-        }
-        break;
-      }
-    }
-    BATI_CHECK(q_sel >= 0);
+    const int q_sel = static_cast<int>(rng_.WeightedIndex(weights_));
     auto what_if = service.WhatIfCost(q_sel, sampled);
     if (!what_if.has_value()) return false;  // budget exhausted
     cost += *what_if - derived_[static_cast<size_t>(q_sel)];

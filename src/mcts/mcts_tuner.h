@@ -33,25 +33,12 @@ struct MctsOptions {
   /// BG occasionally discarding good rollout discoveries).
   enum class Extraction { kBce, kBestGreedy, kHybrid };
 
-  /// Query-selection strategy inside EvaluateCostWithBudget. The paper's
-  /// implementation samples the query with probability proportional to its
-  /// derived cost ("other strategies are possible"); uniform and round-robin
-  /// are provided for ablation.
-  enum class QuerySelection { kProportionalToDerivedCost, kUniform,
-                              kRoundRobin };
-
   ActionPolicy action_policy = ActionPolicy::kEpsGreedyPrior;
-  QuerySelection query_selection =
-      QuerySelection::kProportionalToDerivedCost;
   RolloutPolicy rollout_policy = RolloutPolicy::kFixedStep;
   /// Step size for kFixedStep; 0 = evaluate the tree state itself (the
   /// paper's best-performing "myopic" rollout).
   int fixed_rollout_step = 0;
   Extraction extraction = Extraction::kBestGreedy;
-  /// Exploration constant lambda of Equation 5 (sqrt(2) per UCT).
-  double uct_lambda = 1.4142135623730951;
-  /// Temperature tau of Boltzmann exploration (kBoltzmann only).
-  double boltzmann_temperature = 0.05;
   /// Featurized-prior generalization (the paper's Section 7.2.1 pointer:
   /// "appropriate featurization could help identify promising index
   /// configurations more quickly"): after Algorithm 4, fit a ridge model of
@@ -59,16 +46,12 @@ struct MctsOptions {
   /// priors for the candidates the budget never reached, instead of leaving
   /// them at zero.
   bool featurized_priors = false;
-  /// Ridge regularization of the prior model.
-  double prior_ridge_lambda = 1.0;
 
   /// Rapid Action Value Estimation (Gelly & Silver), the update-policy
   /// refinement the paper's related-work section points to: blend each
   /// action's Q-hat with an all-moves-as-first estimate while visit counts
   /// are low.
   bool use_rave = false;
-  /// RAVE equivalence parameter: beta(n) = sqrt(k / (3n + k)).
-  double rave_k = 500.0;
   /// RNG seed; the paper runs five seeds and reports mean and stddev.
   uint64_t seed = 1;
 };
@@ -143,7 +126,6 @@ class MctsTuner : public Tuner {
   Rng rng_;
   std::unordered_map<Config, std::unique_ptr<Node>, DynamicBitsetHash> nodes_;
   std::vector<double> priors_;
-  int rr_query_cursor_ = 0;
   Config best_explored_;
   double best_explored_improvement_ = -1.0;
   std::vector<double> trace_;

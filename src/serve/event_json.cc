@@ -130,10 +130,7 @@ Status ParseEvent(const std::string& line, ServeEvent* event) {
         st = WantInt(f, 0, INT64_MAX, &event->seed_override);
       } else if (f.key == "algorithm") {
         st = WantString(f, &event->algorithm_override);
-        if (st.ok() && !IsKnownAlgorithm(event->algorithm_override)) {
-          st = Status::InvalidArgument("unknown algorithm \"" +
-                                       event->algorithm_override + "\"");
-        }
+        if (st.ok()) st = ParseAlgorithm(event->algorithm_override).status();
       } else {
         st = Status::InvalidArgument("unknown key \"" + f.key +
                                      "\" for a tune event");

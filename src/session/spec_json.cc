@@ -87,9 +87,9 @@ Status RunSpecFromFields(const std::vector<JsonField>& fields,
   if (spec->algorithm.empty()) {
     spec->algorithm = "mcts";  // bati_tune's default; never leave a spec
                                // that would CHECK-fail inside MakeTuner
-  } else if (!IsKnownAlgorithm(spec->algorithm)) {
-    return Status::InvalidArgument("unknown algorithm \"" +
-                                   spec->algorithm + "\"");
+  } else if (Status st = ParseAlgorithm(spec->algorithm).status();
+             !st.ok()) {
+    return st;
   }
   spec->faults.enabled = spec->faults.transient_rate > 0.0 ||
                          spec->faults.sticky_rate > 0.0 ||

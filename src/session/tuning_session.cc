@@ -4,6 +4,7 @@
 
 #include "bandit/dba_bandits.h"
 #include "common/macros.h"
+#include "common/strings.h"
 #include "dqn/nodba.h"
 #include "dta/dta_tuner.h"
 #include "mcts/mcts_tuner.h"
@@ -24,85 +25,136 @@ constexpr double kOtherSecondsFixed = 30.0;
 
 }  // namespace
 
-std::unique_ptr<Tuner> MakeTuner(const std::string& algorithm,
-                                 TuningContext ctx, uint64_t seed) {
-  if (algorithm == "vanilla-greedy") {
-    return std::make_unique<GreedyTuner>(std::move(ctx));
+namespace {
+
+using Family = AlgorithmChoice::Family;
+
+struct FixedName {
+  const char* name;
+  Family family;
+};
+
+constexpr FixedName kFixedNames[] = {
+    {"vanilla-greedy", Family::kVanillaGreedy},
+    {"two-phase-greedy", Family::kTwoPhaseGreedy},
+    {"autoadmin-greedy", Family::kAutoAdminGreedy},
+    {"dba-bandits", Family::kDbaBandits},
+    {"no-dba", Family::kNoDba},
+    {"dta", Family::kDta},
+    {"relaxation", Family::kRelaxation},
+};
+
+/// One "-token" of an MCTS name. A name takes at most one token per group:
+/// 0 action policy, 1 rollout, 2 extraction, 3 RAVE, 4 featurized priors.
+struct MctsToken {
+  const char* token;
+  int group;
+  void (*apply)(MctsOptions& options);
+};
+
+constexpr int kMctsTokenGroups = 5;
+
+constexpr MctsToken kMctsTokens[] = {
+    {"uct", 0,
+     [](MctsOptions& o) { o.action_policy = MctsOptions::ActionPolicy::kUct; }},
+    {"prior", 0,
+     [](MctsOptions& o) {
+       o.action_policy = MctsOptions::ActionPolicy::kEpsGreedyPrior;
+     }},
+    {"boltz", 0,
+     [](MctsOptions& o) {
+       o.action_policy = MctsOptions::ActionPolicy::kBoltzmann;
+     }},
+    {"rnd", 1,
+     [](MctsOptions& o) {
+       o.rollout_policy = MctsOptions::RolloutPolicy::kRandomStep;
+     }},
+    {"fix0", 1,
+     [](MctsOptions& o) {
+       o.rollout_policy = MctsOptions::RolloutPolicy::kFixedStep;
+       o.fixed_rollout_step = 0;
+     }},
+    {"fix1", 1,
+     [](MctsOptions& o) {
+       o.rollout_policy = MctsOptions::RolloutPolicy::kFixedStep;
+       o.fixed_rollout_step = 1;
+     }},
+    {"bce", 2,
+     [](MctsOptions& o) { o.extraction = MctsOptions::Extraction::kBce; }},
+    {"bg", 2,
+     [](MctsOptions& o) {
+       o.extraction = MctsOptions::Extraction::kBestGreedy;
+     }},
+    {"hybrid", 2,
+     [](MctsOptions& o) { o.extraction = MctsOptions::Extraction::kHybrid; }},
+    {"rave", 3, [](MctsOptions& o) { o.use_rave = true; }},
+    {"feat", 4, [](MctsOptions& o) { o.featurized_priors = true; }},
+};
+
+}  // namespace
+
+StatusOr<AlgorithmChoice> ParseAlgorithm(const std::string& algorithm) {
+  auto invalid = [&](const std::string& why) {
+    return Status::InvalidArgument("unknown algorithm \"" + algorithm + "\"" +
+                                   why);
+  };
+  AlgorithmChoice choice;
+  for (const FixedName& fixed : kFixedNames) {
+    if (algorithm == fixed.name) {
+      choice.family = fixed.family;
+      return choice;
+    }
   }
-  if (algorithm == "two-phase-greedy") {
-    return std::make_unique<TwoPhaseGreedyTuner>(std::move(ctx));
+  if (algorithm.rfind("mcts", 0) != 0) return invalid("");
+  choice.family = Family::kMcts;
+  if (algorithm.size() == 4) return choice;
+  if (algorithm[4] != '-') return invalid("");
+  const MctsToken* taken[kMctsTokenGroups] = {};
+  for (const std::string& token : Split(algorithm.substr(5), '-')) {
+    const MctsToken* match = nullptr;
+    for (const MctsToken& t : kMctsTokens) {
+      if (token == t.token) match = &t;
+    }
+    if (match == nullptr) {
+      return invalid(": unknown token \"" + token + "\"");
+    }
+    if (const MctsToken* prior = taken[match->group]; prior != nullptr) {
+      return invalid(": token \"" + token + "\"" +
+                     (prior == match ? " repeats"
+                                     : " conflicts with \"" +
+                                           std::string(prior->token) + "\""));
+    }
+    taken[match->group] = match;
+    match->apply(choice.mcts);
   }
-  if (algorithm == "autoadmin-greedy") {
-    return std::make_unique<AutoAdminGreedyTuner>(std::move(ctx));
-  }
-  if (algorithm == "dba-bandits") {
-    DbaBanditsOptions opt;
-    opt.seed = seed;
-    return std::make_unique<DbaBanditsTuner>(std::move(ctx), opt);
-  }
-  if (algorithm == "no-dba") {
-    NoDbaOptions opt;
-    opt.seed = seed;
-    return std::make_unique<NoDbaTuner>(std::move(ctx), opt);
-  }
-  if (algorithm == "dta") {
-    return std::make_unique<DtaTuner>(std::move(ctx));
-  }
-  if (algorithm == "relaxation") {
-    return std::make_unique<RelaxationTuner>(std::move(ctx));
-  }
-  if (algorithm.rfind("mcts", 0) == 0) {
-    MctsOptions opt;  // defaults = paper's recommended setting
-    opt.seed = seed;
-    if (algorithm.find("-uct") != std::string::npos) {
-      opt.action_policy = MctsOptions::ActionPolicy::kUct;
-    }
-    if (algorithm.find("-prior") != std::string::npos) {
-      opt.action_policy = MctsOptions::ActionPolicy::kEpsGreedyPrior;
-    }
-    if (algorithm.find("-boltz") != std::string::npos) {
-      opt.action_policy = MctsOptions::ActionPolicy::kBoltzmann;
-    }
-    if (algorithm.find("-bce") != std::string::npos) {
-      opt.extraction = MctsOptions::Extraction::kBce;
-    }
-    if (algorithm.find("-bg") != std::string::npos) {
-      opt.extraction = MctsOptions::Extraction::kBestGreedy;
-    }
-    if (algorithm.find("-hybrid") != std::string::npos) {
-      opt.extraction = MctsOptions::Extraction::kHybrid;
-    }
-    if (algorithm.find("-rave") != std::string::npos) {
-      opt.use_rave = true;
-    }
-    if (algorithm.find("-feat") != std::string::npos) {
-      opt.featurized_priors = true;
-    }
-    if (algorithm.find("-rnd") != std::string::npos) {
-      opt.rollout_policy = MctsOptions::RolloutPolicy::kRandomStep;
-    }
-    if (algorithm.find("-fix0") != std::string::npos) {
-      opt.rollout_policy = MctsOptions::RolloutPolicy::kFixedStep;
-      opt.fixed_rollout_step = 0;
-    }
-    if (algorithm.find("-fix1") != std::string::npos) {
-      opt.rollout_policy = MctsOptions::RolloutPolicy::kFixedStep;
-      opt.fixed_rollout_step = 1;
-    }
-    return std::make_unique<MctsTuner>(std::move(ctx), opt);
-  }
-  BATI_CHECK(false && "unknown algorithm name");
-  return nullptr;
+  return choice;
 }
 
-bool IsKnownAlgorithm(const std::string& algorithm) {
-  // Keep in sync with MakeTuner above: fixed names plus the "mcts[-...]"
-  // ablation family (MakeTuner treats unrecognized suffixes as the paper's
-  // default setting, so any "mcts" prefix is runnable).
-  return algorithm == "vanilla-greedy" || algorithm == "two-phase-greedy" ||
-         algorithm == "autoadmin-greedy" || algorithm == "dba-bandits" ||
-         algorithm == "no-dba" || algorithm == "dta" ||
-         algorithm == "relaxation" || algorithm.rfind("mcts", 0) == 0;
+std::unique_ptr<Tuner> MakeTuner(const std::string& algorithm,
+                                 TuningContext ctx, uint64_t seed) {
+  StatusOr<AlgorithmChoice> choice = ParseAlgorithm(algorithm);
+  BATI_CHECK_OK(choice.status());
+  switch (choice->family) {
+    case Family::kVanillaGreedy:
+      return std::make_unique<GreedyTuner>(std::move(ctx));
+    case Family::kTwoPhaseGreedy:
+      return std::make_unique<TwoPhaseGreedyTuner>(std::move(ctx));
+    case Family::kAutoAdminGreedy:
+      return std::make_unique<AutoAdminGreedyTuner>(std::move(ctx));
+    case Family::kDbaBandits:
+      return std::make_unique<DbaBanditsTuner>(std::move(ctx), seed);
+    case Family::kNoDba:
+      return std::make_unique<NoDbaTuner>(std::move(ctx), seed);
+    case Family::kDta:
+      return std::make_unique<DtaTuner>(std::move(ctx));
+    case Family::kRelaxation:
+      return std::make_unique<RelaxationTuner>(std::move(ctx));
+    case Family::kMcts:
+      break;
+  }
+  MctsOptions options = choice->mcts;
+  options.seed = seed;
+  return std::make_unique<MctsTuner>(std::move(ctx), options);
 }
 
 std::string RunIdentity(const RunSpec& spec) {

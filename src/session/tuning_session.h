@@ -8,6 +8,7 @@
 #include "budget/governor.h"
 #include "common/status.h"
 #include "faults/fault_injector.h"
+#include "mcts/mcts_tuner.h"
 #include "obs/metrics.h"
 #include "session/bundle_registry.h"
 #include "tuner/tuner.h"
@@ -17,18 +18,44 @@
 
 namespace bati {
 
-/// Creates a tuner by algorithm name. Recognized names:
+/// What an algorithm name selects.
+struct AlgorithmChoice {
+  enum class Family {
+    kVanillaGreedy,
+    kTwoPhaseGreedy,
+    kAutoAdminGreedy,
+    kDbaBandits,
+    kNoDba,
+    kDta,
+    kRelaxation,
+    kMcts,
+  };
+  Family family = Family::kMcts;
+  /// The policy options of an MCTS name (the seed is the run's).
+  MctsOptions mcts;
+
+  /// Whether the tuner's result depends on the run's seed.
+  bool randomized() const {
+    return family == Family::kMcts || family == Family::kDbaBandits ||
+           family == Family::kNoDba;
+  }
+};
+
+/// Parses an algorithm name, the one place names are read. A name is one of
 ///   "vanilla-greedy" | "two-phase-greedy" | "autoadmin-greedy" |
-///   "dba-bandits" | "no-dba" | "dta" | "mcts" (paper default setting) |
-///   "mcts-{uct,prior}-{bce,bg}-{fix0,fix1,rnd}" (ablation variants).
+///   "dba-bandits" | "no-dba" | "dta" | "relaxation"
+/// or "mcts" followed by "-token"s in any order, with at most one token from
+/// each group: action {uct, prior, boltz}, rollout {rnd, fix0, fix1},
+/// extraction {bce, bg, hybrid}, and the flags rave and feat. A group left
+/// out keeps the paper's setting (prior, fix0, bg, no flags), so "mcts" is
+/// "mcts-prior-fix0-bg". Any other name, an unknown token, or a repeated or
+/// conflicting one is an InvalidArgument that names the offending token.
+StatusOr<AlgorithmChoice> ParseAlgorithm(const std::string& algorithm);
+
+/// Creates the tuner ParseAlgorithm(algorithm) selects; CHECK-fails on a
+/// name it rejects (input boundaries validate with ParseAlgorithm first).
 std::unique_ptr<Tuner> MakeTuner(const std::string& algorithm,
                                  TuningContext ctx, uint64_t seed);
-
-/// True when `algorithm` names a tuner MakeTuner can build. Validating
-/// early (spec parsing, serve admission) turns what would be a CHECK-crash
-/// deep inside a session into a clean InvalidArgument at the input
-/// boundary.
-bool IsKnownAlgorithm(const std::string& algorithm);
 
 /// One tuning run's specification.
 struct RunSpec {

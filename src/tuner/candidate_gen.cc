@@ -10,6 +10,12 @@ namespace bati {
 
 namespace {
 
+/// Maximum key columns per candidate index.
+constexpr int kMaxKeyColumns = 3;
+/// Cap on candidates emitted per scan of a query (keeps the universe at the
+/// "hundreds to thousands" scale the paper reports).
+constexpr int kMaxPerScan = 4;
+
 /// Per-scan indexable-column classification (paper Figure 3's table of
 /// equality / range / join / projection columns).
 struct ScanColumns {
@@ -49,8 +55,7 @@ std::optional<Index> MergeIndexes(const Index& a, const Index& b) {
   return merged;
 }
 
-CandidateSet GenerateCandidates(const Workload& workload,
-                                const CandidateGenOptions& options) {
+CandidateSet GenerateCandidates(const Workload& workload) {
   CandidateSet result;
   std::unordered_map<Index, int, IndexHash> seen;
   result.per_query.resize(workload.queries.size());
@@ -106,12 +111,12 @@ CandidateSet GenerateCandidates(const Workload& workload,
     auto emit = [&](int table_id, Index ix, int scan_emitted[],
                     size_t scan_idx) {
       if (ix.key_columns.empty()) return;
-      if (static_cast<int>(ix.key_columns.size()) > options.max_key_columns) {
-        ix.key_columns.resize(static_cast<size_t>(options.max_key_columns));
+      if (static_cast<int>(ix.key_columns.size()) > kMaxKeyColumns) {
+        ix.key_columns.resize(static_cast<size_t>(kMaxKeyColumns));
       }
       ix.table_id = table_id;
       ix.Canonicalize();
-      if (scan_emitted[scan_idx] >= options.max_per_scan) return;
+      if (scan_emitted[scan_idx] >= kMaxPerScan) return;
       auto [it, inserted] =
           seen.emplace(ix, static_cast<int>(result.indexes.size()));
       if (inserted) result.indexes.push_back(ix);
@@ -137,7 +142,7 @@ CandidateSet GenerateCandidates(const Workload& workload,
         Index ix;
         ix.key_columns = sc.equality;
         if (!sc.range.empty()) ix.key_columns.push_back(sc.range.front());
-        if (options.covering_indexes) ix.include_columns = sc.all_used;
+        ix.include_columns = sc.all_used;
         emit(table_id, ix, counter, si);
         // Narrow (non-covering) variant.
         Index narrow;
@@ -152,7 +157,7 @@ CandidateSet GenerateCandidates(const Workload& workload,
         Index ix;
         ix.key_columns.push_back(jc);
         for (int e : sc.equality) ix.key_columns.push_back(e);
-        if (options.covering_indexes) ix.include_columns = sc.all_used;
+        ix.include_columns = sc.all_used;
         emit(table_id, ix, counter, si);
         Index bare;
         bare.key_columns.push_back(jc);
@@ -164,45 +169,12 @@ CandidateSet GenerateCandidates(const Workload& workload,
       if (!sc.group_order.empty()) {
         Index ix;
         ix.key_columns = sc.group_order;
-        if (options.covering_indexes) ix.include_columns = sc.all_used;
+        ix.include_columns = sc.all_used;
         emit(table_id, ix, counter, si);
       }
     }
   }
 
-  // Optional index-merging pass (DTA-style): add merged variants of
-  // same-table prefix-compatible pairs, capped per table. Merged candidates
-  // inherit the provenance of both parents so two-phase search and the
-  // prior computation can reach them.
-  if (options.merged_indexes) {
-    std::unordered_map<int, int> merged_per_table;
-    const int base_count = result.size();
-    for (int i = 0; i < base_count; ++i) {
-      for (int j = i + 1; j < base_count; ++j) {
-        const Index& a = result.indexes[static_cast<size_t>(i)];
-        const Index& b = result.indexes[static_cast<size_t>(j)];
-        // push_back below reallocates result.indexes; a and b dangle after
-        // it, so everything needed later is copied out first.
-        const int table_id = a.table_id;
-        if (table_id != b.table_id) continue;
-        if (merged_per_table[table_id] >= options.max_merged_per_table) {
-          continue;
-        }
-        std::optional<Index> merged = MergeIndexes(a, b);
-        if (!merged.has_value()) continue;
-        auto [it, inserted] = seen.emplace(*merged, result.size());
-        if (!inserted) continue;  // already exists as a base candidate
-        int pos = static_cast<int>(result.indexes.size());
-        result.indexes.push_back(*merged);
-        ++merged_per_table[table_id];
-        for (auto& prov : result.per_query) {
-          bool has_a = std::find(prov.begin(), prov.end(), i) != prov.end();
-          bool has_b = std::find(prov.begin(), prov.end(), j) != prov.end();
-          if (has_a || has_b) prov.push_back(pos);
-        }
-      }
-    }
-  }
   if (workload.database != nullptr) {
     result.size_bytes.reserve(result.indexes.size());
     for (const Index& ix : result.indexes) {

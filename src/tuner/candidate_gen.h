@@ -9,24 +9,6 @@
 
 namespace bati {
 
-/// Options for candidate-index generation.
-struct CandidateGenOptions {
-  /// Maximum key columns per candidate index.
-  int max_key_columns = 3;
-  /// Whether to emit covering variants (with INCLUDE payload columns).
-  bool covering_indexes = true;
-  /// Cap on candidates emitted per scan of a query (keeps the universe at
-  /// the "hundreds to thousands" scale the paper reports).
-  int max_per_scan = 4;
-  /// Whether to add merged candidates (DTA's index-merging optimization):
-  /// for same-table pairs where one key is a prefix of the other, a merged
-  /// index with the longer key and the union of payloads serves both
-  /// originals' queries at less total storage than keeping both.
-  bool merged_indexes = false;
-  /// Cap on merged candidates added per table.
-  int max_merged_per_table = 4;
-};
-
 /// Merges two indexes of the same table when one's key is a prefix of the
 /// other's: the merged index keeps the longer key and unions the payloads.
 /// Returns nullopt when the indexes are not mergeable.
@@ -52,9 +34,7 @@ struct CandidateSet {
 /// group-by and order-by columns, with projection columns as includable
 /// payload) and emits a bounded set of candidate indexes per scan, then
 /// unions them across the workload.
-CandidateSet GenerateCandidates(
-    const Workload& workload,
-    const CandidateGenOptions& options = CandidateGenOptions());
+CandidateSet GenerateCandidates(const Workload& workload);
 
 }  // namespace bati
 

@@ -89,6 +89,10 @@ Config GreedyEnumerate(const TuningContext& ctx, CostService& service,
 
 namespace {
 
+/// Largest configuration AutoAdmin greedy spends what-if calls on: the
+/// singletons (Figure 5(d)).
+constexpr int kAtomicSize = 1;
+
 std::vector<int> AllQueryIds(const TuningContext& ctx) {
   std::vector<int> ids(static_cast<size_t>(ctx.workload->num_queries()));
   std::iota(ids.begin(), ids.end(), 0);
@@ -161,7 +165,7 @@ TuningResult TwoPhaseGreedyTuner::Tune(CostService& service) {
 TuningResult AutoAdminGreedyTuner::Tune(CostService& service) {
   trace_.clear();
   Config best =
-      TwoPhaseCore(ctx_, service, AtomicOnlyWhatIf(atomic_size_), &trace_);
+      TwoPhaseCore(ctx_, service, AtomicOnlyWhatIf(kAtomicSize), &trace_);
   return FinishResult(name(), service, std::move(best), &trace_);
 }
 

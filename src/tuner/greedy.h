@@ -106,8 +106,7 @@ class TwoPhaseGreedyTuner : public Tuner {
 /// costs (Section 4.2.2, "special configurations").
 class AutoAdminGreedyTuner : public Tuner {
  public:
-  explicit AutoAdminGreedyTuner(TuningContext ctx, int atomic_size = 1)
-      : ctx_(std::move(ctx)), atomic_size_(atomic_size) {}
+  explicit AutoAdminGreedyTuner(TuningContext ctx) : ctx_(std::move(ctx)) {}
   TuningResult Tune(CostService& service) override;
   std::string name() const override { return "autoadmin-greedy"; }
   const std::vector<double>* progress_trace() const override {
@@ -116,7 +115,6 @@ class AutoAdminGreedyTuner : public Tuner {
 
  private:
   TuningContext ctx_;
-  int atomic_size_;
   std::vector<double> trace_;
 };
 

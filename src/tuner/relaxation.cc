@@ -13,6 +13,10 @@ namespace bati {
 
 namespace {
 
+/// Fraction of the budget reserved for the initial per-query singleton
+/// evaluation that seeds the starting configuration.
+constexpr double kSeedBudgetFraction = 0.5;
+
 bool Feasible(const TuningContext& ctx, const Config& config) {
   if (static_cast<int>(config.count()) > ctx.constraints.max_indexes) {
     return false;
@@ -41,15 +45,14 @@ double EvaluateWorkloadCost(CostService& service, const Config& config) {
 
 }  // namespace
 
-RelaxationTuner::RelaxationTuner(TuningContext ctx, RelaxationOptions options)
-    : ctx_(std::move(ctx)), options_(options) {}
+RelaxationTuner::RelaxationTuner(TuningContext ctx) : ctx_(std::move(ctx)) {}
 
 TuningResult RelaxationTuner::Tune(CostService& service) {
   const int m = service.num_queries();
 
   // ---- Phase 1: seed with each query's best singleton. ----
   int64_t seed_budget = static_cast<int64_t>(
-      static_cast<double>(service.budget()) * options_.seed_budget_fraction);
+      static_cast<double>(service.budget()) * kSeedBudgetFraction);
   std::vector<int> best_for_query(static_cast<size_t>(m), -1);
   std::vector<double> best_cost_for_query(static_cast<size_t>(m), 0.0);
   for (int q = 0; q < m; ++q) {
@@ -89,12 +92,10 @@ TuningResult RelaxationTuner::Tune(CostService& service) {
     }
   }
 
-  // Index of merged candidates in the universe, for merge transformations.
+  // Positions of the universe's candidates, for merge transformations.
   std::unordered_map<Index, int, IndexHash> universe;
-  if (options_.enable_merges) {
-    for (int i = 0; i < ctx_.candidates->size(); ++i) {
-      universe.emplace(ctx_.candidates->indexes[static_cast<size_t>(i)], i);
-    }
+  for (int i = 0; i < ctx_.candidates->size(); ++i) {
+    universe.emplace(ctx_.candidates->indexes[static_cast<size_t>(i)], i);
   }
 
   Config best = service.EmptyConfig();
@@ -135,23 +136,21 @@ TuningResult RelaxationTuner::Tune(CostService& service) {
     // Merge transformations: replace (i, j) with their merged index when
     // the merged form exists in the universe (reduces count by one while
     // retaining most benefit).
-    if (options_.enable_merges) {
-      for (size_t a = 0; a < members.size(); ++a) {
-        for (size_t b = a + 1; b < members.size(); ++b) {
-          const Index& ia = ctx_.candidates->indexes[members[a]];
-          const Index& ib = ctx_.candidates->indexes[members[b]];
-          std::optional<Index> merged = MergeIndexes(ia, ib);
-          if (!merged.has_value()) continue;
-          auto it = universe.find(*merged);
-          if (it == universe.end()) continue;
-          Config next = current.Without(members[a]).Without(members[b]);
-          next.set(static_cast<size_t>(it->second));
-          double cost = EvaluateWorkloadCost(service, next);
-          if (cost < best_penalty_cost) {
-            best_penalty_cost = cost;
-            best_next = next;
-            found = true;
-          }
+    for (size_t a = 0; a < members.size(); ++a) {
+      for (size_t b = a + 1; b < members.size(); ++b) {
+        const Index& ia = ctx_.candidates->indexes[members[a]];
+        const Index& ib = ctx_.candidates->indexes[members[b]];
+        std::optional<Index> merged = MergeIndexes(ia, ib);
+        if (!merged.has_value()) continue;
+        auto it = universe.find(*merged);
+        if (it == universe.end()) continue;
+        Config next = current.Without(members[a]).Without(members[b]);
+        next.set(static_cast<size_t>(it->second));
+        double cost = EvaluateWorkloadCost(service, next);
+        if (cost < best_penalty_cost) {
+          best_penalty_cost = cost;
+          best_next = next;
+          found = true;
         }
       }
     }

@@ -7,17 +7,6 @@
 
 namespace bati {
 
-/// Options for the relaxation-based tuner.
-struct RelaxationOptions {
-  /// Fraction of the budget reserved for the initial per-query singleton
-  /// evaluation that seeds the starting configuration.
-  double seed_budget_fraction = 0.5;
-  /// Whether merge transformations (replacing two prefix-compatible indexes
-  /// with their merged form, when present in the candidate universe) are
-  /// considered alongside removals.
-  bool enable_merges = true;
-};
-
 /// Budget-aware adaptation of relaxation-based enumeration (Bruno &
 /// Chaudhuri's "Automatic Physical Database Tuning: A Relaxation-based
 /// Approach", cited by the paper as a classic alternative to greedy
@@ -36,15 +25,13 @@ struct RelaxationOptions {
 /// returned, so the tuner is anytime like the rest of the suite.
 class RelaxationTuner : public Tuner {
  public:
-  RelaxationTuner(TuningContext ctx,
-                  RelaxationOptions options = RelaxationOptions());
+  explicit RelaxationTuner(TuningContext ctx);
 
   TuningResult Tune(CostService& service) override;
   std::string name() const override { return "relaxation"; }
 
  private:
   TuningContext ctx_;
-  RelaxationOptions options_;
 };
 
 }  // namespace bati

@@ -85,7 +85,7 @@ TEST(Mlp, CopyFromMakesForwardIdentical) {
 
 // ---------- the three baselines ----------
 
-template <typename TunerT, typename OptionsT>
+template <typename TunerT>
 void CheckBaseline(const char* workload, int64_t budget, int k) {
   const WorkloadBundle& bundle = LoadBundle(workload);
   TuningContext ctx;
@@ -94,9 +94,7 @@ void CheckBaseline(const char* workload, int64_t budget, int k) {
   ctx.constraints.max_indexes = k;
   CostService service(bundle.optimizer.get(), &bundle.workload,
                       &bundle.candidates.indexes, budget);
-  OptionsT options;
-  options.seed = 13;
-  TunerT tuner(ctx, options);
+  TunerT tuner(ctx, /*seed=*/13);
   TuningResult result = tuner.Tune(service);
   EXPECT_LE(service.calls_made(), budget);
   EXPECT_LE(result.best_config.count(), static_cast<size_t>(k));
@@ -106,8 +104,8 @@ void CheckBaseline(const char* workload, int64_t budget, int k) {
 }
 
 TEST(DbaBandits, RespectsBudgetAndConstraints) {
-  CheckBaseline<DbaBanditsTuner, DbaBanditsOptions>("tpch", 200, 5);
-  CheckBaseline<DbaBanditsTuner, DbaBanditsOptions>("toy", 40, 2);
+  CheckBaseline<DbaBanditsTuner>("tpch", 200, 5);
+  CheckBaseline<DbaBanditsTuner>("toy", 40, 2);
 }
 
 TEST(DbaBandits, FindsImprovementWithReasonableBudget) {
@@ -136,8 +134,8 @@ TEST(DbaBandits, TraceIsMonotoneBestSoFar) {
 }
 
 TEST(NoDba, RespectsBudgetAndConstraints) {
-  CheckBaseline<NoDbaTuner, NoDbaOptions>("tpch", 150, 5);
-  CheckBaseline<NoDbaTuner, NoDbaOptions>("toy", 30, 2);
+  CheckBaseline<NoDbaTuner>("tpch", 150, 5);
+  CheckBaseline<NoDbaTuner>("toy", 30, 2);
 }
 
 TEST(NoDba, RoundsEvaluateWholeWorkload) {
@@ -149,9 +147,7 @@ TEST(NoDba, RoundsEvaluateWholeWorkload) {
   const int64_t budget = 110;  // 5 full rounds of 22 queries
   CostService service(bundle.optimizer.get(), &bundle.workload,
                       &bundle.candidates.indexes, budget);
-  NoDbaOptions options;
-  options.seed = 5;
-  NoDbaTuner tuner(ctx, options);
+  NoDbaTuner tuner(ctx, /*seed=*/5);
   tuner.Tune(service);
   // Every layout prefix of 22 entries covers one round's configuration.
   EXPECT_LE(service.calls_made(), budget);

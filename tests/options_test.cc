@@ -1,39 +1,13 @@
-// Option-surface tests: non-default configurations of tuners, candidate
-// generation, and the DDL dialect.
+// Option-surface tests: non-default MCTS rollout steps and the DDL dialect.
 
 #include <gtest/gtest.h>
 
-#include "dta/dta_tuner.h"
 #include "harness/experiment.h"
 #include "mcts/mcts_tuner.h"
-#include "bandit/dba_bandits.h"
 #include "sql/ddl.h"
 
 namespace bati {
 namespace {
-
-TEST(DtaOptions, SliceSizeAndMergingVariants) {
-  const WorkloadBundle& bundle = LoadBundle("tpch");
-  TuningContext ctx;
-  ctx.workload = &bundle.workload;
-  ctx.candidates = &bundle.candidates;
-  ctx.constraints.max_indexes = 5;
-  for (int slice : {1, 4, 100}) {
-    for (bool merging : {false, true}) {
-      CostService service(bundle.optimizer.get(), &bundle.workload,
-                          &bundle.candidates.indexes, 300);
-      DtaOptions options;
-      options.queries_per_slice = slice;
-      options.enable_index_merging = merging;
-      DtaTuner tuner(ctx, options);
-      TuningResult result = tuner.Tune(service);
-      EXPECT_LE(service.calls_made(), 300);
-      EXPECT_LE(result.best_config.count(), 5u);
-      EXPECT_GE(service.TrueImprovement(result.best_config), 0.0)
-          << "slice=" << slice << " merging=" << merging;
-    }
-  }
-}
 
 TEST(McstOptions, FixedRolloutStepSizes) {
   const WorkloadBundle& bundle = LoadBundle("tpch");
@@ -55,42 +29,6 @@ TEST(McstOptions, FixedRolloutStepSizes) {
   }
 }
 
-TEST(McstOptions, UctLambdaAffectsSearchButStaysValid) {
-  const WorkloadBundle& bundle = LoadBundle("tpch");
-  TuningContext ctx;
-  ctx.workload = &bundle.workload;
-  ctx.candidates = &bundle.candidates;
-  ctx.constraints.max_indexes = 5;
-  for (double lambda : {0.0, 0.5, 5.0}) {
-    CostService service(bundle.optimizer.get(), &bundle.workload,
-                        &bundle.candidates.indexes, 120);
-    MctsOptions options;
-    options.action_policy = MctsOptions::ActionPolicy::kUct;
-    options.uct_lambda = lambda;
-    options.seed = 31;
-    MctsTuner tuner(ctx, options);
-    TuningResult result = tuner.Tune(service);
-    EXPECT_GE(service.TrueImprovement(result.best_config), 0.0)
-        << "lambda " << lambda;
-  }
-}
-
-TEST(CandidateGenOptions, KeyColumnBoundsInteractWithMerging) {
-  const Workload w = MakeTpcds();
-  for (int max_keys : {1, 2, 4}) {
-    CandidateGenOptions options;
-    options.max_key_columns = max_keys;
-    options.merged_indexes = true;
-    CandidateSet set = GenerateCandidates(w, options);
-    for (const Index& ix : set.indexes) {
-      EXPECT_LE(static_cast<int>(ix.key_columns.size()),
-                std::max(max_keys, 2))
-          << "merged indexes may extend to the longer parent key";
-      EXPECT_FALSE(ix.key_columns.empty());
-    }
-  }
-}
-
 TEST(Ddl, DecimalPrecisionScaleAccepted) {
   auto stmts =
       sql::ParseDdl("CREATE TABLE t (a DECIMAL(12, 2) NDV 100)");
@@ -106,26 +44,6 @@ TEST(Ddl, AnnotationOrderIsFree) {
   EXPECT_DOUBLE_EQ(*(*a)[0].columns[0].ndv, 5);
   ASSERT_TRUE((*a)[0].columns[0].range.has_value());
   EXPECT_DOUBLE_EQ((*a)[0].columns[0].range->second, 9);
-}
-
-TEST(BanditOptions, AlphaControlsExploration) {
-  // Both extremes must stay within budget and produce valid results.
-  const WorkloadBundle& bundle = LoadBundle("tpch");
-  TuningContext ctx;
-  ctx.workload = &bundle.workload;
-  ctx.candidates = &bundle.candidates;
-  ctx.constraints.max_indexes = 5;
-  for (double alpha : {0.0, 2.5}) {
-    CostService service(bundle.optimizer.get(), &bundle.workload,
-                        &bundle.candidates.indexes, 200);
-    DbaBanditsOptions options;
-    options.alpha = alpha;
-    options.seed = 8;
-    DbaBanditsTuner tuner(ctx, options);
-    TuningResult result = tuner.Tune(service);
-    EXPECT_LE(service.calls_made(), 200) << alpha;
-    EXPECT_LE(result.best_config.count(), 5u) << alpha;
-  }
 }
 
 }  // namespace

@@ -1,7 +1,13 @@
+#include <memory>
+#include <optional>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "harness/experiment.h"
+#include "tuner/candidate_gen.h"
 #include "tuner/relaxation.h"
+#include "workload/schema_util.h"
 
 namespace bati {
 namespace {
@@ -59,22 +65,52 @@ TEST(Relaxation, HonorsStorageConstraint) {
 }
 
 TEST(Relaxation, MergesReduceCountWhenUniverseHasMergedForms) {
-  // With merged candidates in the universe, the relaxation step has merge
-  // transformations available and must still satisfy K.
-  const Workload w = MakeTpch();
-  CandidateGenOptions gen;
-  gen.merged_indexes = true;
-  CandidateSet candidates = GenerateCandidates(w, gen);
-  WhatIfOptimizer optimizer(w.database);
+  // Q1 wants t(a) INCLUDE(c), Q2 wants t(a, b) INCLUDE(d). The hand-made
+  // universe holds both and their merged form t(a, b) INCLUDE(c, d), which
+  // no query's provenance names, so only a merge transformation can reach
+  // it. Under K = 1 the seed {t(a)+c, t(a,b)+d} must relax into the merge,
+  // which serves both queries.
+  auto db = std::make_shared<Database>("merge");
+  Table t("t", 1000000);
+  t.AddColumn(schema_util::IntCol("a", 1000, 0, 1000));
+  t.AddColumn(schema_util::IntCol("b", 1000, 0, 1000));
+  t.AddColumn(schema_util::IntCol("c", 1000, 0, 1000));
+  t.AddColumn(schema_util::IntCol("d", 1000, 0, 1000));
+  BATI_CHECK_OK(db->AddTable(std::move(t)).status());
+  const Workload w = schema_util::BindAll(
+      "merge", db,
+      {"SELECT c FROM t WHERE a = 5",
+       "SELECT d FROM t WHERE a = 7 AND b = 3"},
+      {"q1", "q2"});
+  Index narrow;
+  narrow.table_id = 0;
+  narrow.key_columns = {0};
+  narrow.include_columns = {2};
+  Index wide;
+  wide.table_id = 0;
+  wide.key_columns = {0, 1};
+  wide.include_columns = {3};
+  const std::optional<Index> merged = MergeIndexes(narrow, wide);
+  ASSERT_TRUE(merged.has_value());
+  ASSERT_EQ(merged->key_columns, (std::vector<int>{0, 1}));
+  ASSERT_EQ(merged->include_columns, (std::vector<int>{2, 3}));
+  CandidateSet candidates;
+  candidates.indexes = {narrow, wide, *merged};
+  candidates.per_query = {{0}, {1}};
+  for (const Index& ix : candidates.indexes) {
+    candidates.size_bytes.push_back(ix.SizeBytes(*db));
+  }
+
+  WhatIfOptimizer optimizer(db);
   TuningContext ctx;
   ctx.workload = &w;
   ctx.candidates = &candidates;
-  ctx.constraints.max_indexes = 4;
-  CostService service(&optimizer, &w, &candidates.indexes, 400);
+  ctx.constraints.max_indexes = 1;
+  CostService service(&optimizer, &w, &candidates.indexes, 50);
   RelaxationTuner tuner(ctx);
   TuningResult result = tuner.Tune(service);
-  EXPECT_LE(result.best_config.count(), 4u);
-  EXPECT_GT(service.TrueImprovement(result.best_config), 0.0);
+  EXPECT_EQ(result.best_config.ToIndices(), (std::vector<size_t>{2}));
+  EXPECT_GT(service.TrueImprovement(result.best_config), 50.0);
 }
 
 TEST(Relaxation, AnytimeEvenWithTinyBudget) {

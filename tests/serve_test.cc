@@ -673,6 +673,31 @@ TEST(ServeDaemonTest, EmitsStructuredErrorsAndKeepsServing) {
   daemon.Finish(&out);
 }
 
+TEST(ServeDaemonTest, RejectsALooseMctsOverrideOnATune) {
+  // A tune override with an unknown MCTS token is an invalid-argument error
+  // line that names the token; nothing is queued and the tenant keeps
+  // serving.
+  ServeDaemon daemon(ToyOptions());
+  std::string out;
+  daemon.ProcessLine(R"({"type":"register","tenant":"t","workload":"toy"})",
+                     &out);
+  EXPECT_NE(out.find("\"status\":\"ok\""), std::string::npos);
+  out.clear();
+  daemon.ProcessLine(R"({"type":"tune","tenant":"t","algorithm":"mcts-typo"})",
+                     &out);
+  EXPECT_NE(out.find("\"code\":\"invalid-argument\""), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("typo"), std::string::npos) << out;
+  out.clear();
+  daemon.ProcessLine(R"({"type":"drain"})", &out);
+  EXPECT_NE(out.find("\"applied\":0"), std::string::npos) << out;
+  out.clear();
+  daemon.ProcessLine(R"({"type":"query","tenant":"t","query":0})", &out);
+  EXPECT_NE(out.find("\"type\":\"query\""), std::string::npos);
+  out.clear();
+  daemon.Finish(&out);
+}
+
 TEST(ServeDaemonTest, AdmissionControlRejectsOverQuotaTunes) {
   ServeDaemon daemon(ToyOptions());
   std::string out;

@@ -409,10 +409,16 @@ TEST(SpecJsonTest, ValidatesAlgorithmAtParseTime) {
   // empty (which MakeTuner would also reject).
   ASSERT_TRUE(ParseRunSpecJson("{\"workload\":\"toy\"}", &spec).ok());
   EXPECT_EQ(spec.algorithm, "mcts");
-  EXPECT_TRUE(IsKnownAlgorithm("vanilla-greedy"));
-  EXPECT_TRUE(IsKnownAlgorithm("mcts-uct-bce-fix0"));
-  EXPECT_FALSE(IsKnownAlgorithm(""));
-  EXPECT_FALSE(IsKnownAlgorithm("greedy"));
+  EXPECT_TRUE(ParseAlgorithm("vanilla-greedy").ok());
+  EXPECT_TRUE(ParseAlgorithm("mcts-uct-bce-fix0").ok());
+  EXPECT_FALSE(ParseAlgorithm("").ok());
+  EXPECT_FALSE(ParseAlgorithm("greedy").ok());
+  // An MCTS name with an unknown token is rejected too, naming the token.
+  const Status typo = ParseRunSpecJson(
+      "{\"workload\":\"toy\",\"algorithm\":\"mcts-typo\"}", &spec);
+  EXPECT_EQ(typo.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(typo.message().find("\"typo\""), std::string::npos)
+      << typo.message();
 }
 
 TEST(SpecJsonTest, RunSpecToJsonRoundTrips) {

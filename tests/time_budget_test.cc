@@ -102,40 +102,5 @@ TEST(MergeIndexes, MergedKeyOverlapRemovedFromIncludes) {
   EXPECT_EQ(merged->include_columns, (std::vector<int>{7}));
 }
 
-TEST(MergedCandidates, ExpandTheUniverseWithProvenance) {
-  const Workload w = MakeTpch();
-  CandidateGenOptions plain;
-  CandidateGenOptions with_merge;
-  with_merge.merged_indexes = true;
-  CandidateSet base = GenerateCandidates(w, plain);
-  CandidateSet merged = GenerateCandidates(w, with_merge);
-  EXPECT_GT(merged.size(), base.size());
-  // Every merged candidate appears in at least one query's provenance.
-  std::vector<bool> referenced(static_cast<size_t>(merged.size()), false);
-  for (const auto& prov : merged.per_query) {
-    for (int pos : prov) referenced[static_cast<size_t>(pos)] = true;
-  }
-  for (int pos = base.size(); pos < merged.size(); ++pos) {
-    EXPECT_TRUE(referenced[static_cast<size_t>(pos)]) << pos;
-  }
-}
-
-TEST(MergedCandidates, PerTableCapHolds) {
-  const Workload w = MakeTpch();
-  CandidateGenOptions options;
-  options.merged_indexes = true;
-  options.max_merged_per_table = 2;
-  CandidateGenOptions plain;
-  CandidateSet base = GenerateCandidates(w, plain);
-  CandidateSet merged = GenerateCandidates(w, options);
-  std::map<int, int> added_per_table;
-  for (int pos = base.size(); pos < merged.size(); ++pos) {
-    added_per_table[merged.indexes[static_cast<size_t>(pos)].table_id]++;
-  }
-  for (const auto& [table, count] : added_per_table) {
-    EXPECT_LE(count, 2) << "table " << table;
-  }
-}
-
 }  // namespace
 }  // namespace bati

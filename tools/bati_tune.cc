@@ -54,7 +54,12 @@ void Usage(const char* argv0) {
       "--schema-file)\n"
       "  --algorithm NAME    vanilla-greedy|two-phase-greedy|"
       "autoadmin-greedy|\n"
-      "                      dba-bandits|no-dba|dta|mcts[...] (default mcts)\n"
+      "                      dba-bandits|no-dba|dta|relaxation|"
+      "mcts[-TOKEN...]\n"
+      "                      (default mcts); MCTS tokens, at most one per "
+      "group:\n"
+      "                      uct|prior|boltz, rnd|fix0|fix1, bce|bg|hybrid, "
+      "rave, feat\n"
       "  --budget N          what-if call budget (default 1000)\n"
       "  --minutes M         derive the budget from a time budget instead\n"
       "  --k N               max indexes to recommend (default 10)\n"
